@@ -16,10 +16,12 @@ standard 2x2 rotation matrix in either frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .hamiltonians import is_autonomous
 from .siegel import J_STANDARD, geodesic_matrices, structure_defect
 
 NORTH, SOUTH = 0, 1
@@ -204,8 +206,6 @@ class FlowMap:
     jacobian: np.ndarray  # (n, 2, 2) frame-to-frame tangent map
     jacobian3: np.ndarray  # (n, 3, 3) ambient tangent map
     t: float
-    hamiltonian: object
-    steps_per_unit_time: int
 
 
 def integrate_flow(h, points, steps, t_final=1.0, sample_times=None):
@@ -229,11 +229,11 @@ def integrate_flow(h, points, steps, t_final=1.0, sample_times=None):
     maps = {}
     if any(t == 0.0 for t in sample_times):
         eye3 = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3)).copy()
-        maps[0.0] = _make_flow_map(h, points, points, eye3, 0.0, steps)
+        maps[0.0] = _make_flow_map(points, points, eye3, 0.0)
 
     def callback(i, t, y, m):
         if (i + 1) in wanted:
-            maps[wanted[i + 1]] = _make_flow_map(h, points, y, m, t, steps)
+            maps[wanted[i + 1]] = _make_flow_map(points, y, m, t)
 
     _rk4_flow(h, points, 0.0, t_final, steps, callback=callback)
     out = [maps[t] for t in sample_times]
@@ -247,7 +247,7 @@ def integrate_flow(h, points, steps, t_final=1.0, sample_times=None):
     return out
 
 
-def _make_flow_map(h, start, forward, m3, t, steps):
+def _make_flow_map(start, forward, m3, t):
     jac = frame_jacobian(m3, start, forward)
     return FlowMap(
         start=start,
@@ -255,8 +255,6 @@ def _make_flow_map(h, start, forward, m3, t, steps):
         jacobian=jac,
         jacobian3=m3.copy(),
         t=t,
-        hamiltonian=h,
-        steps_per_unit_time=steps,
     )
 
 
@@ -269,6 +267,56 @@ def transport_backward(h, points, t, steps):
             np.eye(3), points.shape[:-1] + (3, 3)
         ).copy()
     return _rk4_flow(h, points, t, 0.0, steps)
+
+
+def per_time_steps(steps_per_unit_time, t):
+    """RK4 steps of a stand-alone transport over [0, t]: at least 8."""
+    return max(8, int(round(steps_per_unit_time * abs(t))))
+
+
+class BackwardSweep:
+    """Inverse flow maps of h at one point set for increasing times.
+
+    ``transport(points, t)`` returns (flow_t^{-1}(points), M) like
+    :func:`transport_backward`.  For an autonomous h the inverse flow is
+    the flow at time -t, so one backward integration serves every sample:
+    each call continues from the previous sample with
+    ceil(steps_per_unit_time * gap) RK4 steps, which keeps every step at
+    most 1/steps_per_unit_time.  A new point set or an earlier time
+    restarts from the identity at t = 0.  A time-dependent h is
+    transported afresh at every t, with :func:`per_time_steps` steps.
+    """
+
+    def __init__(self, h, steps_per_unit_time):
+        self.h = h
+        self.steps_per_unit_time = steps_per_unit_time
+        self.autonomous = is_autonomous(h)
+        self._points = None
+        self._state = None  # (t, y, m) of the last sample
+
+    def transport(self, points, t):
+        points = np.asarray(points, dtype=float)
+        t = float(t)
+        if not self.autonomous:
+            return transport_backward(
+                self.h, points, t, per_time_steps(self.steps_per_unit_time, t)
+            )
+        if (
+            self._state is None
+            or t < self._state[0]
+            or not np.array_equal(self._points, points)
+        ):
+            eye = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
+            self._points = points.copy()
+            self._state = (0.0, self._points, eye)
+        t0, y, m = self._state
+        if t > t0:
+            # the tolerance keeps a gap that is a whole number of steps
+            # up to rounding from taking one extra step
+            steps = max(1, math.ceil(self.steps_per_unit_time * (t - t0) - 1e-9))
+            y, m = advance_state(self.h, y, m, -t0, -t, steps)
+            self._state = (t, y, m)
+        return y.copy(), m.copy()
 
 
 def chart_symbol(h, points, t):
@@ -292,9 +340,6 @@ class ComplexStructureField:
 
     def evaluate(self, points, chart=None):
         raise NotImplementedError
-
-    def grid_values(self, points):
-        return self.evaluate(points)
 
 
 class RoundStructure(ComplexStructureField):
@@ -320,11 +365,18 @@ class PushforwardStructure(ComplexStructureField):
             chart = chart_of(points)
         if self.t == 0.0:
             return self.inner.evaluate(points, chart)
-        steps = max(8, int(round(self.steps_per_unit_time * abs(self.t))))
+        steps = per_time_steps(self.steps_per_unit_time, self.t)
         y, m3 = transport_backward(self.h, points, self.t, steps)
-        b = frame_jacobian(m3, points, y, x_chart=chart)
-        inner = self.inner.evaluate(y)
-        return np.linalg.solve(b, inner @ b)
+        return pushforward_matrices(self.inner, points, y, m3, chart)
+
+
+def pushforward_matrices(inner, points, y, m3, chart):
+    """Frame matrices at ``points`` of the pushforward of the field
+    ``inner`` by a flow map phi, given y = phi^{-1}(points) and the ambient
+    Jacobian m3 of phi^{-1} at the points (from :func:`transport_backward`
+    or :class:`BackwardSweep`)."""
+    b = frame_jacobian(m3, points, y, x_chart=chart)
+    return np.linalg.solve(b, inner.evaluate(y) @ b)
 
 
 class GridStructure(ComplexStructureField):
@@ -345,16 +397,6 @@ class GridStructure(ComplexStructureField):
         ):
             raise ValueError("grid-sampled structure has fixed charts")
         return self.matrices.copy()
-
-
-def pushforward(field: ComplexStructureField, flow_map: FlowMap):
-    """Pushforward of a field by the flow underlying a flow map."""
-    return PushforwardStructure(
-        field,
-        flow_map.hamiltonian,
-        flow_map.t,
-        steps_per_unit_time=flow_map.steps_per_unit_time,
-    )
 
 
 def geodesic_sweep(j0, j1, points, t_samples):

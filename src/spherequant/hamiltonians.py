@@ -73,6 +73,11 @@ class Polynomial:
     def __init__(self, terms):
         self.terms = list(terms)
 
+    @property
+    def autonomous(self):
+        """True when no term carries a time dependence."""
+        return all(term.time_fn is None for term in self.terms)
+
     def value(self, x, t=0.0):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1])
@@ -112,6 +117,15 @@ class Polynomial:
             )
             out.append((terms[0].time_fn, static))
         return out
+
+
+def is_autonomous(h):
+    """Whether the generator h reports itself time-independent.
+
+    Only :class:`Polynomial` reports this; every other generator
+    (reparametrized paths, composed paths) counts as time-dependent.
+    """
+    return getattr(h, "autonomous", False) is True
 
 
 def constant(c):

@@ -131,7 +131,7 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
     sh = invariants.shelukhin(
         path, grid, time_samples=config.time_samples, flow_steps=config.flow_steps
     )
-    lam = quantize.lambda_prime(grid=grid)
+    lam = quantize.ROUND_LAMBDA_PRIME
     rows = []
     for k in config.ks:
         t0 = time.perf_counter()
@@ -169,7 +169,7 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
     path = sphere.HamiltonianPath(h)
     cal = sphere.calabi(path, grid)
     pairing = invariants.curvature_pairing(path, grid, flow_steps=config.flow_steps)
-    lam = quantize.lambda_prime(grid=grid)
+    lam = quantize.ROUND_LAMBDA_PRIME
     rows = []
     for k in config.ks:
         t0 = time.perf_counter()
@@ -207,15 +207,14 @@ def run_defect(config: ExperimentConfig) -> SweepReport:
     """Homomorphism defect of the quantized paths over a k sweep."""
     path_a = sphere.HamiltonianPath(config.hamiltonian())
     path_b = sphere.HamiltonianPath(config.hamiltonian_b())
-    t0 = time.perf_counter()
-    values = invariants.defect(
-        path_a, path_b, config.ks, steps=config.steps, flow_steps=config.flow_steps
-    )
-    runtime = time.perf_counter() - t0
-    rows = [
-        {"k": k, "defect": float(d), "runtime": runtime / len(config.ks)}
-        for k, d in zip(config.ks, values)
-    ]
+    rows = []
+    for k in config.ks:
+        t0 = time.perf_counter()
+        (d,) = invariants.defect(
+            path_a, path_b, [k], steps=config.steps, flow_steps=config.flow_steps
+        )
+        rows.append({"k": k, "defect": float(d), "runtime": time.perf_counter() - t0})
+    values = np.array([r["defect"] for r in rows])
     slope = fit_slope(config.ks, values, floor=1e-6)
     passed = slope is None or slope <= 0.2
     return SweepReport(

@@ -132,10 +132,21 @@ def _structure_at(h, t, flow_steps, j0=None):
 
 def _disc_flux(h, nodes, time_samples, flow_steps, j0=None):
     """Per-node sigma-area of the loop traced by the transported structure,
-    closed by the geodesic back to the start (exact geodesic-polygon flux)."""
+    closed by the geodesic back to the start (exact geodesic-polygon flux).
+
+    The samples share one backward sweep of the flow (see
+    :class:`flow.BackwardSweep`)."""
+    if j0 is None:
+        j0 = flow.RoundStructure()
+    chart = flow.chart_of(nodes)
+    sweep = flow.BackwardSweep(h, flow_steps)
     taus = np.empty((len(nodes), time_samples + 2), dtype=complex)
     for i, t in enumerate(np.linspace(0.0, 1.0, time_samples + 1)):
-        mats = _structure_at(h, t, flow_steps, j0).evaluate(nodes)
+        if t == 0.0:
+            mats = j0.evaluate(nodes, chart)
+        else:
+            y, m3 = sweep.transport(nodes, t)
+            mats = flow.pushforward_matrices(j0, nodes, y, m3, chart)
         taus[:, i] = siegel.to_upper_half_plane(mats)
     taus[:, -1] = taus[:, 0]
     # Romberg in the time sampling: the polygonal flux converges at second

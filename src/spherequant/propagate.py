@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow, quantize
+from . import flow, hamiltonians, quantize
 from .unitary_metric import Unitary, UnitaryWithPhase
 
 
@@ -54,8 +54,22 @@ def _magnus_effective(a1, a2, k, dt, sign):
 
 
 def propagate_generic(space, generator_fn, steps, t_final=1.0):
-    """Fourth-order Magnus propagation of d/dt u = -i k A(t) u."""
+    """Fourth-order Magnus propagation of d/dt u = -i k A(t) u.
+
+    A generator marked ``autonomous`` (see :func:`_separable_generator`)
+    is constant in time, so both Gauss points see the same matrix, the
+    commutator vanishes and the steps multiply to exp(-i k t_final A):
+    one eigendecomposition replaces the loop.
+    """
     k = space.k
+    if getattr(generator_fn, "autonomous", False):
+        a = generator_fn(0.0)
+        return PropagationResult(
+            unitary=_expi(a, -k * t_final),
+            phase=-k * t_final * np.trace(a).real,
+            k=k,
+            steps=steps,
+        )
     dt = t_final / steps
     u = np.eye(space.dim, dtype=complex)
     phase = 0.0
@@ -81,6 +95,7 @@ def _separable_generator(space, h, builder):
             a += (1.0 if fn is None else fn(t)) * mat
         return a
 
+    generator.autonomous = hamiltonians.is_autonomous(h)
     return generator
 
 

@@ -17,6 +17,9 @@ from scipy.special import gammaln
 from . import flow, sphere
 
 TOTAL_VOLUME = sphere.TOTAL_VOLUME
+# lambda' = half the Liouville mean of the scalar curvature; the round
+# structure has scalar curvature 2 everywhere
+ROUND_LAMBDA_PRIME = 1.0
 
 
 def dimension(k):
@@ -41,10 +44,6 @@ class QuantumSpace:
     @property
     def dim(self):
         return self.k + 1
-
-    def project_coefficients(self, node_values):
-        """L2 projection of node samples onto the holomorphic basis."""
-        return self.weighted_basis.conj().T @ node_values
 
 
 def default_grid(k):
@@ -140,15 +139,3 @@ def trace_residual(space, h, curvature=2.0, operator="ks"):
     i_f = sphere.integrate_values(space.grid, values)
     i_fs = sphere.integrate_values(space.grid, values * curvature)
     return tr - space.k / (2.0 * np.pi) * i_f - i_fs / (4.0 * np.pi)
-
-
-def lambda_prime(structure=None, grid=None):
-    """Half the average scalar curvature (equals 1 for the round sphere)."""
-    from . import invariants
-
-    if grid is None:
-        grid = sphere.build_grid(24, 48)
-    if structure is None:
-        structure = flow.RoundStructure()
-    s = invariants.scalar_curvature(structure, grid)
-    return 0.5 * sphere.integrate(s) / TOTAL_VOLUME

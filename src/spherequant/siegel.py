@@ -212,22 +212,6 @@ class LinearComplexStructure:
 
 
 @dataclass(frozen=True)
-class SiegelTangent:
-    """Tangent vector to the space of structures at a base point."""
-
-    mat: np.ndarray
-    base: LinearComplexStructure
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=float)
-        if m.shape != (2, 2):
-            raise SiegelError("expected a 2x2 matrix")
-        object.__setattr__(self, "mat", m)
-        if tangent_defect(self.base.mat, m) > 1e-10 * max(1.0, np.abs(m).max()):
-            raise SiegelError("matrix does not satisfy the tangency equations")
-
-
-@dataclass(frozen=True)
 class SiegelLoop:
     """Closed sampled loop of compatible structures (last sample = first)."""
 
@@ -242,13 +226,6 @@ class SiegelLoop:
         first, last = samples[0].mat, samples[-1].mat
         if np.max(np.abs(first - last)) > 1e-9:
             raise SiegelError("loop is not closed")
-
-
-def sigma_form(a: SiegelTangent, b: SiegelTangent) -> float:
-    """Symplectic pairing sigma_j(a, b) = tr(j a b) / 4."""
-    if np.max(np.abs(a.base.mat - b.base.mat)) > 1e-12:
-        raise SiegelError("tangents have different base points")
-    return float(sigma_matrices(a.base.mat, a.mat, b.mat))
 
 
 def geodesic(

@@ -116,7 +116,9 @@ class StarProductHamiltonian:
     The product of the path generated by f with the path generated by g is
     generated by f_t + g_t o alpha_t^{-1}, where alpha is the Hamiltonian
     flow of f.  Values (and chart symbols, needed for quantization) are
-    obtained by transporting evaluation points backward along that flow.
+    obtained by transporting evaluation points backward along that flow;
+    a propagation samples increasing times at one point set, so for an
+    autonomous f one backward sweep serves all of them.
     """
 
     def __init__(self, f, g, flow_steps: int = 256):
@@ -124,17 +126,13 @@ class StarProductHamiltonian:
 
         self.f = f
         self.g = g
-        self.flow_steps = flow_steps
         self._flow = _flow
-
-    def _backward(self, points, t):
-        steps = max(8, int(round(self.flow_steps * t)))
-        return self._flow.transport_backward(self.f, points, t, steps=steps)
+        self._sweep = _flow.BackwardSweep(f, flow_steps)
 
     def value(self, points, t):
         if t == 0.0:
             return self.f.value(points, t) + self.g.value(points, t)
-        y, _ = self._backward(points, t)
+        y, _ = self._sweep.transport(points, t)
         return self.f.value(points, t) + self.g.value(y, t)
 
     def chart_symbol(self, points, t):
@@ -143,7 +141,7 @@ class StarProductHamiltonian:
         if t == 0.0:
             vals_g, a_g = self._flow.chart_symbol(self.g, points, t)
             return vals_f + vals_g, a_f + a_g
-        y, back = self._backward(points, t)
+        y, back = self._sweep.transport(points, t)
         vals_g = self.g.value(y, t)
         # X_{g o alpha^{-1}}(x) = d alpha|_y X_g(y) with y = alpha^{-1}(x),
         # and back = d(alpha^{-1})|_x is the inverse of d alpha|_y

@@ -54,6 +54,19 @@ def test_config_from_file(tmp_path):
     assert cfg.pairs == 5
 
 
+def test_run_defect_times_each_level():
+    cfg = harness.ExperimentConfig(
+        experiment="defect",
+        preset="height-squared",
+        ks=(8, 64),
+        steps=4,
+        flow_steps=8,
+    )
+    rows = harness.run_defect(cfg).rows
+    assert [r["k"] for r in rows] == [8, 64]
+    assert rows[1]["runtime"] > rows[0]["runtime"]
+
+
 def test_brute_force_lattice_matches_solver():
     from spherequant.unitary_metric import LatticeProblem, solve_lattice
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spherequant import hamiltonians as ham, propagate, quantize
 
@@ -10,6 +11,21 @@ def test_constant_hamiltonian_closed_form():
     res = propagate.propagate_ks(sp, ham.constant(c), steps=16)
     assert np.max(np.abs(res.unitary - np.exp(-1j * k * c) * np.eye(k + 1))) < 1e-12
     assert abs(res.phase + k * c * (k + 1)) < 1e-10
+
+
+def test_autonomous_propagation_matches_expm():
+    # a time-independent generator is propagated by one exponential
+    k = 16
+    sp = quantize.build_space(k)
+    for h in (ham.height(), ham.coordinate(0)):
+        for propagate_fn, op in (
+            (propagate.propagate_toeplitz, quantize.toeplitz(sp, h)),
+            (propagate.propagate_ks, quantize.kostant_souriau(sp, h)),
+        ):
+            res = propagate_fn(sp, h, steps=16)
+            expected = scipy.linalg.expm(-1j * k * op)
+            assert np.max(np.abs(res.unitary - expected)) < 1e-10
+            assert abs(res.phase + k * np.trace(op).real) < 1e-10
 
 
 def test_height_hamiltonian_closed_form():

@@ -2,7 +2,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from spherequant import hamiltonians as ham, quantize, sphere
+from spherequant import flow, hamiltonians as ham, invariants, quantize, sphere
 
 
 def test_dimension_law():
@@ -112,7 +112,12 @@ def test_trace_residuals_at_noise_floor():
 
 
 def test_lambda_prime_is_one():
-    assert abs(quantize.lambda_prime() - 1.0) < 1e-6
+    # oracle: half the Liouville mean of the finite-difference scalar
+    # curvature of the round structure
+    grid = sphere.build_grid(24, 48)
+    s = invariants.scalar_curvature(flow.RoundStructure(), grid)
+    lam = 0.5 * sphere.integrate(s) / sphere.TOTAL_VOLUME
+    assert abs(lam - quantize.ROUND_LAMBDA_PRIME) < 1e-6
 
 
 def test_custom_grid_must_resolve_basis():

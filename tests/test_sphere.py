@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spherequant import flow, hamiltonians as ham, sphere
+from spherequant import flow, hamiltonians as ham, propagate, quantize, sphere
 
 
 def test_total_volume():
@@ -88,6 +88,33 @@ def test_star_product_chart_symbol_matches_closed_form():
     exact_vals, exact_a = flow.chart_symbol(exact_h, grid.nodes, t)
     assert np.max(np.abs(vals - exact_vals)) < 1e-8
     assert np.max(np.abs(a - exact_a)) < 1e-7
+
+
+def test_star_product_propagation_shares_one_backward_sweep(monkeypatch):
+    # 8 Magnus steps sample the generator at (n + 1/2 -+ sqrt(3)/6) / 8; at
+    # 32 flow steps per unit time the gaps between samples (0.0264 first,
+    # then 0.0722 within and 0.0528 between Magnus steps) take 1, 3 and 2
+    # RK4 steps: 1 + 8 * 3 + 7 * 2 = 39 steps per node
+    point_steps = []
+    advance = flow.advance_state
+
+    def counted(h, y, m, t0, t1, steps=1):
+        point_steps.append(steps * len(y))
+        return advance(h, y, m, t0, t1, steps)
+
+    def per_time(*args, **kwargs):
+        raise AssertionError("autonomous flow transported per sample time")
+
+    monkeypatch.setattr(flow, "advance_state", counted)
+    monkeypatch.setattr(flow, "transport_backward", per_time)
+    space = quantize.build_space(8)
+    star = sphere.star_product(
+        sphere.HamiltonianPath(ham.height_squared(2.0)),
+        sphere.HamiltonianPath(ham.coordinate(0, 2.0)),
+        flow_steps=32,
+    )
+    propagate.propagate_ks(space, star, steps=8)
+    assert sum(point_steps) == 39 * space.grid.size
 
 
 def test_exact_degree_reporting():
