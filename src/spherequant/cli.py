@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import hamiltonians, harness
+from . import hamiltonians, harness, propagate
 
 
 def _load_config(args, experiment):
@@ -20,6 +20,11 @@ def _print_presets():
     print("available Hamiltonian presets:")
     for name in sorted(hamiltonians.PRESETS):
         print(f"  {name}")
+
+
+def _refuse(command, exc):
+    print(f"spherequant {command}: {exc}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None):
@@ -44,9 +49,17 @@ def main(argv=None):
         parser.print_help()
         return 2
 
-    config = _load_config(args, args.command)
+    try:
+        config = _load_config(args, args.command)
+    except ValueError as exc:  # the message names the offending field
+        return _refuse(args.command, exc)
+    # one directory for the report and the toeplitz-dump matrices
+    out_dir = config.out or args.out
     if args.command == "theorem1":
-        report = harness.run_theorem1_holomorphic(config)
+        try:
+            report = harness.run_theorem1_holomorphic(config)
+        except propagate.HolomorphyError as exc:
+            return _refuse(args.command, exc)
     elif args.command == "prop53":
         report = harness.run_prop53(config)
     elif args.command == "defect":
@@ -54,9 +67,8 @@ def main(argv=None):
     elif args.command == "distance":
         report = harness.run_distance_tests(config)
     else:
-        report = harness.run_toeplitz_dump(config, args.out)
+        report = harness.run_toeplitz_dump(config, out_dir)
 
-    out_dir = config.out or args.out
     report.write(out_dir)
     for row in report.rows:
         print("  ".join(f"{key}={value}" for key, value in row.items()))

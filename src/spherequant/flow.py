@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import is_autonomous
-from .siegel import J_STANDARD, geodesic_matrices, structure_defect
+# flow does not call geodesic_matrices; perfbench/selftest.py asserts that
+# tracing rebinds this imported copy
+from .siegel import J_STANDARD, geodesic_matrices  # noqa: F401
 
 NORTH, SOUTH = 0, 1
 
@@ -148,28 +150,13 @@ def _cross_matrix(v):
     return m
 
 
-def _rk4_flow(h, points, t0, t1, steps, with_jacobian=True, callback=None):
+def advance_state(h, y, m, t0, t1, steps=1):
     """Classical RK4 on the trajectory and variational equations.
 
-    Integrates from t0 to t1 (either direction); points are renormalized
-    to the unit sphere after every step.  ``callback(i, t, y, m)`` is
-    invoked after each step when given.
+    Continues an (points, Jacobian) integration from t0 to t1 (either
+    direction) in ``steps`` equal steps; points are renormalized to the
+    unit sphere after every step.  This is the package's one RK4 loop.
     """
-    y = np.array(points, dtype=float)
-    m = np.broadcast_to(np.eye(3), y.shape[:-1] + (3, 3)).copy() if with_jacobian else None
-    dt = (t1 - t0) / steps
-    t = t0
-    for i in range(steps):
-        y, m = _rk4_step(h, y, m, t, dt)
-        y /= np.linalg.norm(y, axis=-1, keepdims=True)
-        t = t0 + (i + 1) * dt
-        if callback is not None:
-            callback(i, t, y, m)
-    return y, m
-
-
-def advance_state(h, y, m, t0, t1, steps=1):
-    """Continue an (points, Jacobian) integration from t0 to t1."""
     dt = (t1 - t0) / steps
     for i in range(steps):
         y, m = _rk4_step(h, y, m, t0 + i * dt, dt)
@@ -179,21 +166,14 @@ def advance_state(h, y, m, t0, t1, steps=1):
 
 def _rk4_step(h, y, m, t, dt):
     def rhs(tt, yy, mm):
-        f = hamiltonian_vector_field(h, yy, tt)
-        if mm is None:
-            return f, None
-        return f, _field_jacobian(h, yy, tt) @ mm
+        return hamiltonian_vector_field(h, yy, tt), _field_jacobian(h, yy, tt) @ mm
 
     k1, K1 = rhs(t, y, m)
-    k2, K2 = rhs(
-        t + dt / 2, y + dt / 2 * k1, None if m is None else m + dt / 2 * K1
-    )
-    k3, K3 = rhs(
-        t + dt / 2, y + dt / 2 * k2, None if m is None else m + dt / 2 * K2
-    )
-    k4, K4 = rhs(t + dt, y + dt * k3, None if m is None else m + dt * K3)
+    k2, K2 = rhs(t + dt / 2, y + dt / 2 * k1, m + dt / 2 * K1)
+    k3, K3 = rhs(t + dt / 2, y + dt / 2 * k2, m + dt / 2 * K2)
+    k4, K4 = rhs(t + dt, y + dt * k3, m + dt * K3)
     y_new = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    m_new = None if m is None else m + dt / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
+    m_new = m + dt / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
     return y_new, m_new
 
 
@@ -208,65 +188,34 @@ class FlowMap:
     t: float
 
 
-def integrate_flow(h, points, steps, t_final=1.0, sample_times=None):
-    """Flow maps of the Hamiltonian h at the requested sample times.
+def integrate_flow(h, points, steps, t_final=1.0):
+    """Forward flow map of the Hamiltonian h at time t_final.
 
-    Returns a list of :class:`FlowMap`, one per sample time (default: the
-    single final time).  Raises :class:`FlowAccuracyError` when the frame
-    Jacobian determinant drifts beyond 1e-6 from 1 (symplecticity check).
+    Raises :class:`FlowAccuracyError` when the frame Jacobian determinant
+    drifts beyond 1e-6 from 1 (symplecticity check).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     points = np.asarray(points, dtype=float)
-    if sample_times is None:
-        sample_times = [t_final]
-    sample_times = list(sample_times)
-    wanted = {round(t / (t_final / steps)): t for t in sample_times if t > 0}
-    for i_round, t in wanted.items():
-        if abs(i_round * t_final / steps - t) > 1e-12:
-            raise ValueError("sample times must be multiples of the step size")
-
-    maps = {}
-    if any(t == 0.0 for t in sample_times):
-        eye3 = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3)).copy()
-        maps[0.0] = _make_flow_map(points, points, eye3, 0.0)
-
-    def callback(i, t, y, m):
-        if (i + 1) in wanted:
-            maps[wanted[i + 1]] = _make_flow_map(points, y, m, t)
-
-    _rk4_flow(h, points, 0.0, t_final, steps, callback=callback)
-    out = [maps[t] for t in sample_times]
-    for fm in out:
-        det = np.linalg.det(fm.jacobian)
-        if np.max(np.abs(det - 1.0)) > 1e-6:
-            raise FlowAccuracyError(
-                "flow Jacobian determinant drifted beyond 1e-6; "
-                "increase the step count"
-            )
-    return out
-
-
-def _make_flow_map(start, forward, m3, t):
-    jac = frame_jacobian(m3, start, forward)
-    return FlowMap(
-        start=start,
-        forward=forward.copy(),
-        jacobian=jac,
-        jacobian3=m3.copy(),
-        t=t,
-    )
+    eye = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
+    y, m = advance_state(h, points, eye, 0.0, t_final, steps)
+    jac = frame_jacobian(m, points, y)
+    if np.max(np.abs(np.linalg.det(jac) - 1.0)) > 1e-6:
+        raise FlowAccuracyError(
+            "flow Jacobian determinant drifted beyond 1e-6; "
+            "increase the step count"
+        )
+    return FlowMap(start=points, forward=y, jacobian=jac, jacobian3=m, t=t_final)
 
 
 def transport_backward(h, points, t, steps):
     """Backward transport (y, M) with y = flow_t^{-1}(points) and M the
     ambient Jacobian of the inverse flow at the given points."""
     points = np.asarray(points, dtype=float)
+    eye = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
     if t == 0.0:
-        return points.copy(), np.broadcast_to(
-            np.eye(3), points.shape[:-1] + (3, 3)
-        ).copy()
-    return _rk4_flow(h, points, t, 0.0, steps)
+        return points.copy(), eye.copy()
+    return advance_state(h, points, eye, t, 0.0, steps)
 
 
 def per_time_steps(steps_per_unit_time, t):
@@ -377,36 +326,3 @@ def pushforward_matrices(inner, points, y, m3, chart):
     or :class:`BackwardSweep`)."""
     b = frame_jacobian(m3, points, y, x_chart=chart)
     return np.linalg.solve(b, inner.evaluate(y) @ b)
-
-
-class GridStructure(ComplexStructureField):
-    """Structure known only at a fixed point set (geodesic sweeps)."""
-
-    def __init__(self, points, matrices):
-        self.points = np.asarray(points, dtype=float)
-        self.matrices = np.asarray(matrices, dtype=float)
-
-    def evaluate(self, points, chart=None):
-        points = np.asarray(points, dtype=float)
-        if points.shape != self.points.shape or not np.allclose(
-            points, self.points, atol=1e-12
-        ):
-            raise ValueError("grid-sampled structure queried off its points")
-        if chart is not None and np.any(
-            np.broadcast_to(chart, points.shape[:-1]) != chart_of(points)
-        ):
-            raise ValueError("grid-sampled structure has fixed charts")
-        return self.matrices.copy()
-
-
-def geodesic_sweep(j0, j1, points, t_samples):
-    """Nodewise geodesics between two structure fields."""
-    m0 = j0.evaluate(points)
-    m1 = j1.evaluate(points)
-    out = []
-    for t in t_samples:
-        mats = geodesic_matrices(m0, m1, float(t))
-        if np.max(structure_defect(mats)) > 1e-8:
-            raise FlowAccuracyError("geodesic sweep left the compatible space")
-        out.append(GridStructure(points, mats))
-    return out

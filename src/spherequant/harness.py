@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ from .unitary_metric import Unitary, UnitaryWithPhase, cover_distance, distance
 
 ODE_TOLERANCE = 1e-8
 NOISE_FLOOR = 10.0 * ODE_TOLERANCE
-HOLOMORPHIC_PRESETS = ("constant", "height", "tilted-height")
 
 
 @dataclass
@@ -43,15 +42,35 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.ks = tuple(int(k) for k in self.ks)
+        if not self.ks:
+            raise ValueError("ks must name at least one level")
         if any(b <= a for a, b in zip(self.ks, self.ks[1:])):
-            raise ValueError("k list must be strictly increasing")
-        if min(self.grid_theta, self.grid_phi, self.steps, self.flow_steps) < 1:
-            raise ValueError("resolutions and step counts must be positive")
+            raise ValueError(f"ks must be strictly increasing, got {self.ks}")
+        for name in ("grid_theta", "grid_phi", "steps", "flow_steps", "pairs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.time_samples < 4 or self.time_samples % 4:
+            raise ValueError(
+                f"time_samples must be a positive multiple of 4, got {self.time_samples}"
+            )
+        for name in ("preset", "preset_b"):
+            preset, params = getattr(self, name), getattr(self, f"{name}_params")
+            try:
+                hamiltonians.preset(preset, **params)
+            except KeyError as exc:
+                raise ValueError(f"{name}: {exc.args[0]}") from None
+            except TypeError:
+                raise ValueError(
+                    f"{name}_params {params} do not fit preset {preset!r}"
+                ) from None
 
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
             data = json.load(fh)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config fields {unknown} in {path}")
         return cls(**data)
 
     def hamiltonian(self):
@@ -118,15 +137,13 @@ def _predicted(k, lam, cal, sh_half_term):
 
 def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
     """Det-phase of the quantized holomorphic flow against the classical
-    prediction from the Calabi and disc-area invariants."""
-    if config.preset not in HOLOMORPHIC_PRESETS:
-        raise ValueError(
-            f"preset {config.preset!r} does not generate a holomorphic flow; "
-            f"choose one of {HOLOMORPHIC_PRESETS}"
-        )
-    h = config.hamiltonian()
+    prediction from the Calabi and disc-area invariants.
+
+    Raises :class:`propagate.HolomorphyError` before any classical work
+    when the flow of the preset does not preserve the round structure."""
+    path = sphere.HamiltonianPath(config.hamiltonian())
+    propagate.check_holomorphic(path)
     grid = config.grid()
-    path = sphere.HamiltonianPath(h)
     cal = sphere.calabi(path, grid)
     sh = invariants.shelukhin(
         path, grid, time_samples=config.time_samples, flow_steps=config.flow_steps
@@ -136,7 +153,7 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
     for k in config.ks:
         t0 = time.perf_counter()
         space = quantize.build_space(k)
-        result = propagate.pushforward_unitary(space, path, config.steps)
+        result = propagate.propagate_ks(space, path, config.steps)
         predicted = _predicted(k, lam, cal, sh.total)
         rows.append(
             {
@@ -162,13 +179,12 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
 
 
 def run_prop53(config: ExperimentConfig) -> SweepReport:
-    """Inverse-path det-phase against the curvature-pairing prediction;
-    the residual must not grow with k."""
-    h = config.hamiltonian()
-    grid = config.grid()
-    path = sphere.HamiltonianPath(h)
-    cal = sphere.calabi(path, grid)
-    pairing = invariants.curvature_pairing(path, grid, flow_steps=config.flow_steps)
+    """Inverse-path det-phase against the curvature-pairing prediction
+    (the pairing is exactly 0 for the round structure); the residual must
+    not grow with k."""
+    path = sphere.HamiltonianPath(config.hamiltonian())
+    cal = sphere.calabi(path, config.grid())
+    pairing = invariants.ROUND_CURVATURE_PAIRING
     lam = quantize.ROUND_LAMBDA_PRIME
     rows = []
     for k in config.ks:

@@ -1,10 +1,13 @@
 """Classical invariants: scalar curvature, the disc-area quasimorphism,
 and the quantum homomorphism defect.
 
-Scalar curvature is computed as the Gauss curvature of g = omega(., j.),
-by the Brioschi formula with central finite differences of the chart
-metric components; the 3x3 stencil for each node is evaluated in a single
-chart (the node's hemisphere chart) even when it crosses the equator.
+The quasimorphism is the disc-area term plus a curvature pairing that is
+exactly 0 for the round structure (:data:`ROUND_CURVATURE_PAIRING`), so
+the scalar curvature below serves only as a test oracle.  It is computed
+as the Gauss curvature of g = omega(., j.), by the Brioschi formula with
+central finite differences of the chart metric components; the stencil
+for each node is evaluated in a single chart (the node's hemisphere
+chart) even when it crosses the equator.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ import numpy as np
 
 from . import flow, propagate, quantize, siegel, sphere
 from .unitary_metric import Unitary, UnitaryWithPhase, cover_distance
-
-_VOL = sphere.TOTAL_VOLUME
-
 
 # ---------------------------------------------------------------------------
 # scalar curvature
@@ -114,6 +114,13 @@ def scalar_curvature(field, grid, h=1e-2) -> sphere.ScalarField:
 # quasimorphism
 
 
+# The curvature pairing int_0^1 int S(j_t) H_t dmu dt of the round j_0 is 0:
+# naturality S(phi_* j) = S(j) o phi^{-1} and mu-invariance give
+# int S(j_t) H_t dmu = int S(j_0) (H_t o phi_t) dmu = 2 int H_t dmu = 0,
+# since S(j_0) = 2 and the normalized H_t has mean zero (Shelukhin 2014).
+ROUND_CURVATURE_PAIRING = 0.0
+
+
 @dataclass(frozen=True)
 class ShelukhinValue:
     disc_term: float
@@ -124,20 +131,13 @@ class ShelukhinValue:
         return self.disc_term + self.curvature_term
 
 
-def _structure_at(h, t, flow_steps, j0=None):
-    if j0 is None:
-        j0 = flow.RoundStructure()
-    return flow.PushforwardStructure(j0, h, t, steps_per_unit_time=flow_steps)
-
-
-def _disc_flux(h, nodes, time_samples, flow_steps, j0=None):
+def _disc_flux(h, nodes, time_samples, flow_steps):
     """Per-node sigma-area of the loop traced by the transported structure,
     closed by the geodesic back to the start (exact geodesic-polygon flux).
 
     The samples share one backward sweep of the flow (see
     :class:`flow.BackwardSweep`)."""
-    if j0 is None:
-        j0 = flow.RoundStructure()
+    j0 = flow.RoundStructure()
     chart = flow.chart_of(nodes)
     sweep = flow.BackwardSweep(h, flow_steps)
     taus = np.empty((len(nodes), time_samples + 2), dtype=complex)
@@ -161,44 +161,19 @@ def _disc_flux(h, nodes, time_samples, flow_steps, j0=None):
     return (16.0 * fine - coarse) / 15.0
 
 
-def _normalized_values(h, grid, t):
-    values = h.value(grid.nodes, t)
-    return values - sphere.integrate_values(grid, values) / _VOL
+def shelukhin(path, grid, time_samples=32, flow_steps=256) -> ShelukhinValue:
+    """Disc-area term plus curvature pairing of the (normalized) path for
+    the round structure; the pairing is :data:`ROUND_CURVATURE_PAIRING`.
 
-
-def curvature_pairing(path, grid, time_nodes=12, flow_steps=256, fd_h=1e-2, j0=None):
-    """Time integral of < S(j_t), normalized H_t > against mu."""
-    h = getattr(path, "hamiltonian", path)
-    ts, ws = np.polynomial.legendre.leggauss(time_nodes)
-    ts, ws = 0.5 * (ts + 1.0), 0.5 * ws
-    total = 0.0
-    for t, w in zip(ts, ws):
-        s = scalar_curvature_at(_structure_at(h, t, flow_steps, j0), grid.nodes, h=fd_h)
-        total += w * sphere.integrate_values(grid, s * _normalized_values(h, grid, t))
-    return total
-
-
-def shelukhin(
-    path,
-    grid,
-    time_samples=32,
-    time_nodes=12,
-    flow_steps=256,
-    fd_h=1e-2,
-    j0=None,
-) -> ShelukhinValue:
-    """Disc-area term plus curvature pairing of the (normalized) path.
-
-    The generating Hamiltonian is normalized internally at each time, so
-    the value only depends on the underlying path of diffeomorphisms.
+    The disc term only depends on the underlying path of diffeomorphisms,
+    not on the normalization of its generating Hamiltonian.
     """
     if time_samples % 4:
         raise ValueError("time_samples must be divisible by 4 (nested refinement)")
     h = getattr(path, "hamiltonian", path)
-    flux = _disc_flux(h, grid.nodes, time_samples, flow_steps, j0)
+    flux = _disc_flux(h, grid.nodes, time_samples, flow_steps)
     disc = sphere.integrate_values(grid, flux)
-    curv = curvature_pairing(path, grid, time_nodes, flow_steps, fd_h, j0)
-    return ShelukhinValue(disc_term=disc, curvature_term=curv)
+    return ShelukhinValue(disc_term=disc, curvature_term=ROUND_CURVATURE_PAIRING)
 
 
 # ---------------------------------------------------------------------------

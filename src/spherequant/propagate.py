@@ -14,12 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow, hamiltonians, quantize
+from . import flow, hamiltonians, quantize, sphere
 from .unitary_metric import Unitary, UnitaryWithPhase
 
 
-class HolomorphyError(RuntimeError):
-    pass
+# largest entry of phi_* j - j, for the round j, that still counts as
+# holomorphic in :func:`check_holomorphic`
+HOLOMORPHY_TOL = 1e-6
+
+
+class HolomorphyError(ValueError):
+    """Raised when a path required to be holomorphic is not."""
 
 
 @dataclass(frozen=True)
@@ -169,19 +174,20 @@ def xi_path(space, path, steps, t_final=1.0):
     )
 
 
-def pushforward_unitary(space, path, steps, t_final=1.0, structure_tol=1e-6):
-    """Quantized flow of a Hamiltonian whose flow preserves the round
-    structure; raises :class:`HolomorphyError` otherwise."""
+def check_holomorphic(path, t_final=1.0):
+    """Raise :class:`HolomorphyError` unless the time-t_final flow of the
+    path preserves the round complex structure.
+
+    The probe pushes the round structure forward onto a 6 x 12 grid (256
+    RK4 steps per unit time) and compares it with the standard matrix
+    within :data:`HOLOMORPHY_TOL`.
+    """
     h = _hamiltonian_of(path)
     probe = flow.PushforwardStructure(flow.RoundStructure(), h, t_final)
-    from . import sphere
-
-    grid = sphere.build_grid(6, 12)
-    mats = probe.evaluate(grid.nodes)
+    mats = probe.evaluate(sphere.build_grid(6, 12).nodes)
     defect = np.max(np.abs(mats - flow.J_STANDARD))
-    if defect > structure_tol:
+    if defect > HOLOMORPHY_TOL:
         raise HolomorphyError(
             "flow does not preserve the round complex structure "
             f"(defect {defect:.2e})"
         )
-    return propagate_ks(space, path, steps, t_final)

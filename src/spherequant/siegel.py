@@ -11,19 +11,15 @@ over leading axes so that fields of structures can be processed at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 # omega0(X, Y) = X^T OMEGA Y
 OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J_STANDARD = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-STRUCTURE_TOL = 1e-10
-
 
 class SiegelError(ValueError):
-    """Raised on invalid complex structures, tangents or loops."""
+    """Raised on points outside the upper half-plane."""
 
 
 # ---------------------------------------------------------------------------
@@ -190,53 +186,3 @@ def loop_flux(tau_samples):
     tau = np.asarray(tau_samples, dtype=complex)
     arcs = geodesic_arc_flux(tau[..., :-1], tau[..., 1:])
     return SIGMA_AREA_CONSTANT * np.sum(arcs, axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# typed single-point API
-
-
-@dataclass(frozen=True)
-class LinearComplexStructure:
-    """A single omega0-compatible complex structure of the plane."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=float)
-        if m.shape != (2, 2):
-            raise SiegelError("expected a 2x2 matrix")
-        object.__setattr__(self, "mat", m)
-        if structure_defect(m) > 1e-12:
-            raise SiegelError("matrix is not a compatible complex structure")
-
-
-@dataclass(frozen=True)
-class SiegelLoop:
-    """Closed sampled loop of compatible structures (last sample = first)."""
-
-    samples: tuple
-    reversed_orientation: bool = field(default=False)
-
-    def __post_init__(self):
-        samples = tuple(self.samples)
-        if len(samples) < 2:
-            raise SiegelError("a loop needs at least two samples")
-        object.__setattr__(self, "samples", samples)
-        first, last = samples[0].mat, samples[-1].mat
-        if np.max(np.abs(first - last)) > 1e-9:
-            raise SiegelError("loop is not closed")
-
-
-def geodesic(
-    j0: LinearComplexStructure, j1: LinearComplexStructure, t: float
-) -> LinearComplexStructure:
-    """Point at parameter t of the unique geodesic from j0 to j1."""
-    return LinearComplexStructure(geodesic_matrices(j0.mat, j1.mat, float(t)))
-
-
-def loop_area(loop: SiegelLoop) -> float:
-    """Integral of sigma over any disc bounded by the loop."""
-    tau = to_upper_half_plane(np.stack([s.mat for s in loop.samples]))
-    area = float(loop_flux(tau))
-    return -area if loop.reversed_orientation else area

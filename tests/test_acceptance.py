@@ -229,10 +229,10 @@ def test_criterion_13_loop_invariant_sanity():
     grid_mid = build_grid(16, 32)
     ok = True
     for h in (ham.height(), ham.coordinate(1, 0.7)):
-        ok &= abs(invariants.shelukhin(h, grid_mid, time_samples=16, time_nodes=4).total) <= 1e-6
+        ok &= abs(invariants.shelukhin(h, grid_mid, time_samples=16).total) <= 1e-6
 
     h = ham.height_squared()
-    kwargs = dict(time_samples=64, time_nodes=12)
+    kwargs = dict(time_samples=64)
     s_coarse = invariants.shelukhin(h, build_grid(12, 24), **kwargs).total
     s_mid = invariants.shelukhin(h, grid_mid, **kwargs).total
     s_fine = invariants.shelukhin(h, build_grid(20, 40), **kwargs).total

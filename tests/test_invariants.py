@@ -37,16 +37,35 @@ def test_curvature_equivariance():
     assert np.max(np.abs(s_outer - s_inner_pulled)) < 1e-4
 
 
+def test_round_curvature_pairing_is_zero():
+    # finite-difference oracle of the closed form: the time integral of
+    # < S(j_t), normalized H_t > with S from Brioschi stencils on the
+    # transported round structure (4 Gauss time nodes, 64 flow steps)
+    ts, ws = np.polynomial.legendre.leggauss(4)
+    ts, ws = 0.5 * (ts + 1.0), 0.5 * ws
+    for h in (ham.height_squared(), ham.time_mixed()):
+        pairing = 0.0
+        for t, w in zip(ts, ws):
+            j_t = flow.PushforwardStructure(
+                flow.RoundStructure(), h, t, steps_per_unit_time=64
+            )
+            s = invariants.scalar_curvature_at(j_t, GRID.nodes)
+            values = h.value(GRID.nodes, t)
+            values = values - sphere.integrate_values(GRID, values) / sphere.TOTAL_VOLUME
+            pairing += w * sphere.integrate_values(GRID, s * values)
+        assert abs(pairing - invariants.ROUND_CURVATURE_PAIRING) <= 1e-5
+
+
 def test_shelukhin_vanishes_on_rotations():
     for h in (ham.height(), ham.coordinate(1, 0.7)):
-        sh = invariants.shelukhin(h, GRID, time_samples=8, time_nodes=4)
+        sh = invariants.shelukhin(h, GRID, time_samples=8)
         assert abs(sh.disc_term) < 1e-8
         assert abs(sh.curvature_term) < 1e-6
         assert abs(sh.total) < 1e-6
 
 
 def test_shelukhin_vanishes_on_constants():
-    sh = invariants.shelukhin(ham.constant(0.9), GRID, time_samples=8, time_nodes=4)
+    sh = invariants.shelukhin(ham.constant(0.9), GRID, time_samples=8)
     assert abs(sh.total) < 1e-8
 
 

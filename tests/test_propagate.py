@@ -83,11 +83,12 @@ def test_xi_path_unitary_matches_for_holomorphic_flow():
 
 
 def test_pushforward_unitary_requires_holomorphic_flow():
-    sp = quantize.build_space(8)
-    with pytest.raises(propagate.HolomorphyError):
-        propagate.pushforward_unitary(sp, ham.height_squared(), steps=16)
-    res = propagate.pushforward_unitary(sp, ham.tilted_height(0.2), steps=16)
-    res.with_phase()
+    with pytest.raises(propagate.HolomorphyError, match="round complex structure"):
+        propagate.check_holomorphic(ham.height_squared())
+    # rotations pass, about any axis
+    for h in (ham.tilted_height(0.2), ham.coordinate(0), ham.coordinate(1, 0.7)):
+        propagate.check_holomorphic(h)
+    assert issubclass(propagate.HolomorphyError, ValueError)
 
 
 def test_toeplitz_and_ks_agree_for_constants():
