@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spherequant import hamiltonians as ham, propagate, quantize
+from spherequant import hamiltonians as ham, propagate, quantize, sphere
 
 
 def test_constant_hamiltonian_closed_form():
@@ -97,3 +97,21 @@ def test_toeplitz_and_ks_agree_for_constants():
     rk = propagate.propagate_ks(sp, ham.constant(0.5), steps=8)
     assert np.max(np.abs(rt.unitary - rk.unitary)) < 1e-12
     assert abs(rt.phase - rk.phase) < 1e-12
+
+
+def test_propagation_never_builds_the_node_basis():
+    # assembly runs ring by ring: no production path forms the
+    # (nodes x (k+1)) basis, which QuantumSpace builds only on request
+    sp = quantize.build_space(16)
+    star = sphere.star_product(
+        sphere.HamiltonianPath(ham.height_squared()),
+        sphere.HamiltonianPath(ham.coordinate(0)),
+        flow_steps=8,
+    )
+    propagate.propagate_toeplitz(sp, ham.time_mixed(), steps=2)
+    propagate.propagate_ks(sp, ham.time_mixed(), steps=2)
+    propagate.propagate_ks(sp, star, steps=2)
+    propagate.xi_path(sp, ham.time_mixed(), steps=2)
+    quantize.trace_residual(sp, ham.height_squared())
+    assert "basis" not in vars(sp)
+    assert "weighted_basis" not in vars(sp)

@@ -1,6 +1,10 @@
+from math import comb
+
 import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import betaln, gammaln
 
 from spherequant import flow, hamiltonians as ham, invariants, quantize, sphere
 
@@ -126,3 +130,117 @@ def test_custom_grid_must_resolve_basis():
     sp = quantize.build_space(12, grid=g)
     gram = sp.weighted_basis.conj().T @ sp.basis
     assert np.max(np.abs(gram - np.eye(13))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracle: Toeplitz entries of monomials as Beta integrals
+
+
+def _toeplitz_monomial(k, a, b, c):
+    """Closed-form Toeplitz matrix of x1^a x2^b x3^c at level k.
+
+    With u = |z|^2 / (1 + |z|^2) the Liouville measure is du dphi, the
+    basis sections satisfy |s_m|^2 = u^m (1-u)^(k-m) / B(m+1, k-m+1) / 2 pi,
+    x1 +- i x2 = 2 sqrt(u (1-u)) e^{+-i phi} and x3 = (1-u) - u.  Expanding
+    x1^a x2^b into w^p conj(w)^q (w = x1 + i x2) and x3^c binomially in u
+    and 1-u, entry (n+p-q, n) is a signed sum of
+    B(n+p+j+1, k-n+q+c-j+1) / sqrt(B(m+1, k-m+1) B(n+1, k-n+1)).
+    """
+    n = np.arange(k + 1)
+    log_norm = betaln(n + 1.0, k - n + 1.0)
+    out = np.zeros((k + 1, k + 1), dtype=complex)
+    for j1 in range(a + 1):
+        for l in range(b + 1):
+            p = j1 + l
+            q = a + b - p
+            # x1^a x2^b sums C(a,j1) C(b,l) (-1)^(b-l) (-i)^b (w/2)^p (conj w/2)^q
+            # over j1, l, and |w/2| = sqrt(u (1-u))
+            coef = comb(a, j1) * comb(b, l) * (-1) ** (b - l) * (-1j) ** b
+            m = n + p - q
+            ok = (m >= 0) & (m <= k)
+            for j in range(c + 1):
+                log_beta = betaln(n[ok] + p + j + 1.0, k - n[ok] + q + c - j + 1.0)
+                term = np.exp(log_beta - 0.5 * (log_norm[m[ok]] + log_norm[ok]))
+                out[m[ok], n[ok]] += coef * comb(c, j) * (-1) ** j * term
+    return out
+
+
+def _monomials(max_degree):
+    return [
+        (a, b, c)
+        for a in range(max_degree + 1)
+        for b in range(max_degree + 1 - a)
+        for c in range(max_degree + 1 - a - b)
+    ]
+
+
+def test_toeplitz_monomials_match_beta_integrals():
+    for k in (1, 2, 8, 17, 64, 128):
+        sp = quantize.build_space(k)
+        for powers in _monomials(4):
+            op = quantize.toeplitz(sp, ham.Monomial(powers))
+            err = np.max(np.abs(op - _toeplitz_monomial(k, *powers)))
+            assert err < 1e-12, (k, powers, err)
+
+
+def _laplacian_terms(powers):
+    """Delta_{S^2} x^alpha = sum_i alpha_i (alpha_i - 1) x^{alpha - 2 e_i}
+    - |alpha| (|alpha| + 1) x^alpha, as (coefficient, powers) pairs."""
+    d = sum(powers)
+    terms = [(-d * (d + 1.0), tuple(powers))]
+    for i, p in enumerate(powers):
+        if p >= 2:
+            lowered = list(powers)
+            lowered[i] -= 2
+            terms.append((p * (p - 1.0), tuple(lowered)))
+    return terms
+
+
+def test_kostant_souriau_is_toeplitz_of_laplacian_shift():
+    # K(f) = T(f - Delta f / k) on the round sphere
+    for k in (1, 4, 17, 64):
+        sp = quantize.build_space(k)
+        for powers in _monomials(4):
+            expected = _toeplitz_monomial(k, *powers)
+            for coef, lowered in _laplacian_terms(powers):
+                expected -= coef / k * _toeplitz_monomial(k, *lowered)
+            op = quantize.kostant_souriau(sp, ham.Monomial(powers))
+            err = np.max(np.abs(op - expected))
+            assert err < 1e-12, (k, powers, err)
+
+
+# ---------------------------------------------------------------------------
+# the ring-by-ring kernel against the node-by-node quadrature product
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(k=64, n_theta=8, n_phi=3, seed=0)
+@example(k=20, n_theta=9, n_phi=5, seed=1)
+@example(k=12, n_theta=40, n_phi=7, seed=2)
+@given(
+    k=st.integers(1, 64),
+    n_theta=st.integers(1, 40),
+    n_phi=st.integers(1, 140),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compress_matches_dense_quadrature(k, n_theta, n_phi, seed):
+    # n_phi < 2k + 1 aliases azimuthal modes; both routes sum the same nodes
+    sp = quantize.build_space(k, sphere.build_grid(n_theta, n_phi))
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=sp.grid.size) + 1j * rng.normal(size=sp.grid.size)
+    dense = sp.weighted_basis.conj().T @ (g[:, None] * sp.basis)
+    assert np.max(np.abs(sp.compress(g) - dense)) <= 1e-13 * np.max(np.abs(g))
+
+
+def test_build_space_rejects_nodes_out_of_ring_order():
+    g = sphere.build_grid(6, 12)
+    perm = np.random.default_rng(0).permutation(g.size)
+    shuffled = sphere.SphereGrid(g.nodes[perm], g.weights[perm], g.n_theta, g.n_phi)
+    with pytest.raises(ValueError, match=r"SphereGrid\(n_theta=6, n_phi=12\)"):
+        quantize.build_space(4, shuffled)
+    # whole rings in another order are still ring by ring
+    rings = np.arange(g.size).reshape(6, 12)[::-1].ravel()
+    flipped = sphere.SphereGrid(g.nodes[rings], g.weights[rings], 6, 12)
+    h = ham.height_squared()
+    op = quantize.toeplitz(quantize.build_space(4, flipped), h)
+    assert np.max(np.abs(op - quantize.toeplitz(quantize.build_space(4, g), h))) < 1e-14
