@@ -181,11 +181,9 @@ def _rk4_step(h, y, m, t, dt):
 class FlowMap:
     """Time-t flow map sampled at a fixed point set."""
 
-    start: np.ndarray  # (n, 3)
     forward: np.ndarray  # (n, 3)
     jacobian: np.ndarray  # (n, 2, 2) frame-to-frame tangent map
     jacobian3: np.ndarray  # (n, 3, 3) ambient tangent map
-    t: float
 
 
 def integrate_flow(h, points, steps, t_final=1.0):
@@ -205,7 +203,7 @@ def integrate_flow(h, points, steps, t_final=1.0):
             "flow Jacobian determinant drifted beyond 1e-6; "
             "increase the step count"
         )
-    return FlowMap(start=points, forward=y, jacobian=jac, jacobian3=m, t=t_final)
+    return FlowMap(forward=y, jacobian=jac, jacobian3=m)
 
 
 def transport_backward(h, points, t, steps):

@@ -131,8 +131,30 @@ def fit_slope(ks, residuals, floor=NOISE_FLOOR, scales=None):
     return float(np.polyfit(np.log(ks[mask]), np.log(r[mask]), 1)[0])
 
 
-def _predicted(k, lam, cal, sh_half_term):
-    return -(k / (2.0 * np.pi)) * ((k + lam) * cal + 0.5 * sh_half_term)
+def _phase_rows(config, h, propagator, cal, term, column):
+    """Det-phase of ``propagator(space, h, config.steps)`` at each level k
+    against -(k / 2 pi) ((k + lambda') cal + term / 2); the row names the
+    classical term ``column``."""
+    lam = quantize.ROUND_LAMBDA_PRIME
+    rows = []
+    for k in config.ks:
+        t0 = time.perf_counter()
+        space = quantize.build_space(k)
+        result = propagator(space, h, config.steps)
+        predicted = -(k / (2.0 * np.pi)) * ((k + lam) * cal + 0.5 * term)
+        rows.append(
+            {
+                "k": k,
+                "measured": result.phase,
+                "predicted": predicted,
+                "residual": result.phase - predicted,
+                "cal": cal,
+                column: term,
+                "lambda_prime": lam,
+                "runtime": time.perf_counter() - t0,
+            }
+        )
+    return rows
 
 
 def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
@@ -141,32 +163,14 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
 
     Raises :class:`propagate.HolomorphyError` before any classical work
     when the flow of the preset does not preserve the round structure."""
-    path = sphere.HamiltonianPath(config.hamiltonian())
-    propagate.check_holomorphic(path)
+    h = config.hamiltonian()
+    propagate.check_holomorphic(h)
     grid = config.grid()
-    cal = sphere.calabi(path, grid)
+    cal = sphere.calabi(h, grid)
     sh = invariants.shelukhin(
-        path, grid, time_samples=config.time_samples, flow_steps=config.flow_steps
+        h, grid, time_samples=config.time_samples, flow_steps=config.flow_steps
     )
-    lam = quantize.ROUND_LAMBDA_PRIME
-    rows = []
-    for k in config.ks:
-        t0 = time.perf_counter()
-        space = quantize.build_space(k)
-        result = propagate.propagate_ks(space, path, config.steps)
-        predicted = _predicted(k, lam, cal, sh.total)
-        rows.append(
-            {
-                "k": k,
-                "measured": result.phase,
-                "predicted": predicted,
-                "residual": result.phase - predicted,
-                "cal": cal,
-                "sh_total": sh.total,
-                "lambda_prime": lam,
-                "runtime": time.perf_counter() - t0,
-            }
-        )
+    rows = _phase_rows(config, h, propagate.propagate_ks, cal, sh.total, "sh_total")
     max_residual = max(abs(r["residual"]) for r in rows)
     passed = max_residual <= 1e-5
     return SweepReport(
@@ -181,29 +185,20 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
 def run_prop53(config: ExperimentConfig) -> SweepReport:
     """Inverse-path det-phase against the curvature-pairing prediction
     (the pairing is exactly 0 for the round structure); the residual must
-    not grow with k."""
-    path = sphere.HamiltonianPath(config.hamiltonian())
-    cal = sphere.calabi(path, config.grid())
-    pairing = invariants.ROUND_CURVATURE_PAIRING
-    lam = quantize.ROUND_LAMBDA_PRIME
-    rows = []
-    for k in config.ks:
-        t0 = time.perf_counter()
-        space = quantize.build_space(k)
-        result = propagate.xi_path(space, path, config.steps)
-        predicted = _predicted(k, lam, cal, pairing)
-        rows.append(
-            {
-                "k": k,
-                "measured": result.phase,
-                "predicted": predicted,
-                "residual": result.phase - predicted,
-                "cal": cal,
-                "curvature_pairing": pairing,
-                "lambda_prime": lam,
-                "runtime": time.perf_counter() - t0,
-            }
-        )
+    not grow with k.
+
+    ``config.flow_steps`` is not read: the forward flow of
+    :func:`propagate.xi_path` takes three RK4 steps per Magnus step."""
+    h = config.hamiltonian()
+    cal = sphere.calabi(h, config.grid())
+    rows = _phase_rows(
+        config,
+        h,
+        propagate.xi_path,
+        cal,
+        invariants.ROUND_CURVATURE_PAIRING,
+        "curvature_pairing",
+    )
     slope = fit_slope(
         config.ks,
         [r["residual"] for r in rows],
@@ -221,13 +216,13 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
 
 def run_defect(config: ExperimentConfig) -> SweepReport:
     """Homomorphism defect of the quantized paths over a k sweep."""
-    path_a = sphere.HamiltonianPath(config.hamiltonian())
-    path_b = sphere.HamiltonianPath(config.hamiltonian_b())
+    h_a = config.hamiltonian()
+    h_b = config.hamiltonian_b()
     rows = []
     for k in config.ks:
         t0 = time.perf_counter()
         (d,) = invariants.defect(
-            path_a, path_b, [k], steps=config.steps, flow_steps=config.flow_steps
+            h_a, h_b, [k], steps=config.steps, flow_steps=config.flow_steps
         )
         rows.append({"k": k, "defect": float(d), "runtime": time.perf_counter() - t0})
     values = np.array([r["defect"] for r in rows])

@@ -161,16 +161,16 @@ def _disc_flux(h, nodes, time_samples, flow_steps):
     return (16.0 * fine - coarse) / 15.0
 
 
-def shelukhin(path, grid, time_samples=32, flow_steps=256) -> ShelukhinValue:
-    """Disc-area term plus curvature pairing of the (normalized) path for
-    the round structure; the pairing is :data:`ROUND_CURVATURE_PAIRING`.
+def shelukhin(h, grid, time_samples=32, flow_steps=256) -> ShelukhinValue:
+    """Disc-area term plus curvature pairing of the path generated by the
+    (normalized) Hamiltonian h for the round structure; the pairing is
+    :data:`ROUND_CURVATURE_PAIRING`.
 
     The disc term only depends on the underlying path of diffeomorphisms,
     not on the normalization of its generating Hamiltonian.
     """
     if time_samples % 4:
         raise ValueError("time_samples must be divisible by 4 (nested refinement)")
-    h = getattr(path, "hamiltonian", path)
     flux = _disc_flux(h, grid.nodes, time_samples, flow_steps)
     disc = sphere.integrate_values(grid, flux)
     return ShelukhinValue(disc_term=disc, curvature_term=ROUND_CURVATURE_PAIRING)
@@ -184,19 +184,15 @@ def cover_product(a: UnitaryWithPhase, b: UnitaryWithPhase) -> UnitaryWithPhase:
     return UnitaryWithPhase(Unitary(a.u.mat @ b.u.mat), a.phase + b.phase)
 
 
-def defect(path_a, path_b, ks, steps=128, flow_steps=256):
-    """Cover distance between the product of quantized paths and the
-    quantization of the product path, for each level k."""
-    combined = sphere.star_product(
-        sphere.HamiltonianPath(getattr(path_a, "hamiltonian", path_a)),
-        sphere.HamiltonianPath(getattr(path_b, "hamiltonian", path_b)),
-        flow_steps=flow_steps,
-    )
+def defect(h_a, h_b, ks, steps=128, flow_steps=256):
+    """Cover distance between the product of the quantized paths of h_a
+    and h_b and the quantization of the product path, for each level k."""
+    combined = sphere.star_product(h_a, h_b, flow_steps=flow_steps)
     out = []
     for k in ks:
         space = quantize.build_space(k)
-        ua = propagate.propagate_ks(space, path_a, steps).with_phase()
-        ub = propagate.propagate_ks(space, path_b, steps).with_phase()
+        ua = propagate.propagate_ks(space, h_a, steps).with_phase()
+        ub = propagate.propagate_ks(space, h_b, steps).with_phase()
         uab = propagate.propagate_ks(space, combined, steps).with_phase()
         out.append(cover_distance(cover_product(ua, ub), uab))
     return np.array(out)

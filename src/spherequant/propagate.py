@@ -31,8 +31,6 @@ class HolomorphyError(ValueError):
 class PropagationResult:
     unitary: np.ndarray
     phase: float
-    k: int
-    steps: int
 
     def with_phase(self) -> UnitaryWithPhase:
         """Universal-cover element; validates the lift on construction."""
@@ -58,6 +56,24 @@ def _magnus_effective(a1, a2, k, dt, sign):
     return 0.5 * (a1 + a2) - sign * 1j * (np.sqrt(3.0) * k * dt / 12.0) * comm
 
 
+def _magnus(space, pairs, dt, sign):
+    """Fourth-order Magnus integration of d/dt u = sign * i k A(t) u from
+    u = I (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).
+
+    ``pairs`` yields (A(t1), A(t2)) at the two Gauss points of each step
+    of length dt.  Returns u and its determinant lift, the sum of
+    sign * k dt tr A over the steps.
+    """
+    k = space.k
+    u = np.eye(space.dim, dtype=complex)
+    phase = 0.0
+    for a1, a2 in pairs:
+        h_eff = _magnus_effective(a1, a2, k, dt, sign)
+        u = _expi(h_eff, sign * k * dt) @ u
+        phase += sign * k * dt * np.trace(h_eff).real
+    return u, phase
+
+
 def propagate_generic(space, generator_fn, steps, t_final=1.0):
     """Fourth-order Magnus propagation of d/dt u = -i k A(t) u.
 
@@ -70,25 +86,15 @@ def propagate_generic(space, generator_fn, steps, t_final=1.0):
     if getattr(generator_fn, "autonomous", False):
         a = generator_fn(0.0)
         return PropagationResult(
-            unitary=_expi(a, -k * t_final),
-            phase=-k * t_final * np.trace(a).real,
-            k=k,
-            steps=steps,
+            unitary=_expi(a, -k * t_final), phase=-k * t_final * np.trace(a).real
         )
     dt = t_final / steps
-    u = np.eye(space.dim, dtype=complex)
-    phase = 0.0
-    for n in range(steps):
-        a1 = generator_fn((n + _GAUSS_LO) * dt)
-        a2 = generator_fn((n + _GAUSS_HI) * dt)
-        h_eff = _magnus_effective(a1, a2, k, dt, -1.0)
-        u = _expi(h_eff, -k * dt) @ u
-        phase -= k * dt * np.trace(h_eff).real
-    return PropagationResult(unitary=u, phase=phase, k=k, steps=steps)
-
-
-def _hamiltonian_of(path):
-    return getattr(path, "hamiltonian", path)
+    pairs = (
+        (generator_fn((n + _GAUSS_LO) * dt), generator_fn((n + _GAUSS_HI) * dt))
+        for n in range(steps)
+    )
+    u, phase = _magnus(space, pairs, dt, -1.0)
+    return PropagationResult(unitary=u, phase=phase)
 
 
 def _separable_generator(space, h, builder):
@@ -104,21 +110,15 @@ def _separable_generator(space, h, builder):
     return generator
 
 
-def toeplitz_generator(space, path):
-    h = _hamiltonian_of(path)
+def toeplitz_generator(space, h):
     if hasattr(h, "separable_terms"):
-        return _separable_generator(
-            space, h, lambda sp, poly: quantize.toeplitz(sp, poly)
-        )
+        return _separable_generator(space, h, quantize.toeplitz)
     return lambda t: quantize.toeplitz(space, h.value(space.grid.nodes, t))
 
 
-def ks_generator(space, path):
-    h = _hamiltonian_of(path)
+def ks_generator(space, h):
     if hasattr(h, "separable_terms"):
-        return _separable_generator(
-            space, h, lambda sp, poly: quantize.kostant_souriau(sp, poly)
-        )
+        return _separable_generator(space, h, quantize.kostant_souriau)
     if hasattr(h, "chart_symbol"):
         return lambda t: quantize.kostant_souriau_from_chart(
             space, *h.chart_symbol(space.grid.nodes, t)
@@ -126,25 +126,24 @@ def ks_generator(space, path):
     return lambda t: quantize.kostant_souriau(space, h, t)
 
 
-def propagate_toeplitz(space, path, steps, t_final=1.0):
-    return propagate_generic(space, toeplitz_generator(space, path), steps, t_final)
+def propagate_toeplitz(space, h, steps, t_final=1.0):
+    return propagate_generic(space, toeplitz_generator(space, h), steps, t_final)
 
 
-def propagate_ks(space, path, steps, t_final=1.0):
-    return propagate_generic(space, ks_generator(space, path), steps, t_final)
+def propagate_ks(space, h, steps, t_final=1.0):
+    return propagate_generic(space, ks_generator(space, h), steps, t_final)
 
 
-def xi_path(space, path, steps, t_final=1.0):
+def xi_path(space, h, steps, t_final=1.0):
     """Propagator via the inverse-path equation.
 
     Integrates x = u^{-1} through d/dt x = i k B(t) x with B the
     Kostant-Souriau operator of the pulled-back symbol H_t o phi_t, then
     returns u = x* with the negated phase lift.  The pulled-back symbol is
     sampled with the forward flow: values at phi_t(node) and vector field
-    mapped back by the forward tangent map.
+    mapped back by the forward tangent map.  The flow advances by one RK4
+    step to each Gauss point and one to the end of every Magnus step.
     """
-    h = _hamiltonian_of(path)
-    k = space.k
     dt = t_final / steps
     nodes = space.grid.nodes
 
@@ -155,34 +154,32 @@ def xi_path(space, path, steps, t_final=1.0):
         a = flow.chart_one_form(pulled, nodes)
         return quantize.kostant_souriau_from_chart(space, values, a)
 
-    y = nodes.copy()
-    m = np.broadcast_to(np.eye(3), nodes.shape[:-1] + (3, 3)).copy()
-    x = np.eye(space.dim, dtype=complex)
-    phase = 0.0
-    for n in range(steps):
-        t0 = n * dt
-        y, m = flow.advance_state(h, y, m, t0, t0 + _GAUSS_LO * dt)
-        b1 = pulled_back_generator(y, m, t0 + _GAUSS_LO * dt)
-        y, m = flow.advance_state(h, y, m, t0 + _GAUSS_LO * dt, t0 + _GAUSS_HI * dt)
-        b2 = pulled_back_generator(y, m, t0 + _GAUSS_HI * dt)
-        y, m = flow.advance_state(h, y, m, t0 + _GAUSS_HI * dt, t0 + dt)
-        h_eff = _magnus_effective(b1, b2, k, dt, 1.0)
-        x = _expi(h_eff, k * dt) @ x
-        phase += k * dt * np.trace(h_eff).real
-    return PropagationResult(
-        unitary=x.conj().T, phase=-phase, k=k, steps=steps
-    )
+    def pairs():
+        y = nodes.copy()
+        m = np.broadcast_to(np.eye(3), nodes.shape[:-1] + (3, 3)).copy()
+        for n in range(steps):
+            t0 = n * dt
+            y, m = flow.advance_state(h, y, m, t0, t0 + _GAUSS_LO * dt)
+            b1 = pulled_back_generator(y, m, t0 + _GAUSS_LO * dt)
+            y, m = flow.advance_state(
+                h, y, m, t0 + _GAUSS_LO * dt, t0 + _GAUSS_HI * dt
+            )
+            b2 = pulled_back_generator(y, m, t0 + _GAUSS_HI * dt)
+            y, m = flow.advance_state(h, y, m, t0 + _GAUSS_HI * dt, t0 + dt)
+            yield b1, b2
+
+    x, phase = _magnus(space, pairs(), dt, 1.0)
+    return PropagationResult(unitary=x.conj().T, phase=-phase)
 
 
-def check_holomorphic(path, t_final=1.0):
+def check_holomorphic(h, t_final=1.0):
     """Raise :class:`HolomorphyError` unless the time-t_final flow of the
-    path preserves the round complex structure.
+    Hamiltonian h preserves the round complex structure.
 
     The probe pushes the round structure forward onto a 6 x 12 grid (256
     RK4 steps per unit time) and compares it with the standard matrix
     within :data:`HOLOMORPHY_TOL`.
     """
-    h = _hamiltonian_of(path)
     probe = flow.PushforwardStructure(flow.RoundStructure(), h, t_final)
     mats = probe.evaluate(sphere.build_grid(6, 12).nodes)
     defect = np.max(np.abs(mats - flow.J_STANDARD))

@@ -31,10 +31,6 @@ TOTAL_VOLUME = sphere.TOTAL_VOLUME
 ROUND_LAMBDA_PRIME = 1.0
 
 
-def dimension(k):
-    return k + 1
-
-
 def _log_norms(k):
     """log N_m = log(2 pi) + lgamma(m+1) + lgamma(k-m+1) - lgamma(k+2)."""
     m = np.arange(k + 1)
@@ -171,17 +167,12 @@ def build_space(k, grid=None):
     return QuantumSpace(k=k, grid=grid, rings=np.exp(log_rings))
 
 
-def _node_values(space, symbol, t=0.0):
-    if isinstance(symbol, np.ndarray):
-        return symbol
-    if callable(getattr(symbol, "value", None)):
-        return symbol.value(space.grid.nodes, t)
-    return np.asarray(symbol, dtype=float)
-
-
 def toeplitz(space, symbol, t=0.0):
-    """Toeplitz operator: compress multiplication by the symbol."""
-    return space.compress(_node_values(space, symbol, t))
+    """Toeplitz operator: compress multiplication by the symbol, given as
+    node values or as a closed-form Hamiltonian sampled at time t."""
+    if callable(getattr(symbol, "value", None)):
+        symbol = symbol.value(space.grid.nodes, t)
+    return space.compress(symbol)
 
 
 def kostant_souriau_from_chart(space, values, a):
@@ -205,23 +196,17 @@ def kostant_souriau(space, h, t=0.0):
     return kostant_souriau_from_chart(space, values, a)
 
 
-def trace_residual(space, h, curvature=2.0, operator="ks"):
-    """Residual of the two-term trace expansion of a quantized operator:
+def trace_residual(space, h):
+    """Residual of the two-term trace expansion of the Kostant-Souriau
+    operator:
 
-        tr Op_k(f) - (k / 2 pi) I(f) - (1 / 4 pi) I(f S)
+        tr K_k(f) - (k / 2 pi) I(f) - (1 / 4 pi) I(f S)
 
-    with I the symplectic integral and S the scalar curvature (2 for the
-    round structure); Op is the compressed Kostant-Souriau operator by
-    default, or the Toeplitz operator.
+    with I the symplectic integral and S = 2 the scalar curvature of the
+    round structure.
     """
-    if operator == "ks":
-        op = kostant_souriau(space, h)
-    elif operator == "toeplitz":
-        op = toeplitz(space, h)
-    else:
-        raise ValueError("operator must be 'ks' or 'toeplitz'")
-    tr = np.trace(op).real
-    values = _node_values(space, h)
+    tr = np.trace(kostant_souriau(space, h)).real
+    values = h.value(space.grid.nodes, 0.0)
     i_f = sphere.integrate_values(space.grid, values)
-    i_fs = sphere.integrate_values(space.grid, values * curvature)
+    i_fs = sphere.integrate_values(space.grid, values * 2.0)
     return tr - space.k / (2.0 * np.pi) * i_f - i_fs / (4.0 * np.pi)

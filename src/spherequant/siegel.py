@@ -43,21 +43,6 @@ def structure_defect(j):
     return err
 
 
-def tangent_defect(j, a):
-    """Max violation of the tangency equations at j, batched."""
-    j = np.asarray(j, dtype=float)
-    a = np.asarray(a, dtype=float)
-    anti = np.einsum("...ij,...jk->...ik", j, a) + np.einsum(
-        "...ij,...jk->...ik", a, j
-    )
-    sym = np.einsum("...ji,jk,...kl->...il", a, OMEGA, j) + np.einsum(
-        "...ji,jk,...kl->...il", j, OMEGA, a
-    )
-    return np.maximum(
-        np.max(np.abs(anti), axis=(-2, -1)), np.max(np.abs(sym), axis=(-2, -1))
-    )
-
-
 def sigma_matrices(j, a, b):
     """sigma_j(a, b) = tr(j a b) / 4, batched over leading axes."""
     return 0.25 * np.einsum("...ij,...jk,...ki->...", j, a, b)
@@ -161,19 +146,10 @@ def geodesic_arc_flux(tau0, tau1):
     return np.where(vertical, 0.0, t0 - t1)
 
 
-def _sigma_area_constant():
-    """Ratio of sigma to the hyperbolic area form, measured numerically."""
-    h = 1e-6
-    j = from_upper_half_plane(1j)
-    ax = (from_upper_half_plane(h + 1j) - from_upper_half_plane(-h + 1j)) / (2 * h)
-    ay = (from_upper_half_plane(1j * (1 + h)) - from_upper_half_plane(1j * (1 - h))) / (
-        2 * h
-    )
-    # hyperbolic area form evaluated on (d/dx, d/dy) at i is 1
-    return float(sigma_matrices(j, ax, ay))
-
-
-SIGMA_AREA_CONSTANT = _sigma_area_constant()
+# sigma = SIGMA_AREA_CONSTANT * (hyperbolic area form dx dy / y^2): at
+# tau = i the coordinate tangents are d/dx = [[-1, 0], [0, 1]] and
+# d/dy = [[0, -1], [-1, 0]], j = J_STANDARD, and tr(j a b) / 4 = 1/2
+SIGMA_AREA_CONSTANT = 0.5
 
 
 def loop_flux(tau_samples):

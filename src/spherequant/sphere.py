@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import flow
+
 TOTAL_VOLUME = 2.0 * np.pi
 
 
@@ -29,10 +31,6 @@ class SphereGrid:
     @property
     def size(self):
         return self.nodes.shape[0]
-
-    def exact_degree(self):
-        """Largest spherical-polynomial degree integrated exactly."""
-        return min(2 * self.n_theta - 1, self.n_phi - 1)
 
 
 def build_grid(n_theta: int = 24, n_phi: int = 48) -> SphereGrid:
@@ -75,38 +73,18 @@ def integrate_values(grid: SphereGrid, values) -> float:
     return float(grid.weights @ np.asarray(values, dtype=float))
 
 
-def normalize(f: ScalarField) -> ScalarField:
-    """Subtract the Liouville mean; idempotent."""
-    mean = integrate(f) / TOTAL_VOLUME
-    return ScalarField(f.values - mean, f.grid)
-
-
-@dataclass(frozen=True)
-class HamiltonianPath:
-    """Time-dependent Hamiltonian on [0, 1] driving a prequantum path.
-
-    ``hamiltonian`` is a closed-form time-dependent function (see
-    :mod:`spherequant.hamiltonians`); sampling resolution in time is left
-    to the consumers (flow integration, quadrature).
-    """
-
-    hamiltonian: object
-
-    def field(self, grid: SphereGrid, t: float) -> ScalarField:
-        return ScalarField(self.hamiltonian.value(grid.nodes, t), grid)
-
-
 def _time_gauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def calabi(path: HamiltonianPath, grid: SphereGrid, time_nodes: int = 24) -> float:
-    """Time-space integral of the generating Hamiltonian."""
+def calabi(h, grid: SphereGrid, time_nodes: int = 24) -> float:
+    """Time-space integral of the Hamiltonian h_t on [0, 1] (a closed-form
+    generator, see :mod:`spherequant.hamiltonians`)."""
     ts, ws = _time_gauss(time_nodes)
     total = 0.0
     for t, w in zip(ts, ws):
-        total += w * integrate(path.field(grid, t))
+        total += w * integrate(ScalarField(h.value(grid.nodes, t), grid))
     return total
 
 
@@ -122,12 +100,9 @@ class StarProductHamiltonian:
     """
 
     def __init__(self, f, g, flow_steps: int = 256):
-        from . import flow as _flow
-
         self.f = f
         self.g = g
-        self._flow = _flow
-        self._sweep = _flow.BackwardSweep(f, flow_steps)
+        self._sweep = flow.BackwardSweep(f, flow_steps)
 
     def value(self, points, t):
         if t == 0.0:
@@ -137,22 +112,21 @@ class StarProductHamiltonian:
 
     def chart_symbol(self, points, t):
         """Values and chart one-form components of the composed symbol."""
-        vals_f, a_f = self._flow.chart_symbol(self.f, points, t)
+        vals_f, a_f = flow.chart_symbol(self.f, points, t)
         if t == 0.0:
-            vals_g, a_g = self._flow.chart_symbol(self.g, points, t)
+            vals_g, a_g = flow.chart_symbol(self.g, points, t)
             return vals_f + vals_g, a_f + a_g
         y, back = self._sweep.transport(points, t)
         vals_g = self.g.value(y, t)
         # X_{g o alpha^{-1}}(x) = d alpha|_y X_g(y) with y = alpha^{-1}(x),
         # and back = d(alpha^{-1})|_x is the inverse of d alpha|_y
-        xg = self._flow.hamiltonian_vector_field(self.g, y, t)
+        xg = flow.hamiltonian_vector_field(self.g, y, t)
         xx = np.linalg.solve(back, xg[..., None])[..., 0]
-        a_g = self._flow.chart_one_form(xx, points)
+        a_g = flow.chart_one_form(xx, points)
         return vals_f + vals_g, a_f + a_g
 
 
-def star_product(f: HamiltonianPath, g: HamiltonianPath, flow_steps: int = 256):
-    """Generating Hamiltonian of the product path (flow of f implied)."""
-    return HamiltonianPath(
-        StarProductHamiltonian(f.hamiltonian, g.hamiltonian, flow_steps)
-    )
+def star_product(f, g, flow_steps: int = 256) -> StarProductHamiltonian:
+    """Generating Hamiltonian of the product of the paths generated by f
+    and g (flow of f implied)."""
+    return StarProductHamiltonian(f, g, flow_steps)

@@ -20,7 +20,7 @@ from spherequant import (
     quantize,
     sphere,
 )
-from spherequant.sphere import HamiltonianPath, build_grid, calabi, star_product
+from spherequant.sphere import build_grid, calabi, star_product
 from spherequant.unitary_metric import (
     LatticeProblem,
     Unitary,
@@ -197,14 +197,14 @@ def test_criterion_10_homomorphism_defect():
 
 def test_criterion_11_calabi_morphism():
     grid = build_grid(16, 32)
-    a = HamiltonianPath(ham.height_squared())
-    b = HamiltonianPath(ham.coordinate(0, 0.7))
+    a = ham.height_squared()
+    b = ham.coordinate(0, 0.7)
     additivity = abs(
         calabi(star_product(a, b), grid) - calabi(a, grid) - calabi(b, grid)
     )
     ok = additivity <= 1e-7
     tau = 0.37
-    rotation = calabi(HamiltonianPath(ham.constant(-tau)), grid)
+    rotation = calabi(ham.constant(-tau), grid)
     ok &= abs(rotation - (-tau * 2.0 * np.pi)) <= 1e-7
     assert _report(11, "Calabi additivity and fiber-rotation value", ok)
 

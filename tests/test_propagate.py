@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spherequant import hamiltonians as ham, propagate, quantize, sphere
+from spherequant import flow, hamiltonians as ham, propagate, quantize, sphere
 
 
 def test_constant_hamiltonian_closed_form():
@@ -82,6 +82,39 @@ def test_xi_path_unitary_matches_for_holomorphic_flow():
     assert np.max(np.abs(direct.unitary - inverse.unitary)) < 1e-9
 
 
+def test_both_schrodinger_equations_on_time_dependent_rotation():
+    # sin(pi t) x3 rotates about the vertical axis, so its flow is
+    # holomorphic and the two equations (signs -1 and +1 of the shared
+    # Magnus loop) give one propagator: diag(exp(-i (k - 2m) 2 / pi))
+    h = ham.Polynomial([ham.Monomial((0, 0, 1), time_fn=ham.sin_pi_t)])
+    for k in (8, 16):
+        sp = quantize.build_space(k)
+        direct = propagate.propagate_ks(sp, h, steps=32)
+        inverse = propagate.xi_path(sp, h, steps=32)
+        assert np.max(np.abs(direct.unitary - inverse.unitary)) < 1e-8
+        assert abs(direct.phase - inverse.phase) < 1e-12
+        m = np.arange(k + 1)
+        expected = np.diag(np.exp(-1j * (k - 2 * m) * 2.0 / np.pi))
+        for res in (direct, inverse):
+            assert np.max(np.abs(res.unitary - expected)) < 1e-6
+
+
+def test_xi_path_advances_the_flow_three_steps_per_magnus_step(monkeypatch):
+    # one RK4 step to each Gauss point and one to the end of the step
+    calls = []
+    advance = flow.advance_state
+
+    def counted(h, y, m, t0, t1, steps=1):
+        calls.append((steps, len(y)))
+        return advance(h, y, m, t0, t1, steps)
+
+    monkeypatch.setattr(flow, "advance_state", counted)
+    space = quantize.build_space(8)
+    propagate.xi_path(space, ham.time_mixed(), steps=4)
+    assert space.grid.size == 288
+    assert calls == [(1, 288)] * 12
+
+
 def test_pushforward_unitary_requires_holomorphic_flow():
     with pytest.raises(propagate.HolomorphyError, match="round complex structure"):
         propagate.check_holomorphic(ham.height_squared())
@@ -103,11 +136,7 @@ def test_propagation_never_builds_the_node_basis():
     # assembly runs ring by ring: no production path forms the
     # (nodes x (k+1)) basis, which QuantumSpace builds only on request
     sp = quantize.build_space(16)
-    star = sphere.star_product(
-        sphere.HamiltonianPath(ham.height_squared()),
-        sphere.HamiltonianPath(ham.coordinate(0)),
-        flow_steps=8,
-    )
+    star = sphere.star_product(ham.height_squared(), ham.coordinate(0), flow_steps=8)
     propagate.propagate_toeplitz(sp, ham.time_mixed(), steps=2)
     propagate.propagate_ks(sp, ham.time_mixed(), steps=2)
     propagate.propagate_ks(sp, star, steps=2)

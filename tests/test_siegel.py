@@ -28,14 +28,6 @@ def fd_tangent(tau, dtau, h=1e-6):
     return (jp - jm) / (2 * h)
 
 
-def test_tangent_defect_on_curve_derivatives():
-    rng = np.random.default_rng(2)
-    j, tau = random_structures(rng, 20)
-    dtau = rng.normal(size=20) + 1j * rng.normal(size=20)
-    a = fd_tangent(tau, dtau)
-    assert np.max(siegel.tangent_defect(j, a)) < 1e-6
-
-
 def test_sigma_antisymmetric_and_bilinear():
     rng = np.random.default_rng(3)
     j, tau = random_structures(rng, 20)
@@ -50,8 +42,15 @@ def test_sigma_antisymmetric_and_bilinear():
 
 
 def test_sigma_constant_is_half():
-    # sigma = c * (hyperbolic area form) with c measured once at import
-    assert abs(siegel.SIGMA_AREA_CONSTANT - 0.5) < 1e-8
+    # sigma = c * (hyperbolic area form), and the area form is 1 on
+    # (d/dx, d/dy) at tau = i: measure c from finite-difference tangents
+    assert siegel.SIGMA_AREA_CONSTANT == 0.5
+    j = siegel.from_upper_half_plane(1j)
+    ax = fd_tangent(1j, 1.0, h=1e-6)
+    ay = fd_tangent(1j, 1j, h=1e-6)
+    assert np.max(np.abs(ax - [[-1.0, 0.0], [0.0, 1.0]])) < 1e-8
+    assert np.max(np.abs(ay - [[0.0, -1.0], [-1.0, 0.0]])) < 1e-8
+    assert abs(siegel.sigma_matrices(j, ax, ay) - 0.5) < 1e-8
 
 
 def test_geodesic_endpoints_and_vertical_line():

@@ -30,15 +30,6 @@ def test_spherical_harmonic_orthogonality():
     assert abs(sphere.integrate_values(g, y20 * y31)) < 1e-12
 
 
-def test_normalize_idempotent_and_zero_mean():
-    g = sphere.build_grid(8, 16)
-    f = sphere.ScalarField(g.nodes[:, 2] ** 2 + 0.3, g)
-    nf = sphere.normalize(f)
-    assert abs(sphere.integrate(nf)) < 1e-12
-    nnf = sphere.normalize(nf)
-    assert np.max(np.abs(nnf.values - nf.values)) < 1e-14
-
-
 def test_scalar_field_rejects_nonfinite():
     g = sphere.build_grid(4, 8)
     values = np.zeros(g.size)
@@ -49,31 +40,25 @@ def test_scalar_field_rejects_nonfinite():
 
 def test_calabi_closed_forms():
     g = sphere.build_grid(8, 16)
-    path = sphere.HamiltonianPath(ham.constant(0.7))
-    assert abs(sphere.calabi(path, g) - 0.7 * 2 * np.pi) < 1e-12
+    assert abs(sphere.calabi(ham.constant(0.7), g) - 0.7 * 2 * np.pi) < 1e-12
     # time-dependent: sin(pi t) x1 + t x3^2 integrates to (1/2)(2 pi / 3)
-    path = sphere.HamiltonianPath(ham.time_mixed())
-    assert abs(sphere.calabi(path, g) - np.pi / 3) < 1e-10
+    assert abs(sphere.calabi(ham.time_mixed(), g) - np.pi / 3) < 1e-10
 
 
 def test_star_product_values_match_closed_form():
     # first factor rotates about the vertical axis; the composed generator
     # has the closed form x3 + cos(2t) x1 - sin(2t) x2
-    f = sphere.HamiltonianPath(ham.height())
-    g = sphere.HamiltonianPath(ham.coordinate(0))
-    star = sphere.star_product(f, g)
+    star = sphere.star_product(ham.height(), ham.coordinate(0))
     grid = sphere.build_grid(8, 16)
     for t in (0.0, 0.4, 1.0):
         c, s = np.cos(2 * t), np.sin(2 * t)
         exact = grid.nodes[:, 2] + c * grid.nodes[:, 0] - s * grid.nodes[:, 1]
-        got = star.hamiltonian.value(grid.nodes, t)
+        got = star.value(grid.nodes, t)
         assert np.max(np.abs(got - exact)) < 1e-8
 
 
 def test_star_product_chart_symbol_matches_closed_form():
-    f = sphere.HamiltonianPath(ham.height())
-    g = sphere.HamiltonianPath(ham.coordinate(0))
-    star = sphere.star_product(f, g)
+    star = sphere.star_product(ham.height(), ham.coordinate(0))
     grid = sphere.build_grid(8, 16)
     t = 0.37
     c, s = np.cos(2 * t), np.sin(2 * t)
@@ -84,7 +69,7 @@ def test_star_product_chart_symbol_matches_closed_form():
             ham.Monomial((0, 1, 0), -s),
         ]
     )
-    vals, a = star.hamiltonian.chart_symbol(grid.nodes, t)
+    vals, a = star.chart_symbol(grid.nodes, t)
     exact_vals, exact_a = flow.chart_symbol(exact_h, grid.nodes, t)
     assert np.max(np.abs(vals - exact_vals)) < 1e-8
     assert np.max(np.abs(a - exact_a)) < 1e-7
@@ -109,14 +94,8 @@ def test_star_product_propagation_shares_one_backward_sweep(monkeypatch):
     monkeypatch.setattr(flow, "transport_backward", per_time)
     space = quantize.build_space(8)
     star = sphere.star_product(
-        sphere.HamiltonianPath(ham.height_squared(2.0)),
-        sphere.HamiltonianPath(ham.coordinate(0, 2.0)),
-        flow_steps=32,
+        ham.height_squared(2.0), ham.coordinate(0, 2.0), flow_steps=32
     )
     propagate.propagate_ks(space, star, steps=8)
     assert sum(point_steps) == 39 * space.grid.size
 
-
-def test_exact_degree_reporting():
-    g = sphere.build_grid(6, 20)
-    assert g.exact_degree() == min(2 * 6 - 1, 20 - 1)
