@@ -198,12 +198,18 @@ def integrate_flow(h, points, steps, t_final=1.0):
     eye = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
     y, m = advance_state(h, points, eye, 0.0, t_final, steps)
     jac = frame_jacobian(m, points, y)
-    if np.max(np.abs(np.linalg.det(jac) - 1.0)) > 1e-6:
+    if jacobian_det_drift(jac) > 1e-6:
         raise FlowAccuracyError(
             "flow Jacobian determinant drifted beyond 1e-6; "
             "increase the step count"
         )
     return FlowMap(forward=y, jacobian=jac, jacobian3=m)
+
+
+def jacobian_det_drift(jac):
+    """max |det J - 1| over frame Jacobians J; 0 for an exactly symplectic
+    map, so it measures how far an integrated flow has drifted."""
+    return float(np.max(np.abs(np.linalg.det(jac) - 1.0)))
 
 
 def transport_backward(h, points, t, steps):
@@ -240,14 +246,17 @@ class BackwardSweep:
         self.autonomous = is_autonomous(h)
         self._points = None
         self._state = None  # (t, y, m) of the last sample
+        self._last = None  # (points, y, m) of the last transport
 
     def transport(self, points, t):
         points = np.asarray(points, dtype=float)
         t = float(t)
         if not self.autonomous:
-            return transport_backward(
+            y, m = transport_backward(
                 self.h, points, t, per_time_steps(self.steps_per_unit_time, t)
             )
+            self._last = (points, y, m)
+            return y, m
         if (
             self._state is None
             or t < self._state[0]
@@ -263,7 +272,14 @@ class BackwardSweep:
             steps = max(1, math.ceil(self.steps_per_unit_time * (t - t0) - 1e-9))
             y, m = advance_state(self.h, y, m, -t0, -t, steps)
             self._state = (t, y, m)
+        self._last = (self._points, y, m)
         return y.copy(), m.copy()
+
+    def det_drift(self):
+        """:func:`jacobian_det_drift` of the inverse flow map at the last
+        transport."""
+        points, y, m = self._last
+        return jacobian_det_drift(frame_jacobian(m, points, y))
 
 
 def chart_symbol(h, points, t):

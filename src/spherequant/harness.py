@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -41,9 +42,16 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        self.ks = tuple(int(k) for k in self.ks)
-        if not self.ks:
+        try:
+            ks = tuple(self.ks)
+        except TypeError:
+            raise ValueError(f"ks must be a list of levels, got {self.ks!r}") from None
+        if not ks:
             raise ValueError("ks must name at least one level")
+        for k in ks:
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+                raise ValueError(f"ks must list positive integers, got {k!r} in {ks}")
+        self.ks = tuple(int(k) for k in ks)
         if any(b <= a for a, b in zip(self.ks, self.ks[1:])):
             raise ValueError(f"ks must be strictly increasing, got {self.ks}")
         for name in ("grid_theta", "grid_phi", "steps", "flow_steps", "pairs"):
@@ -131,16 +139,17 @@ def fit_slope(ks, residuals, floor=NOISE_FLOOR, scales=None):
     return float(np.polyfit(np.log(ks[mask]), np.log(r[mask]), 1)[0])
 
 
-def _phase_rows(config, h, propagator, cal, term, column):
-    """Det-phase of ``propagator(space, h, config.steps)`` at each level k
-    against -(k / 2 pi) ((k + lambda') cal + term / 2); the row names the
-    classical term ``column``."""
+def _phase_rows(config, grid, symbol, propagator, cal, term, column):
+    """Det-phase of ``propagator(space, symbol, config.steps)`` at each
+    level k, every space built on ``grid``, against
+    -(k / 2 pi) ((k + lambda') cal + term / 2); the row names the classical
+    term ``column``, and its runtime is that level's quantum work."""
     lam = quantize.ROUND_LAMBDA_PRIME
     rows = []
     for k in config.ks:
         t0 = time.perf_counter()
-        space = quantize.build_space(k)
-        result = propagator(space, h, config.steps)
+        space = quantize.build_space(k, grid)
+        result = propagator(space, symbol, config.steps)
         predicted = -(k / (2.0 * np.pi)) * ((k + lam) * cal + 0.5 * term)
         rows.append(
             {
@@ -163,6 +172,7 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
 
     Raises :class:`propagate.HolomorphyError` before any classical work
     when the flow of the preset does not preserve the round structure."""
+    t0 = time.perf_counter()
     h = config.hamiltonian()
     propagate.check_holomorphic(h)
     grid = config.grid()
@@ -170,14 +180,27 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
     sh = invariants.shelukhin(
         h, grid, time_samples=config.time_samples, flow_steps=config.flow_steps
     )
-    rows = _phase_rows(config, h, propagate.propagate_ks, cal, sh.total, "sh_total")
+    classical_s = time.perf_counter() - t0
+    rows = _phase_rows(
+        config,
+        quantize.sweep_grid(config.ks),
+        h,
+        propagate.propagate_ks,
+        cal,
+        sh.total,
+        "sh_total",
+    )
     max_residual = max(abs(r["residual"]) for r in rows)
     passed = max_residual <= 1e-5
     return SweepReport(
         experiment="theorem1",
         config=asdict(config),
         rows=rows,
-        summary={"max_residual": max_residual, "tolerance": 1e-5},
+        summary={
+            "max_residual": max_residual,
+            "tolerance": 1e-5,
+            "timings": {"classical_s": classical_s},
+        },
         checks_passed=passed,
     )
 
@@ -187,13 +210,20 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
     (the pairing is exactly 0 for the round structure); the residual must
     not grow with k.
 
-    ``config.flow_steps`` is not read: the forward flow of
-    :func:`propagate.xi_path` takes three RK4 steps per Magnus step."""
+    The pulled-back symbol is sampled once, on the sweep grid, and shared
+    by every level.  ``config.flow_steps`` is not read: the forward flow
+    of :func:`propagate.pull_back` takes one RK4 step to each Gauss time
+    and one to the end of every Magnus step but the last."""
+    t0 = time.perf_counter()
     h = config.hamiltonian()
     cal = sphere.calabi(h, config.grid())
+    grid = quantize.sweep_grid(config.ks)
+    pulled = propagate.pull_back(h, grid, config.steps)
+    classical_s = time.perf_counter() - t0
     rows = _phase_rows(
         config,
-        h,
+        grid,
+        pulled,
         propagate.xi_path,
         cal,
         invariants.ROUND_CURVATURE_PAIRING,
@@ -209,21 +239,34 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
         experiment="prop53",
         config=asdict(config),
         rows=rows,
-        summary={"residual_slope": slope, "slope_bound": 0.2},
+        summary={
+            "residual_slope": slope,
+            "slope_bound": 0.2,
+            "timings": {"classical_s": classical_s},
+            "health": {"flow_det_drift": pulled.flow_det_drift},
+        },
         checks_passed=passed,
     )
 
 
 def run_defect(config: ExperimentConfig) -> SweepReport:
-    """Homomorphism defect of the quantized paths over a k sweep."""
+    """Homomorphism defect of the quantized paths over a k sweep.
+
+    The product path's symbol is sampled once, on the sweep grid, before
+    the levels; each row's runtime is that level's quantum work."""
+    t0 = time.perf_counter()
     h_a = config.hamiltonian()
     h_b = config.hamiltonian_b()
+    grid = quantize.sweep_grid(config.ks)
+    product = invariants.product_samples(
+        h_a, h_b, grid, config.steps, config.flow_steps
+    )
+    classical_s = time.perf_counter() - t0
     rows = []
     for k in config.ks:
         t0 = time.perf_counter()
-        (d,) = invariants.defect(
-            h_a, h_b, [k], steps=config.steps, flow_steps=config.flow_steps
-        )
+        space = quantize.build_space(k, grid)
+        d = invariants.level_defect(space, h_a, h_b, product, config.steps)
         rows.append({"k": k, "defect": float(d), "runtime": time.perf_counter() - t0})
     values = np.array([r["defect"] for r in rows])
     slope = fit_slope(config.ks, values, floor=1e-6)
@@ -236,6 +279,8 @@ def run_defect(config: ExperimentConfig) -> SweepReport:
             "max_defect": float(np.max(values)),
             "defect_slope": slope,
             "slope_bound": 0.2,
+            "timings": {"classical_s": classical_s},
+            "health": {"flow_det_drift": product.flow_det_drift},
         },
         checks_passed=passed,
     )

@@ -184,15 +184,32 @@ def cover_product(a: UnitaryWithPhase, b: UnitaryWithPhase) -> UnitaryWithPhase:
     return UnitaryWithPhase(Unitary(a.u.mat @ b.u.mat), a.phase + b.phase)
 
 
+def product_samples(h_a, h_b, grid, steps, flow_steps=256):
+    """The classical stage of :func:`defect`: chart samples on ``grid`` of
+    the generator of the product path, taken once for every level."""
+    combined = sphere.star_product(h_a, h_b, flow_steps=flow_steps)
+    return propagate.sample_chart(combined, grid, steps)
+
+
+def level_defect(space, h_a, h_b, product, steps):
+    """Cover distance at one level between the product of the quantized
+    paths of h_a and h_b and the quantized product path, whose
+    :func:`product_samples` were taken on ``space.grid``."""
+    ua = propagate.propagate_ks(space, h_a, steps).with_phase()
+    ub = propagate.propagate_ks(space, h_b, steps).with_phase()
+    uab = propagate.propagate_ks(space, product, steps).with_phase()
+    return cover_distance(cover_product(ua, ub), uab)
+
+
 def defect(h_a, h_b, ks, steps=128, flow_steps=256):
     """Cover distance between the product of the quantized paths of h_a
-    and h_b and the quantization of the product path, for each level k."""
-    combined = sphere.star_product(h_a, h_b, flow_steps=flow_steps)
-    out = []
-    for k in ks:
-        space = quantize.build_space(k)
-        ua = propagate.propagate_ks(space, h_a, steps).with_phase()
-        ub = propagate.propagate_ks(space, h_b, steps).with_phase()
-        uab = propagate.propagate_ks(space, combined, steps).with_phase()
-        out.append(cover_distance(cover_product(ua, ub), uab))
-    return np.array(out)
+    and h_b and the quantization of the product path, for each level k;
+    every level is built on :func:`quantize.sweep_grid`."""
+    grid = quantize.sweep_grid(ks)
+    product = product_samples(h_a, h_b, grid, steps, flow_steps)
+    return np.array(
+        [
+            level_defect(quantize.build_space(k, grid), h_a, h_b, product, steps)
+            for k in ks
+        ]
+    )

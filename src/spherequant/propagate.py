@@ -27,6 +27,36 @@ class HolomorphyError(ValueError):
     """Raised when a path required to be holomorphic is not."""
 
 
+@dataclass(frozen=True, eq=False)
+class ChartSamples:
+    """The k-independent stage of a time-dependent Kostant-Souriau
+    propagation: north-chart data (values, dz(X)) of a symbol at the Gauss
+    times of every Magnus step, on the nodes of ``grid``.
+
+    The samples depend on the grid and the steps but not on the level k,
+    so one set, sampled once per sweep, stands in for its symbol at every
+    level built on ``grid``: :func:`propagate_ks` reads it through
+    ``chart_symbol`` and :func:`xi_path` takes it in place of the
+    Hamiltonian.  ``flow_det_drift`` is max |det J - 1| of the frame
+    Jacobian of the flow that produced the samples, at the last one.
+    """
+
+    grid: sphere.SphereGrid
+    data: dict  # Gauss time -> (values, a)
+    flow_det_drift: float
+
+    def chart_symbol(self, points, t):
+        if points is not self.grid.nodes:
+            raise ValueError("chart samples serve only the nodes of their own grid")
+        try:
+            return self.data[t]
+        except KeyError:
+            raise ValueError(
+                f"no chart sample at t = {t!r}; the samples were taken for "
+                "other Magnus steps"
+            ) from None
+
+
 @dataclass(frozen=True)
 class PropagationResult:
     unitary: np.ndarray
@@ -134,39 +164,74 @@ def propagate_ks(space, h, steps, t_final=1.0):
     return propagate_generic(space, ks_generator(space, h), steps, t_final)
 
 
+def sample_chart(h, grid, steps, t_final=1.0):
+    """:class:`ChartSamples` of a composed symbol h at the Gauss times of
+    :func:`propagate_generic`.
+
+    h supplies ``chart_symbol`` and ``flow_det_drift``, as
+    :class:`sphere.StarProductHamiltonian` does from its backward sweep.
+    """
+    dt = t_final / steps
+    data = {}
+    for n in range(steps):
+        for t in ((n + _GAUSS_LO) * dt, (n + _GAUSS_HI) * dt):
+            data[t] = h.chart_symbol(grid.nodes, t)
+    return ChartSamples(grid, data, h.flow_det_drift())
+
+
+def pull_back(h, grid, steps, t_final=1.0):
+    """:class:`ChartSamples` of the pulled-back symbol H_t o phi_t at the
+    Gauss times of :func:`xi_path`.
+
+    The forward flow phi_t of h runs from the grid nodes: values are taken
+    at phi_t(node) and the vector field is mapped back by the forward
+    tangent map.  The flow advances by one RK4 step to each Gauss time and
+    one to the end of every Magnus step but the last.
+    """
+    dt = t_final / steps
+    nodes = grid.nodes
+    y = nodes.copy()
+    m = np.broadcast_to(np.eye(3), nodes.shape[:-1] + (3, 3)).copy()
+    data = {}
+    for n in range(steps):
+        t0 = n * dt
+        t_prev = t0
+        for t in (t0 + _GAUSS_LO * dt, t0 + _GAUSS_HI * dt):
+            y, m = flow.advance_state(h, y, m, t_prev, t)
+            xh = flow.hamiltonian_vector_field(h, y, t)
+            pulled = np.linalg.solve(m, xh[..., None])[..., 0]
+            data[t] = h.value(y, t), flow.chart_one_form(pulled, nodes)
+            t_prev = t
+        if n + 1 < steps:
+            y, m = flow.advance_state(h, y, m, t_prev, t0 + dt)
+    drift = flow.jacobian_det_drift(flow.frame_jacobian(m, nodes, y))
+    return ChartSamples(grid, data, drift)
+
+
 def xi_path(space, h, steps, t_final=1.0):
     """Propagator via the inverse-path equation.
 
     Integrates x = u^{-1} through d/dt x = i k B(t) x with B the
     Kostant-Souriau operator of the pulled-back symbol H_t o phi_t, then
-    returns u = x* with the negated phase lift.  The pulled-back symbol is
-    sampled with the forward flow: values at phi_t(node) and vector field
-    mapped back by the forward tangent map.  The flow advances by one RK4
-    step to each Gauss point and one to the end of every Magnus step.
+    returns u = x* with the negated phase lift.  h is the Hamiltonian, or
+    its :func:`pull_back` samples on ``space.grid`` for the same steps and
+    t_final, which the levels of a sweep share.
     """
+    pulled = h
+    if not isinstance(h, ChartSamples):
+        pulled = pull_back(h, space.grid, steps, t_final)
     dt = t_final / steps
     nodes = space.grid.nodes
 
-    def pulled_back_generator(y, m, t):
-        values = h.value(y, t)
-        xh = flow.hamiltonian_vector_field(h, y, t)
-        pulled = np.linalg.solve(m, xh[..., None])[..., 0]
-        a = flow.chart_one_form(pulled, nodes)
-        return quantize.kostant_souriau_from_chart(space, values, a)
-
     def pairs():
-        y = nodes.copy()
-        m = np.broadcast_to(np.eye(3), nodes.shape[:-1] + (3, 3)).copy()
         for n in range(steps):
             t0 = n * dt
-            y, m = flow.advance_state(h, y, m, t0, t0 + _GAUSS_LO * dt)
-            b1 = pulled_back_generator(y, m, t0 + _GAUSS_LO * dt)
-            y, m = flow.advance_state(
-                h, y, m, t0 + _GAUSS_LO * dt, t0 + _GAUSS_HI * dt
+            yield tuple(
+                quantize.kostant_souriau_from_chart(
+                    space, *pulled.chart_symbol(nodes, t)
+                )
+                for t in (t0 + _GAUSS_LO * dt, t0 + _GAUSS_HI * dt)
             )
-            b2 = pulled_back_generator(y, m, t0 + _GAUSS_HI * dt)
-            y, m = flow.advance_state(h, y, m, t0 + _GAUSS_HI * dt, t0 + dt)
-            yield b1, b2
 
     x, phase = _magnus(space, pairs(), dt, 1.0)
     return PropagationResult(unitary=x.conj().T, phase=-phase)

@@ -122,6 +122,13 @@ def default_grid(k):
     return sphere.build_grid(k // 2 + 8, k + 16)
 
 
+def sweep_grid(ks):
+    """The one grid of a sweep over the levels ks: the default grid of the
+    largest level, on which every level's k-independent classical data is
+    sampled once and every operator is assembled."""
+    return default_grid(max(ks))
+
+
 def _ring_layout(grid):
     """Chart radius and node weight of each ring; raises unless the nodes
     run ring by ring, each ring n_phi uniform azimuths from phi = 0."""

@@ -125,6 +125,10 @@ class StarProductHamiltonian:
         a_g = flow.chart_one_form(xx, points)
         return vals_f + vals_g, a_f + a_g
 
+    def flow_det_drift(self):
+        """max |det J - 1| of the inverse flow of f at the last transport."""
+        return self._sweep.det_drift()
+
 
 def star_product(f, g, flow_steps: int = 256) -> StarProductHamiltonian:
     """Generating Hamiltonian of the product of the paths generated by f

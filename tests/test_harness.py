@@ -44,6 +44,21 @@ def test_config_rejects_bad_k_list():
         harness.ExperimentConfig(experiment="defect", ks=(16, 8))
 
 
+def test_config_rejects_levels_below_one_or_not_integers():
+    for ks in ((0, 8), (-3, 8), (8.7, 16), (8.0, 16), ("8", 16), 8):
+        with pytest.raises(ValueError, match="ks"):
+            harness.ExperimentConfig(experiment="defect", ks=ks)
+
+
+def test_cli_rejects_levels_below_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "defect", "ks": [0, 8]}))
+    out_dir = tmp_path / "out"
+    assert cli_main(["defect", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    assert "ks must list positive integers" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_config_rejects_bad_resolution():
     with pytest.raises(ValueError):
         harness.ExperimentConfig(experiment="defect", steps=0)
@@ -100,6 +115,69 @@ def test_run_defect_times_each_level():
     rows = harness.run_defect(cfg).rows
     assert [r["k"] for r in rows] == [8, 64]
     assert rows[1]["runtime"] > rows[0]["runtime"]
+
+
+def _defect_config(ks=(8, 16), flow_steps=8):
+    return harness.ExperimentConfig(
+        experiment="defect",
+        preset="height-squared",
+        preset_params={"scale": 2.0},
+        preset_b_params={"scale": 2.0},
+        ks=ks,
+        steps=4,
+        flow_steps=flow_steps,
+    )
+
+
+def _prop53_config(ks=(8, 16)):
+    return harness.ExperimentConfig(
+        experiment="prop53",
+        preset="time-mixed",
+        ks=ks,
+        grid_theta=8,
+        grid_phi=16,
+        steps=4,
+    )
+
+
+def test_sweeps_integrate_the_classical_flow_once_per_sweep(monkeypatch):
+    # the classical stage runs on the grid of the largest level only, so
+    # the lower levels add no flow work
+    point_steps = []
+    advance = flow.advance_state
+
+    def counted(h, y, m, t0, t1, steps=1):
+        point_steps.append(steps * len(y))
+        return advance(h, y, m, t0, t1, steps)
+
+    monkeypatch.setattr(flow, "advance_state", counted)
+    cfg = _defect_config()
+    h_a, h_b = cfg.hamiltonian(), cfg.hamiltonian_b()
+    for sweep in (
+        lambda ks: harness.run_prop53(_prop53_config(ks)),
+        lambda ks: invariants.defect(h_a, h_b, ks, steps=4, flow_steps=8),
+    ):
+        totals = []
+        for ks in ((8, 16), (16,)):
+            point_steps.clear()
+            sweep(ks)
+            totals.append(sum(point_steps))
+        assert totals[0] == totals[1] > 0
+
+
+def test_sweeps_report_classical_time_and_flow_health():
+    theorem1 = harness.run_theorem1_holomorphic(_theorem1_config("x1"))
+    prop53 = harness.run_prop53(_prop53_config())
+    defect = harness.run_defect(_defect_config(flow_steps=32))
+    for report in (theorem1, prop53, defect):
+        classical_s = report.summary["timings"]["classical_s"]
+        assert np.isfinite(classical_s) and classical_s > 0
+    for report in (prop53, defect):
+        assert np.isfinite(report.summary["health"]["flow_det_drift"])
+    # recorded, not raised: the drift of 32 flow steps falls with the step
+    drift_32 = defect.summary["health"]["flow_det_drift"]
+    finer = harness.run_defect(_defect_config(flow_steps=128))
+    assert finer.summary["health"]["flow_det_drift"] <= drift_32 / 10
 
 
 def _theorem1_config(preset, **params):

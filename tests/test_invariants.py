@@ -83,6 +83,19 @@ def test_cover_product_lifts_determinant():
     assert abs(det - np.exp(1j * prod.phase)) < 1e-10
 
 
+def test_defect_on_the_shared_grid_matches_a_fine_reference():
+    # the product path's symbol is not polynomial, so the level-8 grid
+    # integrates it only to about 1e-5; the sweep grid of k = 64 is exact
+    h_a, h_b = ham.height_squared(2.0), ham.coordinate(0, 2.0)
+    fine = sphere.build_grid(80, 160)
+    product = invariants.product_samples(h_a, h_b, fine, steps=8, flow_steps=32)
+    reference = invariants.level_defect(
+        quantize.build_space(8, fine), h_a, h_b, product, steps=8
+    )
+    shared = invariants.defect(h_a, h_b, ks=(8, 64), steps=8, flow_steps=32)[0]
+    assert abs(shared - reference) <= 1e-9
+
+
 def test_defect_trivial_second_factor():
     d = invariants.defect(ham.height_squared(), ham.constant(0.0), ks=(4, 8), steps=32)
     assert np.max(d) < 1e-6

@@ -100,7 +100,8 @@ def test_both_schrodinger_equations_on_time_dependent_rotation():
 
 
 def test_xi_path_advances_the_flow_three_steps_per_magnus_step(monkeypatch):
-    # one RK4 step to each Gauss point and one to the end of the step
+    # one RK4 step to each Gauss point and one to the end of every step
+    # but the last, whose end no sample reads
     calls = []
     advance = flow.advance_state
 
@@ -112,7 +113,34 @@ def test_xi_path_advances_the_flow_three_steps_per_magnus_step(monkeypatch):
     space = quantize.build_space(8)
     propagate.xi_path(space, ham.time_mixed(), steps=4)
     assert space.grid.size == 288
-    assert calls == [(1, 288)] * 12
+    assert calls == [(1, 288)] * 11
+
+
+def test_xi_path_on_the_shared_grid_matches_each_levels_own_grid():
+    # the pulled-back samples of the k = 64 grid serve the lower levels;
+    # their phases move only by quadrature rounding
+    h = ham.time_mixed()
+    grid = quantize.sweep_grid((8, 16, 32, 64))
+    pulled = propagate.pull_back(h, grid, steps=32)
+    for k in (8, 16, 32):
+        shared = propagate.xi_path(quantize.build_space(k, grid), pulled, steps=32)
+        own = propagate.xi_path(quantize.build_space(k), h, steps=32)
+        assert abs(shared.phase - own.phase) <= 1e-9
+
+
+def test_chart_samples_refuse_other_grids_and_steps():
+    h = ham.time_mixed()
+    space = quantize.build_space(8)
+    pulled = propagate.pull_back(h, space.grid, steps=4)
+    with pytest.raises(ValueError, match="other Magnus steps"):
+        propagate.xi_path(space, pulled, steps=8)
+    other_grid = quantize.build_space(8, sphere.build_grid(12, 24))
+    with pytest.raises(ValueError, match="their own grid"):
+        propagate.xi_path(other_grid, pulled, steps=4)
+    star = sphere.star_product(ham.height_squared(), ham.coordinate(0), flow_steps=8)
+    samples = propagate.sample_chart(star, space.grid, steps=4)
+    with pytest.raises(ValueError, match="other Magnus steps"):
+        propagate.propagate_ks(space, samples, steps=2)
 
 
 def test_pushforward_unitary_requires_holomorphic_flow():
