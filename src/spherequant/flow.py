@@ -198,9 +198,10 @@ def integrate_flow(h, points, steps, t_final=1.0):
     eye = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
     y, m = advance_state(h, points, eye, 0.0, t_final, steps)
     jac = frame_jacobian(m, points, y)
-    if jacobian_det_drift(jac) > 1e-6:
+    drift = jacobian_det_drift(jac)
+    if drift > 1e-6:
         raise FlowAccuracyError(
-            "flow Jacobian determinant drifted beyond 1e-6; "
+            f"flow Jacobian determinant drifted by {drift:.2e}, beyond 1e-6; "
             "increase the step count"
         )
     return FlowMap(forward=y, jacobian=jac, jacobian3=m)
@@ -290,22 +291,11 @@ def chart_symbol(h, points, t):
 
 
 # ---------------------------------------------------------------------------
-# complex-structure fields
+# complex-structure fields: ``evaluate(points, chart)`` gives the 2x2 frame
+# matrices in the given charts (per-point hemisphere charts for None)
 
 
-class ComplexStructureField:
-    """A compatible almost complex structure sampled through chart frames.
-
-    ``evaluate(points, chart)`` returns the pointwise 2x2 matrices in the
-    symplectic frame of the requested chart (per-point hemisphere charts
-    when ``chart`` is None).
-    """
-
-    def evaluate(self, points, chart=None):
-        raise NotImplementedError
-
-
-class RoundStructure(ComplexStructureField):
+class RoundStructure:
     """The integrable round structure; standard matrix in either frame."""
 
     def evaluate(self, points, chart=None):
@@ -313,8 +303,9 @@ class RoundStructure(ComplexStructureField):
         return np.broadcast_to(J_STANDARD, points.shape[:-1] + (2, 2)).copy()
 
 
-class PushforwardStructure(ComplexStructureField):
-    """Pushforward of a structure field by the time-t Hamiltonian flow."""
+class PushforwardStructure:
+    """Pushforward of a structure field by the time-t Hamiltonian flow,
+    transported backward afresh at each evaluation."""
 
     def __init__(self, inner, h, t, steps_per_unit_time=256):
         self.inner = inner
@@ -330,13 +321,5 @@ class PushforwardStructure(ComplexStructureField):
             return self.inner.evaluate(points, chart)
         steps = per_time_steps(self.steps_per_unit_time, self.t)
         y, m3 = transport_backward(self.h, points, self.t, steps)
-        return pushforward_matrices(self.inner, points, y, m3, chart)
-
-
-def pushforward_matrices(inner, points, y, m3, chart):
-    """Frame matrices at ``points`` of the pushforward of the field
-    ``inner`` by a flow map phi, given y = phi^{-1}(points) and the ambient
-    Jacobian m3 of phi^{-1} at the points (from :func:`transport_backward`
-    or :class:`BackwardSweep`)."""
-    b = frame_jacobian(m3, points, y, x_chart=chart)
-    return np.linalg.solve(b, inner.evaluate(y) @ b)
+        b = frame_jacobian(m3, points, y, x_chart=chart)
+        return np.linalg.solve(b, self.inner.evaluate(y) @ b)

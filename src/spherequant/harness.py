@@ -171,7 +171,8 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
     prediction from the Calabi and disc-area invariants.
 
     Raises :class:`propagate.HolomorphyError` before any classical work
-    when the flow of the preset does not preserve the round structure."""
+    when the flow of the preset does not preserve the round structure
+    (:class:`flow.FlowAccuracyError` when the probe cannot resolve it)."""
     t0 = time.perf_counter()
     h = config.hamiltonian()
     propagate.check_holomorphic(h)
@@ -200,6 +201,7 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
             "max_residual": max_residual,
             "tolerance": 1e-5,
             "timings": {"classical_s": classical_s},
+            "health": {"flow_det_drift": sh.flow_det_drift},
         },
         checks_passed=passed,
     )

@@ -12,6 +12,7 @@ chart) even when it crosses the equator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,40 +126,52 @@ ROUND_CURVATURE_PAIRING = 0.0
 class ShelukhinValue:
     disc_term: float
     curvature_term: float
+    # max |det J - 1| of the forward flow of the disc flux at t = 1
+    flow_det_drift: float = 0.0
 
     @property
     def total(self):
         return self.disc_term + self.curvature_term
 
 
-def _disc_flux(h, nodes, time_samples, flow_steps):
-    """Per-node sigma-area of the loop traced by the transported structure,
-    closed by the geodesic back to the start (exact geodesic-polygon flux).
-
-    The samples share one backward sweep of the flow (see
-    :class:`flow.BackwardSweep`)."""
-    j0 = flow.RoundStructure()
-    chart = flow.chart_of(nodes)
-    sweep = flow.BackwardSweep(h, flow_steps)
-    taus = np.empty((len(nodes), time_samples + 2), dtype=complex)
-    for i, t in enumerate(np.linspace(0.0, 1.0, time_samples + 1)):
-        if t == 0.0:
-            mats = j0.evaluate(nodes, chart)
-        else:
-            y, m3 = sweep.transport(nodes, t)
-            mats = flow.pushforward_matrices(j0, nodes, y, m3, chart)
-        taus[:, i] = siegel.to_upper_half_plane(mats)
-    taus[:, -1] = taus[:, 0]
-    # Romberg in the time sampling: the polygonal flux converges at second
-    # order with an even-power error expansion, so two extrapolation levels
-    # over the nested samplings (full, half, quarter) give sixth order.
-    levels = []
-    for stride in (1, 2, 4):
-        samples = np.concatenate([taus[:, 0:-1:stride], taus[:, :1]], axis=1)
-        levels.append(siegel.loop_flux(samples))
+def extrapolated_loop_flux(taus):
+    """sigma-area of tau-paths (n, samples + 1) at equispaced times, each
+    closed by the geodesic back to its start.  The polygonal flux converges
+    at second order in even powers, so two Romberg levels over the nested
+    samplings (full, half, quarter) give sixth order."""
+    levels = [
+        siegel.loop_flux(np.concatenate([taus[:, ::s], taus[:, :1]], axis=1))
+        for s in (1, 2, 4)
+    ]
     fine = (4.0 * levels[0] - levels[1]) / 3.0
     coarse = (4.0 * levels[1] - levels[2]) / 3.0
     return (16.0 * fine - coarse) / 15.0
+
+
+def _disc_flux(h, nodes, time_samples, flow_steps):
+    """Per-node disc flux of the path of h, and the det drift of its flow.
+
+    The round curvature pairing vanishes, so the disc term depends only on
+    the homotopy class and equals -int area_y(t -> phi_t^* j0) dmu(y), with
+    phi_t^* j0 = J^{-1} j0 J and J = dphi_t(y) at the fixed nodes y.  One
+    forward sweep serves every sample, with ceil(flow_steps * gap) RK4
+    steps to each, as in :class:`flow.BackwardSweep`."""
+    chart = flow.chart_of(nodes)
+    y, m = nodes, np.broadcast_to(np.eye(3), nodes.shape[:-1] + (3, 3))
+    taus = np.empty((len(nodes), time_samples + 1), dtype=complex)
+    t_prev = 0.0
+    for i, t in enumerate(np.linspace(0.0, 1.0, time_samples + 1)):
+        if t > t_prev:
+            # the tolerance keeps a gap that is a whole number of steps
+            # up to rounding from taking one extra step
+            steps = max(1, math.ceil(flow_steps * (t - t_prev) - 1e-9))
+            y, m = flow.advance_state(h, y, m, t_prev, t, steps)
+            t_prev = t
+        jac = flow.frame_jacobian(m, nodes, y, x_chart=chart)
+        taus[:, i] = siegel.to_upper_half_plane(
+            np.linalg.solve(jac, flow.J_STANDARD @ jac)
+        )
+    return -extrapolated_loop_flux(taus), flow.jacobian_det_drift(jac)
 
 
 def shelukhin(h, grid, time_samples=32, flow_steps=256) -> ShelukhinValue:
@@ -171,9 +184,9 @@ def shelukhin(h, grid, time_samples=32, flow_steps=256) -> ShelukhinValue:
     """
     if time_samples % 4:
         raise ValueError("time_samples must be divisible by 4 (nested refinement)")
-    flux = _disc_flux(h, grid.nodes, time_samples, flow_steps)
+    flux, drift = _disc_flux(h, grid.nodes, time_samples, flow_steps)
     disc = sphere.integrate_values(grid, flux)
-    return ShelukhinValue(disc_term=disc, curvature_term=ROUND_CURVATURE_PAIRING)
+    return ShelukhinValue(disc, ROUND_CURVATURE_PAIRING, flow_det_drift=drift)
 
 
 # ---------------------------------------------------------------------------

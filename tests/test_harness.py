@@ -172,7 +172,7 @@ def test_sweeps_report_classical_time_and_flow_health():
     for report in (theorem1, prop53, defect):
         classical_s = report.summary["timings"]["classical_s"]
         assert np.isfinite(classical_s) and classical_s > 0
-    for report in (prop53, defect):
+    for report in (theorem1, prop53, defect):
         assert np.isfinite(report.summary["health"]["flow_det_drift"])
     # recorded, not raised: the drift of 32 flow steps falls with the step
     drift_32 = defect.summary["health"]["flow_det_drift"]
@@ -210,17 +210,18 @@ def test_theorem1_refuses_non_holomorphic_flow_before_classical_work(monkeypatch
 
 
 def test_theorem1_probes_holomorphy_once_per_sweep(monkeypatch):
+    # one forward flow of the 72 nodes of the 6 x 12 probe grid
     calls = []
-    evaluate = flow.PushforwardStructure.evaluate
+    integrate = flow.integrate_flow
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.t)
-        return evaluate(self, *args, **kwargs)
+    def counted(h, points, *args, **kwargs):
+        calls.append(len(points))
+        return integrate(h, points, *args, **kwargs)
 
-    monkeypatch.setattr(flow.PushforwardStructure, "evaluate", counted)
+    monkeypatch.setattr(flow, "integrate_flow", counted)
     report = harness.run_theorem1_holomorphic(_theorem1_config("tilted-height", c=0.4))
     assert len(report.rows) == 4
-    assert calls == [1.0]
+    assert calls == [72]
 
 
 def test_brute_force_lattice_matches_solver():
@@ -299,6 +300,21 @@ def test_cli_exits_2_on_non_holomorphic_theorem1(tmp_path, capsys):
     code = cli_main(["theorem1", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "round complex structure" in capsys.readouterr().err
+
+
+def test_cli_exits_2_on_an_under_resolved_holomorphy_probe(tmp_path, capsys):
+    # the probe's 256 steps cannot resolve a rotation at scale 12: its
+    # symplecticity guard refuses the flow instead of giving a verdict
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {"experiment": "theorem1", "preset": "height", "preset_params": {"scale": 12}}
+        )
+    )
+    code = cli_main(["theorem1", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "determinant drifted" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_toeplitz_dump_uses_one_directory(tmp_path):

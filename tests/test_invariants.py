@@ -6,6 +6,7 @@ from spherequant import (
     invariants,
     quantize,
     propagate,
+    siegel,
     sphere,
 )
 
@@ -67,6 +68,70 @@ def test_shelukhin_vanishes_on_rotations():
 def test_shelukhin_vanishes_on_constants():
     sh = invariants.shelukhin(ham.constant(0.9), GRID, time_samples=8)
     assert abs(sh.total) < 1e-8
+
+
+def _backward_disc_term(h, grid, time_samples):
+    # the backward route: the loop of pushforwards phi_t* j0 at the fixed
+    # nodes, each transported afresh from time t (256 RK4 steps per unit)
+    taus = np.stack(
+        [
+            siegel.to_upper_half_plane(
+                flow.PushforwardStructure(flow.RoundStructure(), h, t, 256).evaluate(
+                    grid.nodes
+                )
+            )
+            for t in np.linspace(0.0, 1.0, time_samples + 1)
+        ],
+        axis=1,
+    )
+    return sphere.integrate_values(grid, invariants.extrapolated_loop_flux(taus))
+
+
+def test_forward_disc_term_matches_the_backward_route():
+    # the forward route reads the pullbacks phi_t^* j0 instead: the same
+    # disc term, as the round curvature pairing vanishes.  On time-mixed
+    # the two differ by the backward route's own error (3e-7 at 64 samples
+    # against a 256-sample reference, where the forward route is off 1e-8)
+    h2 = ham.height_squared()
+    reparam = ham.Reparametrized(h2, lambda t: t * t, lambda t: 2.0 * t)
+    for h, samples, bound in (
+        (h2, 16, 1e-10),
+        (reparam, 16, 1e-10),
+        (ham.time_mixed(), 32, 1e-4),
+    ):
+        forward = invariants.shelukhin(h, GRID, time_samples=samples).disc_term
+        assert abs(forward - _backward_disc_term(h, GRID, samples)) <= bound
+
+
+def test_disc_flux_is_one_forward_sweep(monkeypatch):
+    # 16 samples at 256 flow steps take 16 steps to each, 256 per node in
+    # all; transports from each sample would take sum max(8, 16 i) = 2176
+    point_steps = []
+    advance = flow.advance_state
+
+    def counted(h, y, m, t0, t1, steps=1):
+        point_steps.append(steps * len(y))
+        return advance(h, y, m, t0, t1, steps)
+
+    def backward(*args, **kwargs):
+        raise AssertionError("the disc flux transported backward")
+
+    monkeypatch.setattr(flow, "advance_state", counted)
+    monkeypatch.setattr(flow, "transport_backward", backward)
+    flux, drift = invariants._disc_flux(ham.time_mixed(), GRID.nodes, 16, 256)
+    assert sum(point_steps) == 256 * GRID.size
+    assert np.all(np.isfinite(flux)) and drift < 1e-6
+
+
+def test_shelukhin_and_the_holomorphy_probe_use_no_backward_route(monkeypatch):
+    def backward(*args, **kwargs):
+        raise AssertionError("backward route called")
+
+    for name in ("transport_backward", "BackwardSweep", "PushforwardStructure"):
+        monkeypatch.setattr(flow, name, backward)
+    for h in (ham.height_squared(), ham.time_mixed()):
+        assert np.isfinite(invariants.shelukhin(h, GRID, time_samples=8).disc_term)
+    propagate.check_holomorphic(ham.coordinate(0))
 
 
 def test_shelukhin_total_is_sum_of_terms():

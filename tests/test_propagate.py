@@ -146,10 +146,19 @@ def test_chart_samples_refuse_other_grids_and_steps():
 def test_pushforward_unitary_requires_holomorphic_flow():
     with pytest.raises(propagate.HolomorphyError, match="round complex structure"):
         propagate.check_holomorphic(ham.height_squared())
-    # rotations pass, about any axis
-    for h in (ham.tilted_height(0.2), ham.coordinate(0), ham.coordinate(1, 0.7)):
+    # rotations pass, about any axis; the probe's 256 steps resolve a
+    # rotation at scale 8 (det drift 2e-7)
+    for h in (
+        ham.tilted_height(0.2),
+        ham.coordinate(0),
+        ham.coordinate(1, 0.7),
+        ham.height(8.0),
+    ):
         propagate.check_holomorphic(h)
     assert issubclass(propagate.HolomorphyError, ValueError)
+    # but not at scale 12 (2.3e-6): its symplecticity guard gives no verdict
+    with pytest.raises(flow.FlowAccuracyError, match="determinant drifted"):
+        propagate.check_holomorphic(ham.height(12.0))
 
 
 def test_toeplitz_and_ks_agree_for_constants():
