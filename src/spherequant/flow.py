@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import is_autonomous
 # flow does not call geodesic_matrices; perfbench/selftest.py asserts that
 # tracing rebinds this imported copy
 from .siegel import J_STANDARD, geodesic_matrices  # noqa: F401
@@ -213,6 +212,29 @@ def jacobian_det_drift(jac):
     return float(np.max(np.abs(np.linalg.det(jac) - 1.0)))
 
 
+def sweep(h, points, times, steps_per_unit_time):
+    """Flow states (y, M) of h out of ``points`` at each time of the
+    monotone list ``times``.
+
+    One :func:`advance_state` integration from the identity at t = 0
+    serves every sample: each continues from the previous one with
+    ceil(steps_per_unit_time * |gap|) RK4 steps, which keeps every step at
+    most 1/steps_per_unit_time.  For an autonomous h the states at -t are
+    the inverse flow maps at t, as :func:`transport_backward` gives them.
+    """
+    points = np.asarray(points, dtype=float)
+    y, m = points, np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
+    t_prev = 0.0
+    for t in times:
+        if t != t_prev:
+            # the tolerance keeps a gap that is a whole number of steps
+            # up to rounding from taking one extra step
+            steps = max(1, math.ceil(steps_per_unit_time * abs(t - t_prev) - 1e-9))
+            y, m = advance_state(h, y, m, t_prev, t, steps)
+            t_prev = t
+        yield y, m
+
+
 def transport_backward(h, points, t, steps):
     """Backward transport (y, M) with y = flow_t^{-1}(points) and M the
     ambient Jacobian of the inverse flow at the given points."""
@@ -226,61 +248,6 @@ def transport_backward(h, points, t, steps):
 def per_time_steps(steps_per_unit_time, t):
     """RK4 steps of a stand-alone transport over [0, t]: at least 8."""
     return max(8, int(round(steps_per_unit_time * abs(t))))
-
-
-class BackwardSweep:
-    """Inverse flow maps of h at one point set for increasing times.
-
-    ``transport(points, t)`` returns (flow_t^{-1}(points), M) like
-    :func:`transport_backward`.  For an autonomous h the inverse flow is
-    the flow at time -t, so one backward integration serves every sample:
-    each call continues from the previous sample with
-    ceil(steps_per_unit_time * gap) RK4 steps, which keeps every step at
-    most 1/steps_per_unit_time.  A new point set or an earlier time
-    restarts from the identity at t = 0.  A time-dependent h is
-    transported afresh at every t, with :func:`per_time_steps` steps.
-    """
-
-    def __init__(self, h, steps_per_unit_time):
-        self.h = h
-        self.steps_per_unit_time = steps_per_unit_time
-        self.autonomous = is_autonomous(h)
-        self._points = None
-        self._state = None  # (t, y, m) of the last sample
-        self._last = None  # (points, y, m) of the last transport
-
-    def transport(self, points, t):
-        points = np.asarray(points, dtype=float)
-        t = float(t)
-        if not self.autonomous:
-            y, m = transport_backward(
-                self.h, points, t, per_time_steps(self.steps_per_unit_time, t)
-            )
-            self._last = (points, y, m)
-            return y, m
-        if (
-            self._state is None
-            or t < self._state[0]
-            or not np.array_equal(self._points, points)
-        ):
-            eye = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
-            self._points = points.copy()
-            self._state = (0.0, self._points, eye)
-        t0, y, m = self._state
-        if t > t0:
-            # the tolerance keeps a gap that is a whole number of steps
-            # up to rounding from taking one extra step
-            steps = max(1, math.ceil(self.steps_per_unit_time * (t - t0) - 1e-9))
-            y, m = advance_state(self.h, y, m, -t0, -t, steps)
-            self._state = (t, y, m)
-        self._last = (self._points, y, m)
-        return y.copy(), m.copy()
-
-    def det_drift(self):
-        """:func:`jacobian_det_drift` of the inverse flow map at the last
-        transport."""
-        points, y, m = self._last
-        return jacobian_det_drift(frame_jacobian(m, points, y))
 
 
 def chart_symbol(h, points, t):

@@ -122,8 +122,8 @@ class Polynomial:
 def is_autonomous(h):
     """Whether the generator h reports itself time-independent.
 
-    Only :class:`Polynomial` reports this; every other generator
-    (reparametrized paths, composed paths) counts as time-dependent.
+    Only :class:`Polynomial` reports this; every other generator, such as
+    a :class:`Reparametrized` path, counts as time-dependent.
     """
     return getattr(h, "autonomous", False) is True
 

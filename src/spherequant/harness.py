@@ -260,9 +260,7 @@ def run_defect(config: ExperimentConfig) -> SweepReport:
     h_a = config.hamiltonian()
     h_b = config.hamiltonian_b()
     grid = quantize.sweep_grid(config.ks)
-    product = invariants.product_samples(
-        h_a, h_b, grid, config.steps, config.flow_steps
-    )
+    product = propagate.product_samples(h_a, h_b, grid, config.steps, config.flow_steps)
     classical_s = time.perf_counter() - t0
     rows = []
     for k in config.ks:

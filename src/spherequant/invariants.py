@@ -12,7 +12,6 @@ chart) even when it crosses the equator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,20 +152,12 @@ def _disc_flux(h, nodes, time_samples, flow_steps):
 
     The round curvature pairing vanishes, so the disc term depends only on
     the homotopy class and equals -int area_y(t -> phi_t^* j0) dmu(y), with
-    phi_t^* j0 = J^{-1} j0 J and J = dphi_t(y) at the fixed nodes y.  One
-    forward sweep serves every sample, with ceil(flow_steps * gap) RK4
-    steps to each, as in :class:`flow.BackwardSweep`."""
+    phi_t^* j0 = J^{-1} j0 J and J = dphi_t(y) at the fixed nodes y, all
+    read from one forward :func:`flow.sweep`."""
     chart = flow.chart_of(nodes)
-    y, m = nodes, np.broadcast_to(np.eye(3), nodes.shape[:-1] + (3, 3))
     taus = np.empty((len(nodes), time_samples + 1), dtype=complex)
-    t_prev = 0.0
-    for i, t in enumerate(np.linspace(0.0, 1.0, time_samples + 1)):
-        if t > t_prev:
-            # the tolerance keeps a gap that is a whole number of steps
-            # up to rounding from taking one extra step
-            steps = max(1, math.ceil(flow_steps * (t - t_prev) - 1e-9))
-            y, m = flow.advance_state(h, y, m, t_prev, t, steps)
-            t_prev = t
+    times = np.linspace(0.0, 1.0, time_samples + 1)
+    for i, (y, m) in enumerate(flow.sweep(h, nodes, times, flow_steps)):
         jac = flow.frame_jacobian(m, nodes, y, x_chart=chart)
         taus[:, i] = siegel.to_upper_half_plane(
             np.linalg.solve(jac, flow.J_STANDARD @ jac)
@@ -197,17 +188,10 @@ def cover_product(a: UnitaryWithPhase, b: UnitaryWithPhase) -> UnitaryWithPhase:
     return UnitaryWithPhase(Unitary(a.u.mat @ b.u.mat), a.phase + b.phase)
 
 
-def product_samples(h_a, h_b, grid, steps, flow_steps=256):
-    """The classical stage of :func:`defect`: chart samples on ``grid`` of
-    the generator of the product path, taken once for every level."""
-    combined = sphere.star_product(h_a, h_b, flow_steps=flow_steps)
-    return propagate.sample_chart(combined, grid, steps)
-
-
 def level_defect(space, h_a, h_b, product, steps):
     """Cover distance at one level between the product of the quantized
     paths of h_a and h_b and the quantized product path, whose
-    :func:`product_samples` were taken on ``space.grid``."""
+    :func:`propagate.product_samples` were taken on ``space.grid``."""
     ua = propagate.propagate_ks(space, h_a, steps).with_phase()
     ub = propagate.propagate_ks(space, h_b, steps).with_phase()
     uab = propagate.propagate_ks(space, product, steps).with_phase()
@@ -219,7 +203,7 @@ def defect(h_a, h_b, ks, steps=128, flow_steps=256):
     and h_b and the quantization of the product path, for each level k;
     every level is built on :func:`quantize.sweep_grid`."""
     grid = quantize.sweep_grid(ks)
-    product = product_samples(h_a, h_b, grid, steps, flow_steps)
+    product = propagate.product_samples(h_a, h_b, grid, steps, flow_steps)
     return np.array(
         [
             level_defect(quantize.build_space(k, grid), h_a, h_b, product, steps)

@@ -35,10 +35,11 @@ class ChartSamples:
 
     The samples depend on the grid and the steps but not on the level k,
     so one set, sampled once per sweep, stands in for its symbol at every
-    level built on ``grid``: :func:`propagate_ks` reads it through
-    ``chart_symbol`` and :func:`xi_path` takes it in place of the
-    Hamiltonian.  ``flow_det_drift`` is max |det J - 1| of the frame
-    Jacobian of the flow that produced the samples, at the last one.
+    level built on ``grid``: :func:`propagate_ks` takes the
+    :func:`product_samples` of a product path and :func:`xi_path` the
+    :func:`pull_back` of a path in place of the Hamiltonian.
+    ``flow_det_drift`` is max |det J - 1| of the frame Jacobian of the flow
+    that produced the samples, at the last one.
     """
 
     grid: sphere.SphereGrid
@@ -76,6 +77,13 @@ def _expi(a, scale):
 # Gauss points of the fourth-order Magnus scheme
 _GAUSS_LO = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_HI = 0.5 + np.sqrt(3.0) / 6.0
+
+
+def _gauss_times(steps, t_final):
+    """The two Gauss times of each of ``steps`` equal Magnus steps on
+    [0, t_final]; :class:`ChartSamples` are keyed by these floats."""
+    dt = t_final / steps
+    return [((n + _GAUSS_LO) * dt, (n + _GAUSS_HI) * dt) for n in range(steps)]
 
 
 def _magnus_effective(a1, a2, k, dt, sign):
@@ -118,12 +126,10 @@ def propagate_generic(space, generator_fn, steps, t_final=1.0):
         return PropagationResult(
             unitary=_expi(a, -k * t_final), phase=-k * t_final * np.trace(a).real
         )
-    dt = t_final / steps
     pairs = (
-        (generator_fn((n + _GAUSS_LO) * dt), generator_fn((n + _GAUSS_HI) * dt))
-        for n in range(steps)
+        (generator_fn(t1), generator_fn(t2)) for t1, t2 in _gauss_times(steps, t_final)
     )
-    u, phase = _magnus(space, pairs, dt, -1.0)
+    u, phase = _magnus(space, pairs, t_final / steps, -1.0)
     return PropagationResult(unitary=u, phase=phase)
 
 
@@ -149,7 +155,7 @@ def toeplitz_generator(space, h):
 def ks_generator(space, h):
     if hasattr(h, "separable_terms"):
         return _separable_generator(space, h, quantize.kostant_souriau)
-    if hasattr(h, "chart_symbol"):
+    if isinstance(h, ChartSamples):
         return lambda t: quantize.kostant_souriau_from_chart(
             space, *h.chart_symbol(space.grid.nodes, t)
         )
@@ -164,19 +170,35 @@ def propagate_ks(space, h, steps, t_final=1.0):
     return propagate_generic(space, ks_generator(space, h), steps, t_final)
 
 
-def sample_chart(h, grid, steps, t_final=1.0):
-    """:class:`ChartSamples` of a composed symbol h at the Gauss times of
-    :func:`propagate_generic`.
+def product_samples(f, g, grid, steps, flow_steps=256):
+    """:class:`ChartSamples` on ``grid`` of f_t + g_t o alpha_t^{-1}, the
+    generator of the product of the paths of f and g (alpha the flow of
+    f), at the Gauss times of :func:`propagate_generic`.
 
-    h supplies ``chart_symbol`` and ``flow_det_drift``, as
-    :class:`sphere.StarProductHamiltonian` does from its backward sweep.
+    The inverse flow of an autonomous f is its flow at time -t, so one
+    :func:`flow.sweep` at negative times maps the nodes back for every
+    sample.  A time-dependent f is transported backward afresh at each
+    time, with :func:`flow.per_time_steps` steps.
     """
-    dt = t_final / steps
+    nodes = grid.nodes
+    times = [t for pair in _gauss_times(steps, 1.0) for t in pair]
+    if hamiltonians.is_autonomous(f):
+        inverse = flow.sweep(f, nodes, [-t for t in times], flow_steps)
+    else:
+        inverse = (
+            flow.transport_backward(f, nodes, t, flow.per_time_steps(flow_steps, t))
+            for t in times
+        )
     data = {}
-    for n in range(steps):
-        for t in ((n + _GAUSS_LO) * dt, (n + _GAUSS_HI) * dt):
-            data[t] = h.chart_symbol(grid.nodes, t)
-    return ChartSamples(grid, data, h.flow_det_drift())
+    for t, (y, back) in zip(times, inverse):
+        vals_f, a_f = flow.chart_symbol(f, nodes, t)
+        # X_{g o alpha^{-1}}(x) = d alpha|_y X_g(y) with y = alpha^{-1}(x),
+        # and back = d(alpha^{-1})|_x is the inverse of d alpha|_y
+        xg = flow.hamiltonian_vector_field(g, y, t)
+        xx = np.linalg.solve(back, xg[..., None])[..., 0]
+        data[t] = vals_f + g.value(y, t), a_f + flow.chart_one_form(xx, nodes)
+    drift = flow.jacobian_det_drift(flow.frame_jacobian(back, nodes, y))
+    return ChartSamples(grid, data, drift)
 
 
 def pull_back(h, grid, steps, t_final=1.0):
@@ -193,17 +215,18 @@ def pull_back(h, grid, steps, t_final=1.0):
     y = nodes.copy()
     m = np.broadcast_to(np.eye(3), nodes.shape[:-1] + (3, 3)).copy()
     data = {}
-    for n in range(steps):
-        t0 = n * dt
-        t_prev = t0
-        for t in (t0 + _GAUSS_LO * dt, t0 + _GAUSS_HI * dt):
+    t_prev = 0.0
+    for n, pair in enumerate(_gauss_times(steps, t_final)):
+        for t in pair:
             y, m = flow.advance_state(h, y, m, t_prev, t)
             xh = flow.hamiltonian_vector_field(h, y, t)
             pulled = np.linalg.solve(m, xh[..., None])[..., 0]
             data[t] = h.value(y, t), flow.chart_one_form(pulled, nodes)
             t_prev = t
         if n + 1 < steps:
-            y, m = flow.advance_state(h, y, m, t_prev, t0 + dt)
+            t_end = (n + 1) * dt
+            y, m = flow.advance_state(h, y, m, t_prev, t_end)
+            t_prev = t_end
     drift = flow.jacobian_det_drift(flow.frame_jacobian(m, nodes, y))
     return ChartSamples(grid, data, drift)
 
@@ -220,20 +243,15 @@ def xi_path(space, h, steps, t_final=1.0):
     pulled = h
     if not isinstance(h, ChartSamples):
         pulled = pull_back(h, space.grid, steps, t_final)
-    dt = t_final / steps
     nodes = space.grid.nodes
-
-    def pairs():
-        for n in range(steps):
-            t0 = n * dt
-            yield tuple(
-                quantize.kostant_souriau_from_chart(
-                    space, *pulled.chart_symbol(nodes, t)
-                )
-                for t in (t0 + _GAUSS_LO * dt, t0 + _GAUSS_HI * dt)
-            )
-
-    x, phase = _magnus(space, pairs(), dt, 1.0)
+    pairs = (
+        tuple(
+            quantize.kostant_souriau_from_chart(space, *pulled.chart_symbol(nodes, t))
+            for t in pair
+        )
+        for pair in _gauss_times(steps, t_final)
+    )
+    x, phase = _magnus(space, pairs, t_final / steps, 1.0)
     return PropagationResult(unitary=x.conj().T, phase=-phase)
 
 

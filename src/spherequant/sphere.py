@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow
-
 TOTAL_VOLUME = 2.0 * np.pi
 
 
@@ -50,7 +48,7 @@ def build_grid(n_theta: int = 24, n_phi: int = 48) -> SphereGrid:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real function sampled on a grid, optionally with its evaluator."""
+    """Real function sampled on the nodes of a grid."""
 
     values: np.ndarray
     grid: SphereGrid
@@ -86,51 +84,3 @@ def calabi(h, grid: SphereGrid, time_nodes: int = 24) -> float:
     for t, w in zip(ts, ws):
         total += w * integrate(ScalarField(h.value(grid.nodes, t), grid))
     return total
-
-
-class StarProductHamiltonian:
-    """Generating Hamiltonian of a pointwise product of prequantum paths.
-
-    The product of the path generated by f with the path generated by g is
-    generated by f_t + g_t o alpha_t^{-1}, where alpha is the Hamiltonian
-    flow of f.  Values (and chart symbols, needed for quantization) are
-    obtained by transporting evaluation points backward along that flow;
-    a propagation samples increasing times at one point set, so for an
-    autonomous f one backward sweep serves all of them.
-    """
-
-    def __init__(self, f, g, flow_steps: int = 256):
-        self.f = f
-        self.g = g
-        self._sweep = flow.BackwardSweep(f, flow_steps)
-
-    def value(self, points, t):
-        if t == 0.0:
-            return self.f.value(points, t) + self.g.value(points, t)
-        y, _ = self._sweep.transport(points, t)
-        return self.f.value(points, t) + self.g.value(y, t)
-
-    def chart_symbol(self, points, t):
-        """Values and chart one-form components of the composed symbol."""
-        vals_f, a_f = flow.chart_symbol(self.f, points, t)
-        if t == 0.0:
-            vals_g, a_g = flow.chart_symbol(self.g, points, t)
-            return vals_f + vals_g, a_f + a_g
-        y, back = self._sweep.transport(points, t)
-        vals_g = self.g.value(y, t)
-        # X_{g o alpha^{-1}}(x) = d alpha|_y X_g(y) with y = alpha^{-1}(x),
-        # and back = d(alpha^{-1})|_x is the inverse of d alpha|_y
-        xg = flow.hamiltonian_vector_field(self.g, y, t)
-        xx = np.linalg.solve(back, xg[..., None])[..., 0]
-        a_g = flow.chart_one_form(xx, points)
-        return vals_f + vals_g, a_f + a_g
-
-    def flow_det_drift(self):
-        """max |det J - 1| of the inverse flow of f at the last transport."""
-        return self._sweep.det_drift()
-
-
-def star_product(f, g, flow_steps: int = 256) -> StarProductHamiltonian:
-    """Generating Hamiltonian of the product of the paths generated by f
-    and g (flow of f implied)."""
-    return StarProductHamiltonian(f, g, flow_steps)

@@ -20,7 +20,7 @@ from spherequant import (
     quantize,
     sphere,
 )
-from spherequant.sphere import build_grid, calabi, star_product
+from spherequant.sphere import build_grid, calabi
 from spherequant.unitary_metric import (
     LatticeProblem,
     Unitary,
@@ -199,9 +199,15 @@ def test_criterion_11_calabi_morphism():
     grid = build_grid(16, 32)
     a = ham.height_squared()
     b = ham.coordinate(0, 0.7)
-    additivity = abs(
-        calabi(star_product(a, b), grid) - calabi(a, grid) - calabi(b, grid)
+    # the product path's Calabi by the two-point Gauss rule of each Magnus
+    # step: 24 time nodes, as many as calabi's own
+    steps = 12
+    product = propagate.product_samples(a, b, grid, steps, flow_steps=256)
+    product_calabi = sum(
+        0.5 / steps * sphere.integrate_values(grid, values)
+        for values, _ in product.data.values()
     )
+    additivity = abs(product_calabi - calabi(a, grid) - calabi(b, grid))
     ok = additivity <= 1e-7
     tau = 0.37
     rotation = calabi(ham.constant(-tau), grid)

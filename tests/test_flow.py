@@ -86,9 +86,9 @@ def test_backward_sweep_matches_closed_form_flow():
     s = 0.5
     pts = _random_points(25, 50)
     x1, x2, x3 = pts.T
-    sweep = flow.BackwardSweep(ham.height_squared(s), 256)
-    for t in (0.1, 0.35, 0.6, 1.0):
-        y, m = sweep.transport(pts, t)
+    times = (0.0, 0.1, 0.35, 0.6, 1.0)
+    states = flow.sweep(ham.height_squared(s), pts, [-t for t in times], 256)
+    for t, (y, m) in zip(times, states):
         theta = 4.0 * s * x3 * t
         c, sn = np.cos(theta), np.sin(theta)
         expected = np.stack([c * x1 - sn * x2, sn * x1 + c * x2, x3], axis=-1)
@@ -104,47 +104,16 @@ def test_backward_sweep_matches_closed_form_flow():
 
 
 def test_backward_sweep_matches_per_time_transport():
+    # at whole multiples of the step the shared sweep takes the same steps
+    # as a stand-alone transport
     pts = _random_points(26, 30)
-    # autonomous: at whole multiples of the step the shared sweep takes the
-    # same steps as a stand-alone transport
     h = ham.height_squared()
-    sweep = flow.BackwardSweep(h, 64)
-    for i in (8, 13, 40, 64):
-        y, m = sweep.transport(pts, i / 64)
+    multiples = (8, 13, 40, 64)
+    states = flow.sweep(h, pts, [-i / 64 for i in multiples], 64)
+    for i, (y, m) in zip(multiples, states):
         y_ref, m_ref = flow.transport_backward(h, pts, i / 64, steps=i)
         assert np.max(np.abs(y - y_ref)) < 1e-13
         assert np.max(np.abs(m - m_ref)) < 1e-13
-    # time-dependent: every sample is a stand-alone transport
-    h = ham.time_mixed()
-    sweep = flow.BackwardSweep(h, 64)
-    for t in (0.05, 0.3, 0.7):
-        y, m = sweep.transport(pts, t)
-        steps = flow.per_time_steps(64, t)
-        y_ref, m_ref = flow.transport_backward(h, pts, t, steps=steps)
-        assert np.array_equal(y, y_ref) and np.array_equal(m, m_ref)
-
-
-def test_backward_sweep_restarts():
-    h = ham.height_squared()
-    pts = _random_points(27, 20)
-    other = _random_points(28, 20)
-    sweep = flow.BackwardSweep(h, 32)
-    sweep.transport(pts, 0.2)
-    sweep.transport(pts, 0.8)
-    # an earlier time restarts from t = 0
-    y, m = sweep.transport(pts, 0.3)
-    y_ref, m_ref = flow.BackwardSweep(h, 32).transport(pts, 0.3)
-    assert np.array_equal(y, y_ref) and np.array_equal(m, m_ref)
-    # so does a new point set, even at a later time
-    y, m = sweep.transport(other, 0.5)
-    y_ref, m_ref = flow.BackwardSweep(h, 32).transport(other, 0.5)
-    assert np.array_equal(y, y_ref) and np.array_equal(m, m_ref)
-    # repeating a time returns the same sample; t = 0 is the identity
-    y2, m2 = sweep.transport(other, 0.5)
-    assert np.array_equal(y, y2) and np.array_equal(m, m2)
-    y0, m0 = sweep.transport(other, 0.0)
-    assert np.array_equal(y0, other)
-    assert np.array_equal(m0, np.broadcast_to(np.eye(3), m0.shape))
 
 
 def test_frames_are_symplectic_in_both_charts():

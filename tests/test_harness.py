@@ -117,6 +117,18 @@ def test_run_defect_times_each_level():
     assert rows[1]["runtime"] > rows[0]["runtime"]
 
 
+def test_run_defect_with_a_time_dependent_first_factor():
+    # the product path of a time-dependent first factor is transported
+    # backward afresh at every sample time
+    cfg = harness.ExperimentConfig(
+        experiment="defect", preset="time-mixed", ks=(4, 8), steps=4, flow_steps=8
+    )
+    report = harness.run_defect(cfg)
+    assert [r["k"] for r in report.rows] == [4, 8]
+    assert all(np.isfinite(r["defect"]) for r in report.rows)
+    assert np.isfinite(report.summary["health"]["flow_det_drift"])
+
+
 def _defect_config(ks=(8, 16), flow_steps=8):
     return harness.ExperimentConfig(
         experiment="defect",

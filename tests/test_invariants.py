@@ -127,7 +127,7 @@ def test_shelukhin_and_the_holomorphy_probe_use_no_backward_route(monkeypatch):
     def backward(*args, **kwargs):
         raise AssertionError("backward route called")
 
-    for name in ("transport_backward", "BackwardSweep", "PushforwardStructure"):
+    for name in ("transport_backward", "PushforwardStructure"):
         monkeypatch.setattr(flow, name, backward)
     for h in (ham.height_squared(), ham.time_mixed()):
         assert np.isfinite(invariants.shelukhin(h, GRID, time_samples=8).disc_term)
@@ -153,7 +153,7 @@ def test_defect_on_the_shared_grid_matches_a_fine_reference():
     # integrates it only to about 1e-5; the sweep grid of k = 64 is exact
     h_a, h_b = ham.height_squared(2.0), ham.coordinate(0, 2.0)
     fine = sphere.build_grid(80, 160)
-    product = invariants.product_samples(h_a, h_b, fine, steps=8, flow_steps=32)
+    product = propagate.product_samples(h_a, h_b, fine, steps=8, flow_steps=32)
     reference = invariants.level_defect(
         quantize.build_space(8, fine), h_a, h_b, product, steps=8
     )

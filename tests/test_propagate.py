@@ -137,8 +137,9 @@ def test_chart_samples_refuse_other_grids_and_steps():
     other_grid = quantize.build_space(8, sphere.build_grid(12, 24))
     with pytest.raises(ValueError, match="their own grid"):
         propagate.xi_path(other_grid, pulled, steps=4)
-    star = sphere.star_product(ham.height_squared(), ham.coordinate(0), flow_steps=8)
-    samples = propagate.sample_chart(star, space.grid, steps=4)
+    samples = propagate.product_samples(
+        ham.height_squared(), ham.coordinate(0), space.grid, steps=4, flow_steps=8
+    )
     with pytest.raises(ValueError, match="other Magnus steps"):
         propagate.propagate_ks(space, samples, steps=2)
 
@@ -173,7 +174,9 @@ def test_propagation_never_builds_the_node_basis():
     # assembly runs ring by ring: no production path forms the
     # (nodes x (k+1)) basis, which QuantumSpace builds only on request
     sp = quantize.build_space(16)
-    star = sphere.star_product(ham.height_squared(), ham.coordinate(0), flow_steps=8)
+    star = propagate.product_samples(
+        ham.height_squared(), ham.coordinate(0), sp.grid, steps=2, flow_steps=8
+    )
     propagate.propagate_toeplitz(sp, ham.time_mixed(), steps=2)
     propagate.propagate_ks(sp, ham.time_mixed(), steps=2)
     propagate.propagate_ks(sp, star, steps=2)

@@ -45,34 +45,52 @@ def test_calabi_closed_forms():
     assert abs(sphere.calabi(ham.time_mixed(), g) - np.pi / 3) < 1e-10
 
 
+def _product_generator(rate, angle):
+    """rate x3 + cos(angle) x1 - sin(angle) x2"""
+    return ham.Polynomial(
+        [
+            ham.Monomial((0, 0, 1), rate),
+            ham.Monomial((1, 0, 0), np.cos(angle)),
+            ham.Monomial((0, 1, 0), -np.sin(angle)),
+        ]
+    )
+
+
+def _assert_chart_symbols(samples, exact_at):
+    """Every sample against the chart symbol of the closed form exact_at(t)."""
+    for t, (vals, a) in samples.data.items():
+        exact_vals, exact_a = flow.chart_symbol(exact_at(t), samples.grid.nodes, t)
+        assert np.max(np.abs(vals - exact_vals)) < 1e-8
+        assert np.max(np.abs(a - exact_a)) < 1e-7
+
+
 def test_star_product_values_match_closed_form():
     # first factor rotates about the vertical axis; the composed generator
     # has the closed form x3 + cos(2t) x1 - sin(2t) x2
-    star = sphere.star_product(ham.height(), ham.coordinate(0))
     grid = sphere.build_grid(8, 16)
-    for t in (0.0, 0.4, 1.0):
-        c, s = np.cos(2 * t), np.sin(2 * t)
-        exact = grid.nodes[:, 2] + c * grid.nodes[:, 0] - s * grid.nodes[:, 1]
-        got = star.value(grid.nodes, t)
-        assert np.max(np.abs(got - exact)) < 1e-8
+    samples = propagate.product_samples(ham.height(), ham.coordinate(0), grid, steps=4)
+    x1, x2, x3 = grid.nodes.T
+    for t, (vals, _) in samples.data.items():
+        exact = x3 + np.cos(2 * t) * x1 - np.sin(2 * t) * x2
+        assert np.max(np.abs(vals - exact)) < 1e-8
 
 
 def test_star_product_chart_symbol_matches_closed_form():
-    star = sphere.star_product(ham.height(), ham.coordinate(0))
     grid = sphere.build_grid(8, 16)
-    t = 0.37
-    c, s = np.cos(2 * t), np.sin(2 * t)
-    exact_h = ham.Polynomial(
-        [
-            ham.Monomial((0, 0, 1), 1.0),
-            ham.Monomial((1, 0, 0), c),
-            ham.Monomial((0, 1, 0), -s),
-        ]
+    samples = propagate.product_samples(ham.height(), ham.coordinate(0), grid, steps=4)
+    _assert_chart_symbols(samples, lambda t: _product_generator(1.0, 2 * t))
+
+
+def test_star_product_of_a_time_dependent_path_matches_closed_form():
+    # x3 run on the schedule t^2 is generated by 2t x3 and has turned by
+    # 2t^2 at time t, so its product with the path of x1 is generated by
+    # 2t x3 + cos(2t^2) x1 - sin(2t^2) x2
+    f = ham.Reparametrized(ham.height(), lambda t: t * t, lambda t: 2.0 * t)
+    grid = sphere.build_grid(16, 32)
+    samples = propagate.product_samples(
+        f, ham.coordinate(0), grid, steps=4, flow_steps=256
     )
-    vals, a = star.chart_symbol(grid.nodes, t)
-    exact_vals, exact_a = flow.chart_symbol(exact_h, grid.nodes, t)
-    assert np.max(np.abs(vals - exact_vals)) < 1e-8
-    assert np.max(np.abs(a - exact_a)) < 1e-7
+    _assert_chart_symbols(samples, lambda t: _product_generator(2 * t, 2 * t * t))
 
 
 def test_star_product_propagation_shares_one_backward_sweep(monkeypatch):
@@ -92,10 +110,9 @@ def test_star_product_propagation_shares_one_backward_sweep(monkeypatch):
 
     monkeypatch.setattr(flow, "advance_state", counted)
     monkeypatch.setattr(flow, "transport_backward", per_time)
-    space = quantize.build_space(8)
-    star = sphere.star_product(
-        ham.height_squared(2.0), ham.coordinate(0, 2.0), flow_steps=32
+    grid = quantize.default_grid(8)
+    propagate.product_samples(
+        ham.height_squared(2.0), ham.coordinate(0, 2.0), grid, steps=8, flow_steps=32
     )
-    propagate.propagate_ks(space, star, steps=8)
-    assert sum(point_steps) == 39 * space.grid.size
+    assert sum(point_steps) == 39 * grid.size
 
