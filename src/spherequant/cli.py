@@ -10,9 +10,7 @@ from . import flow, hamiltonians, harness, propagate
 
 def _load_config(args, experiment):
     if args.config:
-        config = harness.ExperimentConfig.from_file(args.config)
-        config.experiment = experiment
-        return config
+        return harness.ExperimentConfig.from_file(args.config, experiment)
     return harness.ExperimentConfig(experiment=experiment)
 
 

@@ -24,6 +24,11 @@ ODE_TOLERANCE = 1e-8
 NOISE_FLOOR = 10.0 * ODE_TOLERANCE
 
 
+def _is_count(value, least=1):
+    """Whether a config value is an integer, not a bool, of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -49,15 +54,18 @@ class ExperimentConfig:
         if not ks:
             raise ValueError("ks must name at least one level")
         for k in ks:
-            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            if not _is_count(k):
                 raise ValueError(f"ks must list positive integers, got {k!r} in {ks}")
         self.ks = tuple(int(k) for k in ks)
         if any(b <= a for a, b in zip(self.ks, self.ks[1:])):
             raise ValueError(f"ks must be strictly increasing, got {self.ks}")
-        for name in ("grid_theta", "grid_phi", "steps", "flow_steps", "pairs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.time_samples < 4 or self.time_samples % 4:
+        for name in ("grid_theta", "grid_phi", "steps", "flow_steps", "pairs", "time_samples"):
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not _is_count(self.seed, least=0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.time_samples % 4:
             raise ValueError(
                 f"time_samples must be a positive multiple of 4, got {self.time_samples}"
             )
@@ -73,12 +81,17 @@ class ExperimentConfig:
                 ) from None
 
     @classmethod
-    def from_file(cls, path):
+    def from_file(cls, path, experiment=None):
+        """Config from a JSON file; a given ``experiment`` replaces the file's."""
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path} must hold a JSON object of config fields")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config fields {unknown} in {path}")
+        if experiment is not None:
+            data["experiment"] = experiment
         return cls(**data)
 
     def hamiltonian(self):

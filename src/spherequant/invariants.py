@@ -1,5 +1,5 @@
 """Classical invariants: scalar curvature, the disc-area quasimorphism,
-and the quantum homomorphism defect.
+and the quantum homomorphism defect at one level.
 
 The quasimorphism is the disc-area term plus a curvature pairing that is
 exactly 0 for the round structure (:data:`ROUND_CURVATURE_PAIRING`), so
@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow, propagate, quantize, siegel, sphere
+from . import flow, propagate, siegel, sphere
 from .unitary_metric import Unitary, UnitaryWithPhase, cover_distance
 
 # ---------------------------------------------------------------------------
 # scalar curvature
+
+CURVATURE_STEP = 1e-2
 
 
 def _metric_components(field, z, chart):
@@ -37,13 +39,15 @@ def _metric_components(field, z, chart):
     return scale * g[..., 0, 0], scale * g[..., 0, 1], scale * g[..., 1, 1]
 
 
-def scalar_curvature_at(field, points, h=1e-2):
+def scalar_curvature_at(field, points):
     """Gauss curvature of omega(., j.) at the given points (Brioschi).
 
-    Fourth-order central differences on a 5x5 chart stencil keep the
-    truncation error well below the targeted 1e-4 while staying far from
-    the roundoff floor of second derivatives.
+    Fourth-order central differences on a 5x5 chart stencil of step
+    :data:`CURVATURE_STEP` keep the truncation error well below the
+    targeted 1e-4 while staying far from the roundoff floor of second
+    derivatives.
     """
+    h = CURVATURE_STEP
     points = np.asarray(points, dtype=float)
     chart = flow.chart_of(points)
     z0 = flow.chart_coords(points, chart)
@@ -105,9 +109,8 @@ def scalar_curvature_at(field, points, h=1e-2):
     return (np.linalg.det(m1) - np.linalg.det(m2)) / det**2
 
 
-def scalar_curvature(field, grid, h=1e-2) -> sphere.ScalarField:
-    values = scalar_curvature_at(field, grid.nodes, h=h)
-    return sphere.ScalarField(values, grid)
+def scalar_curvature(field, grid) -> sphere.ScalarField:
+    return sphere.ScalarField(scalar_curvature_at(field, grid.nodes), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +199,3 @@ def level_defect(space, h_a, h_b, product, steps):
     ub = propagate.propagate_ks(space, h_b, steps).with_phase()
     uab = propagate.propagate_ks(space, product, steps).with_phase()
     return cover_distance(cover_product(ua, ub), uab)
-
-
-def defect(h_a, h_b, ks, steps=128, flow_steps=256):
-    """Cover distance between the product of the quantized paths of h_a
-    and h_b and the quantization of the product path, for each level k;
-    every level is built on :func:`quantize.sweep_grid`."""
-    grid = quantize.sweep_grid(ks)
-    product = propagate.product_samples(h_a, h_b, grid, steps, flow_steps)
-    return np.array(
-        [
-            level_defect(quantize.build_space(k, grid), h_a, h_b, product, steps)
-            for k in ks
-        ]
-    )

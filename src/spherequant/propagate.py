@@ -79,10 +79,10 @@ _GAUSS_LO = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_HI = 0.5 + np.sqrt(3.0) / 6.0
 
 
-def _gauss_times(steps, t_final):
+def _gauss_times(steps):
     """The two Gauss times of each of ``steps`` equal Magnus steps on
-    [0, t_final]; :class:`ChartSamples` are keyed by these floats."""
-    dt = t_final / steps
+    [0, 1]; :class:`ChartSamples` are keyed by these floats."""
+    dt = 1.0 / steps
     return [((n + _GAUSS_LO) * dt, (n + _GAUSS_HI) * dt) for n in range(steps)]
 
 
@@ -112,24 +112,20 @@ def _magnus(space, pairs, dt, sign):
     return u, phase
 
 
-def propagate_generic(space, generator_fn, steps, t_final=1.0):
-    """Fourth-order Magnus propagation of d/dt u = -i k A(t) u.
+def propagate_generic(space, generator_fn, steps):
+    """Fourth-order Magnus propagation of d/dt u = -i k A(t) u on [0, 1].
 
     A generator marked ``autonomous`` (see :func:`_separable_generator`)
     is constant in time, so both Gauss points see the same matrix, the
-    commutator vanishes and the steps multiply to exp(-i k t_final A):
-    one eigendecomposition replaces the loop.
+    commutator vanishes and the steps multiply to exp(-i k A): one
+    eigendecomposition replaces the loop.
     """
     k = space.k
     if getattr(generator_fn, "autonomous", False):
         a = generator_fn(0.0)
-        return PropagationResult(
-            unitary=_expi(a, -k * t_final), phase=-k * t_final * np.trace(a).real
-        )
-    pairs = (
-        (generator_fn(t1), generator_fn(t2)) for t1, t2 in _gauss_times(steps, t_final)
-    )
-    u, phase = _magnus(space, pairs, t_final / steps, -1.0)
+        return PropagationResult(unitary=_expi(a, -k), phase=-k * np.trace(a).real)
+    pairs = ((generator_fn(t1), generator_fn(t2)) for t1, t2 in _gauss_times(steps))
+    u, phase = _magnus(space, pairs, 1.0 / steps, -1.0)
     return PropagationResult(unitary=u, phase=phase)
 
 
@@ -149,7 +145,7 @@ def _separable_generator(space, h, builder):
 def toeplitz_generator(space, h):
     if hasattr(h, "separable_terms"):
         return _separable_generator(space, h, quantize.toeplitz)
-    return lambda t: quantize.toeplitz(space, h.value(space.grid.nodes, t))
+    return lambda t: quantize.toeplitz(space, h, t)
 
 
 def ks_generator(space, h):
@@ -162,12 +158,20 @@ def ks_generator(space, h):
     return lambda t: quantize.kostant_souriau(space, h, t)
 
 
-def propagate_toeplitz(space, h, steps, t_final=1.0):
-    return propagate_generic(space, toeplitz_generator(space, h), steps, t_final)
+def propagate_toeplitz(space, h, steps):
+    return propagate_generic(space, toeplitz_generator(space, h), steps)
 
 
-def propagate_ks(space, h, steps, t_final=1.0):
-    return propagate_generic(space, ks_generator(space, h), steps, t_final)
+def propagate_ks(space, h, steps):
+    return propagate_generic(space, ks_generator(space, h), steps)
+
+
+def _pulled_chart_symbol(g, y, m, nodes, t):
+    """North-chart data at ``nodes`` of g_t o psi for a flow state
+    (y, m) = (psi(nodes), dpsi): the values g_t(y) and dz of m^{-1} X_g(y),
+    which is the Hamiltonian vector field of g_t o psi."""
+    x = np.linalg.solve(m, flow.hamiltonian_vector_field(g, y, t)[..., None])[..., 0]
+    return g.value(y, t), flow.chart_one_form(x, nodes)
 
 
 def product_samples(f, g, grid, steps, flow_steps=256):
@@ -181,7 +185,7 @@ def product_samples(f, g, grid, steps, flow_steps=256):
     time, with :func:`flow.per_time_steps` steps.
     """
     nodes = grid.nodes
-    times = [t for pair in _gauss_times(steps, 1.0) for t in pair]
+    times = [t for pair in _gauss_times(steps) for t in pair]
     if hamiltonians.is_autonomous(f):
         inverse = flow.sweep(f, nodes, [-t for t in times], flow_steps)
     else:
@@ -192,71 +196,61 @@ def product_samples(f, g, grid, steps, flow_steps=256):
     data = {}
     for t, (y, back) in zip(times, inverse):
         vals_f, a_f = flow.chart_symbol(f, nodes, t)
-        # X_{g o alpha^{-1}}(x) = d alpha|_y X_g(y) with y = alpha^{-1}(x),
-        # and back = d(alpha^{-1})|_x is the inverse of d alpha|_y
-        xg = flow.hamiltonian_vector_field(g, y, t)
-        xx = np.linalg.solve(back, xg[..., None])[..., 0]
-        data[t] = vals_f + g.value(y, t), a_f + flow.chart_one_form(xx, nodes)
+        vals_g, a_g = _pulled_chart_symbol(g, y, back, nodes, t)
+        data[t] = vals_f + vals_g, a_f + a_g
     drift = flow.jacobian_det_drift(flow.frame_jacobian(back, nodes, y))
     return ChartSamples(grid, data, drift)
 
 
-def pull_back(h, grid, steps, t_final=1.0):
+def pull_back(h, grid, steps):
     """:class:`ChartSamples` of the pulled-back symbol H_t o phi_t at the
     Gauss times of :func:`xi_path`.
 
-    The forward flow phi_t of h runs from the grid nodes: values are taken
-    at phi_t(node) and the vector field is mapped back by the forward
-    tangent map.  The flow advances by one RK4 step to each Gauss time and
-    one to the end of every Magnus step but the last.
+    The forward flow phi_t of h runs from the grid nodes in one
+    :func:`flow.sweep`, which stops at each Gauss time and at the end of
+    every Magnus step but the last: one RK4 step to each stop.  Values are
+    taken at phi_t(node) and the vector field is mapped back by the
+    forward tangent map.
     """
-    dt = t_final / steps
+    dt = 1.0 / steps
     nodes = grid.nodes
-    y = nodes.copy()
-    m = np.broadcast_to(np.eye(3), nodes.shape[:-1] + (3, 3)).copy()
+    gauss = _gauss_times(steps)
+    samples = {t for pair in gauss for t in pair}
+    stops = [t for n, pair in enumerate(gauss) for t in (*pair, (n + 1) * dt)][:-1]
     data = {}
-    t_prev = 0.0
-    for n, pair in enumerate(_gauss_times(steps, t_final)):
-        for t in pair:
-            y, m = flow.advance_state(h, y, m, t_prev, t)
-            xh = flow.hamiltonian_vector_field(h, y, t)
-            pulled = np.linalg.solve(m, xh[..., None])[..., 0]
-            data[t] = h.value(y, t), flow.chart_one_form(pulled, nodes)
-            t_prev = t
-        if n + 1 < steps:
-            t_end = (n + 1) * dt
-            y, m = flow.advance_state(h, y, m, t_prev, t_end)
-            t_prev = t_end
+    for t, (y, m) in zip(stops, flow.sweep(h, nodes, stops, steps)):
+        if t in samples:
+            data[t] = _pulled_chart_symbol(h, y, m, nodes, t)
     drift = flow.jacobian_det_drift(flow.frame_jacobian(m, nodes, y))
     return ChartSamples(grid, data, drift)
 
 
-def xi_path(space, h, steps, t_final=1.0):
-    """Propagator via the inverse-path equation.
+def xi_path(space, h, steps):
+    """Propagator on [0, 1] via the inverse-path equation.
 
     Integrates x = u^{-1} through d/dt x = i k B(t) x with B the
     Kostant-Souriau operator of the pulled-back symbol H_t o phi_t, then
     returns u = x* with the negated phase lift.  h is the Hamiltonian, or
-    its :func:`pull_back` samples on ``space.grid`` for the same steps and
-    t_final, which the levels of a sweep share.
+    its :func:`pull_back` samples on ``space.grid`` for the same steps,
+    which the levels of a sweep share.
     """
     pulled = h
     if not isinstance(h, ChartSamples):
-        pulled = pull_back(h, space.grid, steps, t_final)
+        pulled = pull_back(h, space.grid, steps)
     nodes = space.grid.nodes
     pairs = (
         tuple(
             quantize.kostant_souriau_from_chart(space, *pulled.chart_symbol(nodes, t))
             for t in pair
         )
-        for pair in _gauss_times(steps, t_final)
+        for pair in _gauss_times(steps)
     )
-    x, phase = _magnus(space, pairs, t_final / steps, 1.0)
+    x, phase = _magnus(space, pairs, 1.0 / steps, 1.0)
     return PropagationResult(unitary=x.conj().T, phase=-phase)
 
 
-def check_holomorphic(h, t_final=1.0):
-    """Raise :class:`HolomorphyError` unless the time-t_final flow of the
+def check_holomorphic(h):
+    """Raise :class:`HolomorphyError` unless the time-1 flow of the
     Hamiltonian h preserves the round complex structure.
 
     phi_* j0 = j0 exactly when J^{-1} j0 J = j0 for J = dphi, so the probe
@@ -264,7 +258,7 @@ def check_holomorphic(h, t_final=1.0):
     within :data:`HOLOMORPHY_TOL`; its symplecticity guard raises
     :class:`flow.FlowAccuracyError` on a flow it cannot resolve.
     """
-    jac = flow.integrate_flow(h, sphere.build_grid(6, 12).nodes, 256, t_final).jacobian
+    jac = flow.integrate_flow(h, sphere.build_grid(6, 12).nodes, 256).jacobian
     mats = np.linalg.solve(jac, flow.J_STANDARD @ jac)
     defect = np.max(np.abs(mats - flow.J_STANDARD))
     if defect > HOLOMORPHY_TOL:

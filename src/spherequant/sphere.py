@@ -76,10 +76,13 @@ def _time_gauss(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def calabi(h, grid: SphereGrid, time_nodes: int = 24) -> float:
+CALABI_TIME_NODES = 24
+
+
+def calabi(h, grid: SphereGrid) -> float:
     """Time-space integral of the Hamiltonian h_t on [0, 1] (a closed-form
     generator, see :mod:`spherequant.hamiltonians`)."""
-    ts, ws = _time_gauss(time_nodes)
+    ts, ws = _time_gauss(CALABI_TIME_NODES)
     total = 0.0
     for t, w in zip(ts, ws):
         total += w * integrate(ScalarField(h.value(grid.nodes, t), grid))

@@ -16,6 +16,8 @@ import numpy as np
 import scipy.linalg
 
 TWO_PI = 2.0 * math.pi
+# how far from a multiple of 2pi LatticeProblem admits target minus arg sum
+LATTICE_SUM_TOL = 1e-8
 
 
 class DimensionMismatchError(ValueError):
@@ -68,7 +70,6 @@ class LatticeProblem:
 
     base_args: np.ndarray
     target_sum: float
-    tol: float = 1e-8
 
     def __post_init__(self):
         b = np.asarray(self.base_args, dtype=float)
@@ -76,7 +77,7 @@ class LatticeProblem:
         if np.any(b <= -math.pi - 1e-12) or np.any(b > math.pi + 1e-12):
             raise LatticeInvariantError("base args must lie in (-pi, pi]")
         k = (self.target_sum - b.sum()) / TWO_PI
-        if abs(k - round(k)) > self.tol / TWO_PI * 10 + 1e-9:
+        if abs(k - round(k)) > LATTICE_SUM_TOL / TWO_PI * 10 + 1e-9:
             raise LatticeInvariantError(
                 "target sum minus the arg sum is not a multiple of 2pi"
             )

@@ -185,12 +185,25 @@ def test_criterion_09_toeplitz_vs_prequantum_propagation():
 
 def test_criterion_10_homomorphism_defect():
     ks = (8, 16, 32, 64)
-    d = invariants.defect(
-        ham.height_squared(scale=2.0), ham.coordinate(0, 2.0), ks, steps=128
+
+    def defects(**config):
+        report = harness.run_defect(
+            harness.ExperimentConfig(experiment="defect", ks=ks, **config)
+        )
+        return np.array([row["defect"] for row in report.rows])
+
+    d = defects(
+        preset="height-squared",
+        preset_params={"scale": 2.0},
+        preset_b="x1",
+        preset_b_params={"scale": 2.0},
+        steps=128,
     )
     slope = harness.fit_slope(ks, d, floor=1e-6)
     ok = slope is None or slope <= 0.2
-    d_comm = invariants.defect(ham.height(), ham.height(scale=0.6), ks, steps=64)
+    d_comm = defects(
+        preset="height", preset_b="height", preset_b_params={"scale": 0.6}, steps=64
+    )
     ok &= np.max(d_comm) <= 1e-6
     assert _report(10, "quantized product defect bounded", ok)
 

@@ -60,8 +60,13 @@ def test_cli_rejects_levels_below_one(tmp_path, capsys):
 
 
 def test_config_rejects_bad_resolution():
-    with pytest.raises(ValueError):
-        harness.ExperimentConfig(experiment="defect", steps=0)
+    for name in ("grid_theta", "grid_phi", "steps", "flow_steps", "pairs", "time_samples"):
+        for value in ("8", 8.5, True, 0):
+            with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+                harness.ExperimentConfig(experiment="defect", **{name: value})
+    for value in ("0", 1.5, -1, False):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            harness.ExperimentConfig(experiment="distance", seed=value)
 
 
 def test_config_rejects_empty_k_list():
@@ -163,11 +168,9 @@ def test_sweeps_integrate_the_classical_flow_once_per_sweep(monkeypatch):
         return advance(h, y, m, t0, t1, steps)
 
     monkeypatch.setattr(flow, "advance_state", counted)
-    cfg = _defect_config()
-    h_a, h_b = cfg.hamiltonian(), cfg.hamiltonian_b()
     for sweep in (
         lambda ks: harness.run_prop53(_prop53_config(ks)),
-        lambda ks: invariants.defect(h_a, h_b, ks, steps=4, flow_steps=8),
+        lambda ks: harness.run_defect(_defect_config(ks)),
     ):
         totals = []
         for ks in ((8, 16), (16,)):
@@ -304,6 +307,22 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert cli_main(["distance", "--config", str(cfg), "--out", str(out_dir)]) == 2
     assert "ks must be strictly increasing" in capsys.readouterr().err
     assert not out_dir.exists()
+    cfg.write_text(json.dumps({"experiment": "defect", "steps": 2.5}))
+    assert cli_main(["defect", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    assert "steps" in capsys.readouterr().err
+    assert not out_dir.exists()
+    cfg.write_text(json.dumps([{"pairs": 3}]))
+    assert cli_main(["distance", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_config_file_may_leave_the_experiment_to_the_subcommand(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pairs": 3}))
+    out_dir = tmp_path / "out"
+    assert cli_main(["distance", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    assert (out_dir / "distance.json").exists()
 
 
 def test_cli_exits_2_on_non_holomorphic_theorem1(tmp_path, capsys):

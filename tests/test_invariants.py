@@ -3,6 +3,7 @@ import numpy as np
 from spherequant import (
     flow,
     hamiltonians as ham,
+    harness,
     invariants,
     quantize,
     propagate,
@@ -148,6 +149,12 @@ def test_cover_product_lifts_determinant():
     assert abs(det - np.exp(1j * prod.phase)) < 1e-10
 
 
+def _defects(**config):
+    """The defect at each level of a ``harness.run_defect`` sweep."""
+    report = harness.run_defect(harness.ExperimentConfig(experiment="defect", **config))
+    return np.array([row["defect"] for row in report.rows])
+
+
 def test_defect_on_the_shared_grid_matches_a_fine_reference():
     # the product path's symbol is not polynomial, so the level-8 grid
     # integrates it only to about 1e-5; the sweep grid of k = 64 is exact
@@ -157,23 +164,37 @@ def test_defect_on_the_shared_grid_matches_a_fine_reference():
     reference = invariants.level_defect(
         quantize.build_space(8, fine), h_a, h_b, product, steps=8
     )
-    shared = invariants.defect(h_a, h_b, ks=(8, 64), steps=8, flow_steps=32)[0]
+    shared = _defects(
+        ks=(8, 64),
+        steps=8,
+        flow_steps=32,
+        preset="height-squared",
+        preset_params={"scale": 2.0},
+        preset_b_params={"scale": 2.0},
+    )[0]
     assert abs(shared - reference) <= 1e-9
 
 
 def test_defect_trivial_second_factor():
-    d = invariants.defect(ham.height_squared(), ham.constant(0.0), ks=(4, 8), steps=32)
+    d = _defects(
+        preset="height-squared",
+        preset_b="constant",
+        preset_b_params={"c": 0.0},
+        ks=(4, 8),
+        steps=32,
+    )
     assert np.max(d) < 1e-6
 
 
 def test_defect_commuting_rotations():
-    d = invariants.defect(ham.height(), ham.height(scale=0.6), ks=(4, 8), steps=32)
+    d = _defects(
+        preset="height", preset_b="height", preset_b_params={"scale": 0.6}, ks=(4, 8), steps=32
+    )
     assert np.max(d) < 1e-6
 
 
 def test_quantum_defect_symmetry_against_manual_product():
     # defect computed via the star generator agrees with the distance of
     # manually multiplied propagators for a holomorphic first factor
-    ks = (6,)
-    d = invariants.defect(ham.height(), ham.coordinate(0), ks=ks, steps=48)
+    d = _defects(preset="height", preset_b="x1", ks=(6,), steps=48)
     assert d[0] < 1e-5

@@ -99,6 +99,24 @@ def test_both_schrodinger_equations_on_time_dependent_rotation():
             assert np.max(np.abs(res.unitary - expected)) < 1e-6
 
 
+def test_generators_of_a_path_without_separable_terms():
+    # a Reparametrized path has no separable terms, so both generators
+    # sample its closed form at each Gauss time; t^2 reparametrizes the
+    # height flow into 2t x3, whose time integral over [0, 1] is x3
+    h = ham.Reparametrized(ham.height(), lambda t: t * t, lambda t: 2.0 * t)
+    for k in (8, 16):
+        sp = quantize.build_space(k)
+        m = np.arange(k + 1)
+        ks = propagate.propagate_ks(sp, h, steps=16)
+        ks_height = propagate.propagate_ks(sp, ham.height(), steps=16)
+        assert np.max(np.abs(ks.unitary - np.diag(np.exp(-1j * (k - 2 * m))))) < 1e-10
+        assert abs(ks.phase - ks_height.phase) < 1e-10
+        toeplitz = propagate.propagate_toeplitz(sp, h, steps=16)
+        toeplitz_height = propagate.propagate_toeplitz(sp, ham.height(), steps=16)
+        assert np.max(np.abs(toeplitz.unitary - toeplitz_height.unitary)) < 1e-10
+        assert abs(toeplitz.phase - toeplitz_height.phase) < 1e-10
+
+
 def test_xi_path_advances_the_flow_three_steps_per_magnus_step(monkeypatch):
     # one RK4 step to each Gauss point and one to the end of every step
     # but the last, whose end no sample reads
