@@ -17,7 +17,6 @@ standard 2x2 rotation matrix in either frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,7 @@ NORTH, SOUTH = 0, 1
 
 
 class FlowAccuracyError(RuntimeError):
-    pass
+    """An integrated flow drifted too far from symplectic to give a verdict."""
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +92,17 @@ def frames(points, chart):
     return np.stack([e1, e2], axis=-1)
 
 
-def frame_jacobian(m3, x_points, y_points, x_chart=None, y_chart=None):
-    """Reduce an ambient tangent map T_x -> T_y to chart frames.
+def frame_jacobian(m3, x_points, y_points, x_chart=None):
+    """Reduce an ambient tangent map T_x -> T_y to chart frames, the
+    hemisphere chart at y.
 
     The frame columns are orthogonal with squared length 2, so the frame
     pseudo-inverse is half the transpose.
     """
     if x_chart is None:
         x_chart = chart_of(x_points)
-    if y_chart is None:
-        y_chart = chart_of(y_points)
     fx = frames(x_points, x_chart)
-    fy = frames(y_points, y_chart)
+    fy = frames(y_points, chart_of(y_points))
     return 0.5 * np.einsum("...ai,...ab,...bj->...ij", fy, m3, fx)
 
 
@@ -176,36 +174,6 @@ def _rk4_step(h, y, m, t, dt):
     return y_new, m_new
 
 
-@dataclass(frozen=True)
-class FlowMap:
-    """Time-t flow map sampled at a fixed point set."""
-
-    forward: np.ndarray  # (n, 3)
-    jacobian: np.ndarray  # (n, 2, 2) frame-to-frame tangent map
-    jacobian3: np.ndarray  # (n, 3, 3) ambient tangent map
-
-
-def integrate_flow(h, points, steps, t_final=1.0):
-    """Forward flow map of the Hamiltonian h at time t_final.
-
-    Raises :class:`FlowAccuracyError` when the frame Jacobian determinant
-    drifts beyond 1e-6 from 1 (symplecticity check).
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    points = np.asarray(points, dtype=float)
-    eye = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
-    y, m = advance_state(h, points, eye, 0.0, t_final, steps)
-    jac = frame_jacobian(m, points, y)
-    drift = jacobian_det_drift(jac)
-    if drift > 1e-6:
-        raise FlowAccuracyError(
-            f"flow Jacobian determinant drifted by {drift:.2e}, beyond 1e-6; "
-            "increase the step count"
-        )
-    return FlowMap(forward=y, jacobian=jac, jacobian3=m)
-
-
 def jacobian_det_drift(jac):
     """max |det J - 1| over frame Jacobians J; 0 for an exactly symplectic
     map, so it measures how far an integrated flow has drifted."""
@@ -222,6 +190,10 @@ def sweep(h, points, times, steps_per_unit_time):
     most 1/steps_per_unit_time.  For an autonomous h the states at -t are
     the inverse flow maps at t, as :func:`transport_backward` gives them.
     """
+    if not steps_per_unit_time > 0:
+        raise ValueError(
+            f"steps_per_unit_time must be positive, got {steps_per_unit_time!r}"
+        )
     points = np.asarray(points, dtype=float)
     y, m = points, np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
     t_prev = 0.0
@@ -240,8 +212,6 @@ def transport_backward(h, points, t, steps):
     ambient Jacobian of the inverse flow at the given points."""
     points = np.asarray(points, dtype=float)
     eye = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
-    if t == 0.0:
-        return points.copy(), eye.copy()
     return advance_state(h, points, eye, t, 0.0, steps)
 
 

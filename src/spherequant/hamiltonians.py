@@ -119,15 +119,6 @@ class Polynomial:
         return out
 
 
-def is_autonomous(h):
-    """Whether the generator h reports itself time-independent.
-
-    Only :class:`Polynomial` reports this; every other generator, such as
-    a :class:`Reparametrized` path, counts as time-dependent.
-    """
-    return getattr(h, "autonomous", False) is True
-
-
 def constant(c):
     return Polynomial([Monomial((0, 0, 0), c)])
 
@@ -179,26 +170,31 @@ PRESETS = {
 }
 
 
-class Reparametrized:
+class Reparametrized(Polynomial):
     """Generator of the same path traversed with a new time schedule.
 
     For a schedule s with s(0) = 0, the path t -> flow_{s(t)} is generated
-    by s'(t) H_{s(t)}.
+    by s'(t) H_{s(t)}: each term c(t) m(x) of the polynomial h becomes
+    s'(t) c(s(t)) m(x).  Terms that shared a time function share the new
+    one, so :meth:`separable_terms` groups them as in h.
     """
 
     def __init__(self, h, schedule, schedule_rate):
-        self.h = h
-        self.schedule = schedule
-        self.schedule_rate = schedule_rate
+        time_fns = {
+            term.time_fn: _rescaled(term.time_fn, schedule, schedule_rate)
+            for term in h.terms
+        }
+        super().__init__(
+            Monomial(term.powers, term.coefficient, time_fns[term.time_fn])
+            for term in h.terms
+        )
 
-    def value(self, x, t=0.0):
-        return self.schedule_rate(t) * self.h.value(x, self.schedule(t))
 
-    def grad(self, x, t=0.0):
-        return self.schedule_rate(t) * self.h.grad(x, self.schedule(t))
-
-    def hess(self, x, t=0.0):
-        return self.schedule_rate(t) * self.h.hess(x, self.schedule(t))
+def _rescaled(time_fn, schedule, schedule_rate):
+    """t -> s'(t) c(s(t)) for the time function c (1 when None)."""
+    if time_fn is None:
+        return schedule_rate
+    return lambda t: schedule_rate(t) * time_fn(schedule(t))
 
 
 def preset(name, **params):

@@ -176,8 +176,10 @@ def shelukhin(h, grid, time_samples=32, flow_steps=256) -> ShelukhinValue:
     The disc term only depends on the underlying path of diffeomorphisms,
     not on the normalization of its generating Hamiltonian.
     """
-    if time_samples % 4:
-        raise ValueError("time_samples must be divisible by 4 (nested refinement)")
+    if time_samples < 4 or time_samples % 4:
+        raise ValueError(
+            f"time_samples must be a positive multiple of 4, got {time_samples!r}"
+        )
     flux, drift = _disc_flux(h, grid.nodes, time_samples, flow_steps)
     disc = sphere.integrate_values(grid, flux)
     return ShelukhinValue(disc, ROUND_CURVATURE_PAIRING, flow_det_drift=drift)

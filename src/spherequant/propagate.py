@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow, hamiltonians, quantize, sphere
+from . import flow, quantize, sphere
 from .unitary_metric import Unitary, UnitaryWithPhase
 
 
@@ -94,18 +94,20 @@ def _magnus_effective(a1, a2, k, dt, sign):
     return 0.5 * (a1 + a2) - sign * 1j * (np.sqrt(3.0) * k * dt / 12.0) * comm
 
 
-def _magnus(space, pairs, dt, sign):
-    """Fourth-order Magnus integration of d/dt u = sign * i k A(t) u from
-    u = I (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).
+def _magnus(space, generator_fn, steps, sign):
+    """Fourth-order Magnus integration on [0, 1] of d/dt u = sign * i k A(t) u
+    from u = I (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).
 
-    ``pairs`` yields (A(t1), A(t2)) at the two Gauss points of each step
-    of length dt.  Returns u and its determinant lift, the sum of
-    sign * k dt tr A over the steps.
+    ``generator_fn`` gives A(t), read at the two :func:`_gauss_times` of
+    each of ``steps`` equal steps.  Returns u and its determinant lift, the
+    sum of sign * k dt tr A over the steps.
     """
     k = space.k
+    dt = 1.0 / steps
     u = np.eye(space.dim, dtype=complex)
     phase = 0.0
-    for a1, a2 in pairs:
+    for t1, t2 in _gauss_times(steps):
+        a1, a2 = generator_fn(t1), generator_fn(t2)
         h_eff = _magnus_effective(a1, a2, k, dt, sign)
         u = _expi(h_eff, sign * k * dt) @ u
         phase += sign * k * dt * np.trace(h_eff).real
@@ -124,8 +126,7 @@ def propagate_generic(space, generator_fn, steps):
     if getattr(generator_fn, "autonomous", False):
         a = generator_fn(0.0)
         return PropagationResult(unitary=_expi(a, -k), phase=-k * np.trace(a).real)
-    pairs = ((generator_fn(t1), generator_fn(t2)) for t1, t2 in _gauss_times(steps))
-    u, phase = _magnus(space, pairs, 1.0 / steps, -1.0)
+    u, phase = _magnus(space, generator_fn, steps, -1.0)
     return PropagationResult(unitary=u, phase=phase)
 
 
@@ -138,28 +139,23 @@ def _separable_generator(space, h, builder):
             a += (1.0 if fn is None else fn(t)) * mat
         return a
 
-    generator.autonomous = hamiltonians.is_autonomous(h)
+    generator.autonomous = h.autonomous
     return generator
 
 
-def toeplitz_generator(space, h):
-    if hasattr(h, "separable_terms"):
-        return _separable_generator(space, h, quantize.toeplitz)
-    return lambda t: quantize.toeplitz(space, h, t)
-
-
 def ks_generator(space, h):
-    if hasattr(h, "separable_terms"):
-        return _separable_generator(space, h, quantize.kostant_souriau)
+    """Kostant-Souriau generator t -> K(t) of a polynomial path h, or of
+    :class:`ChartSamples` on ``space.grid``."""
     if isinstance(h, ChartSamples):
         return lambda t: quantize.kostant_souriau_from_chart(
             space, *h.chart_symbol(space.grid.nodes, t)
         )
-    return lambda t: quantize.kostant_souriau(space, h, t)
+    return _separable_generator(space, h, quantize.kostant_souriau)
 
 
 def propagate_toeplitz(space, h, steps):
-    return propagate_generic(space, toeplitz_generator(space, h), steps)
+    generator = _separable_generator(space, h, quantize.toeplitz)
+    return propagate_generic(space, generator, steps)
 
 
 def propagate_ks(space, h, steps):
@@ -186,7 +182,7 @@ def product_samples(f, g, grid, steps, flow_steps=256):
     """
     nodes = grid.nodes
     times = [t for pair in _gauss_times(steps) for t in pair]
-    if hamiltonians.is_autonomous(f):
+    if f.autonomous:
         inverse = flow.sweep(f, nodes, [-t for t in times], flow_steps)
     else:
         inverse = (
@@ -237,15 +233,7 @@ def xi_path(space, h, steps):
     pulled = h
     if not isinstance(h, ChartSamples):
         pulled = pull_back(h, space.grid, steps)
-    nodes = space.grid.nodes
-    pairs = (
-        tuple(
-            quantize.kostant_souriau_from_chart(space, *pulled.chart_symbol(nodes, t))
-            for t in pair
-        )
-        for pair in _gauss_times(steps)
-    )
-    x, phase = _magnus(space, pairs, 1.0 / steps, 1.0)
+    x, phase = _magnus(space, ks_generator(space, pulled), steps, 1.0)
     return PropagationResult(unitary=x.conj().T, phase=-phase)
 
 
@@ -254,11 +242,21 @@ def check_holomorphic(h):
     Hamiltonian h preserves the round complex structure.
 
     phi_* j0 = j0 exactly when J^{-1} j0 J = j0 for J = dphi, so the probe
-    reads the forward flow of a 6 x 12 grid (256 RK4 steps) and compares
-    within :data:`HOLOMORPHY_TOL`; its symplecticity guard raises
-    :class:`flow.FlowAccuracyError` on a flow it cannot resolve.
+    reads the forward flow of a 6 x 12 grid at t = 1 from one
+    :func:`flow.sweep` (256 RK4 steps) and compares within
+    :data:`HOLOMORPHY_TOL`.  Its symplecticity guard raises
+    :class:`flow.FlowAccuracyError` on a flow it cannot resolve, one whose
+    |det J - 1| exceeds 1e-6.
     """
-    jac = flow.integrate_flow(h, sphere.build_grid(6, 12).nodes, 256).jacobian
+    nodes = sphere.build_grid(6, 12).nodes
+    ((y, m),) = flow.sweep(h, nodes, [1.0], 256)
+    jac = flow.frame_jacobian(m, nodes, y)
+    drift = flow.jacobian_det_drift(jac)
+    if drift > 1e-6:
+        raise flow.FlowAccuracyError(
+            f"flow Jacobian determinant drifted by {drift:.2e}, beyond 1e-6; "
+            "increase the step count"
+        )
     mats = np.linalg.solve(jac, flow.J_STANDARD @ jac)
     defect = np.max(np.abs(mats - flow.J_STANDARD))
     if defect > HOLOMORPHY_TOL:

@@ -174,12 +174,10 @@ def build_space(k, grid=None):
     return QuantumSpace(k=k, grid=grid, rings=np.exp(log_rings))
 
 
-def toeplitz(space, symbol, t=0.0):
-    """Toeplitz operator: compress multiplication by the symbol, given as
-    node values or as a closed-form Hamiltonian sampled at time t."""
-    if callable(getattr(symbol, "value", None)):
-        symbol = symbol.value(space.grid.nodes, t)
-    return space.compress(symbol)
+def toeplitz(space, h):
+    """Toeplitz operator: compress multiplication by the values of the
+    closed-form Hamiltonian h at t = 0."""
+    return space.compress(h.value(space.grid.nodes, 0.0))
 
 
 def kostant_souriau_from_chart(space, values, a):

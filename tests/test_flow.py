@@ -8,6 +8,12 @@ def rotation_z(angle):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def _flow_at(h, pts, t, steps):
+    """Flow state (y, M) of h at time t after ``steps`` RK4 steps."""
+    ((y, m),) = flow.sweep(h, pts, [t], steps / t)
+    return y, m
+
+
 def test_vector_field_direction_at_equator():
     # H = x3: the field at (1,0,0) points along -y with speed 2
     h = ham.height()
@@ -22,30 +28,30 @@ def test_height_flow_is_clockwise_rotation():
     pts = rng.normal(size=(40, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     t = 0.6
-    fm = flow.integrate_flow(h, pts, steps=300, t_final=t)
+    y, _ = _flow_at(h, pts, t, steps=300)
     expected = pts @ rotation_z(-2 * t).T
-    assert np.max(np.abs(fm.forward - expected)) < 1e-10
+    assert np.max(np.abs(y - expected)) < 1e-10
 
 
 def test_flow_jacobian_matches_finite_differences():
     h = ham.height_squared()
     pts = np.array([[0.6, 0.0, 0.8], [0.0, -0.8, -0.6], [0.5, 0.5, np.sqrt(0.5)]])
     t = 0.5
-    fm = flow.integrate_flow(h, pts, steps=400, t_final=t)
+    _, m = _flow_at(h, pts, t, steps=400)
     eps = 1e-6
     for axis in range(3):
         bump = np.zeros(3)
         bump[axis] = eps
         plus = (pts + bump) / np.linalg.norm(pts + bump, axis=1, keepdims=True)
         minus = (pts - bump) / np.linalg.norm(pts - bump, axis=1, keepdims=True)
-        fp = flow.integrate_flow(h, plus, steps=400, t_final=t).forward
-        fmn = flow.integrate_flow(h, minus, steps=400, t_final=t).forward
+        fp, _ = _flow_at(h, plus, t, steps=400)
+        fmn, _ = _flow_at(h, minus, t, steps=400)
         fd = (fp - fmn) / (2 * eps)
         # the ambient Jacobian acts on tangent vectors; the normalized bump
         # direction differs from e_axis by a radial component
         radial = pts[:, axis:axis + 1] * pts
         tangent_bump = np.eye(3)[axis] - radial
-        applied = (fm.jacobian3 @ tangent_bump[..., None])[..., 0]
+        applied = (m @ tangent_bump[..., None])[..., 0]
         assert np.max(np.abs(fd - applied)) < 2e-4
 
 
@@ -54,8 +60,8 @@ def test_frame_jacobian_symplectic():
     rng = np.random.default_rng(21)
     pts = rng.normal(size=(30, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    fm = flow.integrate_flow(h, pts, steps=300, t_final=1.0)
-    det = np.linalg.det(fm.jacobian)
+    y, m = _flow_at(h, pts, 1.0, steps=300)
+    det = np.linalg.det(flow.frame_jacobian(m, pts, y))
     assert np.max(np.abs(det - 1.0)) < 1e-8
 
 
@@ -65,11 +71,11 @@ def test_transport_backward_inverts_flow():
     pts = rng.normal(size=(25, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     t = 0.8
-    fm = flow.integrate_flow(h, pts, steps=400, t_final=t)
-    y, m = flow.transport_backward(h, fm.forward, t, steps=400)
+    forward, forward_m = _flow_at(h, pts, t, steps=400)
+    y, m = flow.transport_backward(h, forward, t, steps=400)
     assert np.max(np.abs(y - pts)) < 1e-10
     # backward Jacobian inverts the forward one on tangent vectors
-    prod = m @ fm.jacobian3
+    prod = m @ forward_m
     tangent = np.cross(pts, np.cross(pts, rng.normal(size=(25, 3))))
     applied = (prod @ tangent[..., None])[..., 0]
     assert np.max(np.abs(applied - tangent)) < 1e-7

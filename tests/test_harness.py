@@ -225,18 +225,19 @@ def test_theorem1_refuses_non_holomorphic_flow_before_classical_work(monkeypatch
 
 
 def test_theorem1_probes_holomorphy_once_per_sweep(monkeypatch):
-    # one forward flow of the 72 nodes of the 6 x 12 probe grid
+    # two forward flows: the probe's, of the 72 nodes of its 6 x 12 grid,
+    # then the disc flux's, of the 8 x 16 sweep grid
     calls = []
-    integrate = flow.integrate_flow
+    sweep = flow.sweep
 
     def counted(h, points, *args, **kwargs):
         calls.append(len(points))
-        return integrate(h, points, *args, **kwargs)
+        return sweep(h, points, *args, **kwargs)
 
-    monkeypatch.setattr(flow, "integrate_flow", counted)
+    monkeypatch.setattr(flow, "sweep", counted)
     report = harness.run_theorem1_holomorphic(_theorem1_config("tilted-height", c=0.4))
     assert len(report.rows) == 4
-    assert calls == [72]
+    assert calls == [72, 8 * 16]
 
 
 def test_brute_force_lattice_matches_solver():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from spherequant import (
     flow,
@@ -138,6 +139,22 @@ def test_shelukhin_and_the_holomorphy_probe_use_no_backward_route(monkeypatch):
 def test_shelukhin_total_is_sum_of_terms():
     sh = invariants.ShelukhinValue(disc_term=1.25, curvature_term=-0.5)
     assert sh.total == 0.75
+
+
+def test_zero_counts_are_refused_at_the_library_boundary():
+    # no steps per unit time would take one RK4 step per gap (|det J - 1|
+    # of 10.8 for height-squared on 8 x 16), and no time samples a disc
+    # term of 0.0 for any path (2.997 at 8 samples)
+    h = ham.height_squared()
+    grid = sphere.build_grid(8, 16)
+    for steps in (0, -4):
+        with pytest.raises(ValueError, match="steps_per_unit_time"):
+            next(flow.sweep(h, grid.nodes, [0.5, 1.0], steps))
+        with pytest.raises(ValueError, match="steps_per_unit_time"):
+            invariants.shelukhin(h, grid, time_samples=8, flow_steps=steps)
+    for samples in (0, -4, 6):
+        with pytest.raises(ValueError, match="time_samples"):
+            invariants.shelukhin(h, grid, time_samples=samples)
 
 
 def test_cover_product_lifts_determinant():

@@ -99,10 +99,11 @@ def test_both_schrodinger_equations_on_time_dependent_rotation():
             assert np.max(np.abs(res.unitary - expected)) < 1e-6
 
 
-def test_generators_of_a_path_without_separable_terms():
-    # a Reparametrized path has no separable terms, so both generators
-    # sample its closed form at each Gauss time; t^2 reparametrizes the
-    # height flow into 2t x3, whose time integral over [0, 1] is x3
+def test_generators_of_a_reparametrized_path():
+    # a Reparametrized path is a Polynomial whose terms carry the time
+    # coefficient s'(t) c(s(t)), so both generators assemble it from its
+    # separable terms; t^2 reparametrizes the height flow into 2t x3,
+    # whose time integral over [0, 1] is x3
     h = ham.Reparametrized(ham.height(), lambda t: t * t, lambda t: 2.0 * t)
     for k in (8, 16):
         sp = quantize.build_space(k)
