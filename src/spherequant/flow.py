@@ -126,16 +126,6 @@ def hamiltonian_vector_field(h, points, t):
     return 2.0 * np.cross(points, h.grad(points, t))
 
 
-def _field_jacobian(h, points, t):
-    """Ambient Jacobian of the vector field: 2(-[grad H]_x + [p]_x Hess H)."""
-    points = np.asarray(points, dtype=float)
-    g = h.grad(points, t)
-    hess = h.hess(points, t)
-    out = _cross_matrix(points) @ hess
-    out -= _cross_matrix(g)
-    return 2.0 * out
-
-
 def _cross_matrix(v):
     m = np.zeros(v.shape[:-1] + (3, 3))
     m[..., 0, 1] = -v[..., 2]
@@ -152,7 +142,8 @@ def advance_state(h, y, m, t0, t1, steps=1):
 
     Continues an (points, Jacobian) integration from t0 to t1 (either
     direction) in ``steps`` equal steps; points are renormalized to the
-    unit sphere after every step.  This is the package's one RK4 loop.
+    unit sphere after every step, and ``m=None`` skips the variational
+    equation, on which the points do not depend.  The package's one RK4 loop.
     """
     dt = (t1 - t0) / steps
     for i in range(steps):
@@ -162,16 +153,19 @@ def advance_state(h, y, m, t0, t1, steps=1):
 
 
 def _rk4_step(h, y, m, t, dt):
-    def rhs(tt, yy, mm):
-        return hamiltonian_vector_field(h, yy, tt), _field_jacobian(h, yy, tt) @ mm
-
-    k1, K1 = rhs(t, y, m)
-    k2, K2 = rhs(t + dt / 2, y + dt / 2 * k1, m + dt / 2 * K1)
-    k3, K3 = rhs(t + dt / 2, y + dt / 2 * k2, m + dt / 2 * K2)
-    k4, K4 = rhs(t + dt, y + dt * k3, m + dt * K3)
-    y_new = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    m_new = m + dt / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
-    return y_new, m_new
+    """One RK4 step of the points and, unless m is None, of the Jacobian;
+    each stage reads grad H once for the field 2 p x grad H and for its
+    Jacobian 2(-[grad H]_x + [p]_x Hess H)."""
+    ks, js = [], []
+    for c in (0.0, dt / 2, dt / 2, dt):
+        yy = y + c * ks[-1] if ks else y
+        grad = h.grad(yy, t + c)
+        ks.append(2.0 * np.cross(yy, grad))
+        if m is not None:
+            jac = 2.0 * (_cross_matrix(yy) @ h.hess(yy, t + c) - _cross_matrix(grad))
+            js.append(jac @ (m + c * js[-1] if js else m))
+    m_new = None if m is None else m + dt / 6 * (js[0] + 2 * js[1] + 2 * js[2] + js[3])
+    return y + dt / 6 * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3]), m_new
 
 
 def jacobian_det_drift(jac):
@@ -180,9 +174,9 @@ def jacobian_det_drift(jac):
     return float(np.max(np.abs(np.linalg.det(jac) - 1.0)))
 
 
-def sweep(h, points, times, steps_per_unit_time):
+def sweep(h, points, times, steps_per_unit_time, jacobian=True):
     """Flow states (y, M) of h out of ``points`` at each time of the
-    monotone list ``times``.
+    monotone list ``times``; M is None when ``jacobian`` is false.
 
     One :func:`advance_state` integration from the identity at t = 0
     serves every sample: each continues from the previous one with
@@ -194,8 +188,8 @@ def sweep(h, points, times, steps_per_unit_time):
         raise ValueError(
             f"steps_per_unit_time must be positive, got {steps_per_unit_time!r}"
         )
-    points = np.asarray(points, dtype=float)
-    y, m = points, np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
+    y = np.asarray(points, dtype=float)
+    m = np.broadcast_to(np.eye(3), y.shape[:-1] + (3, 3)) if jacobian else None
     t_prev = 0.0
     for t in times:
         if t != t_prev:
@@ -207,24 +201,17 @@ def sweep(h, points, times, steps_per_unit_time):
         yield y, m
 
 
-def transport_backward(h, points, t, steps):
+def transport_backward(h, points, t, steps, jacobian=True):
     """Backward transport (y, M) with y = flow_t^{-1}(points) and M the
-    ambient Jacobian of the inverse flow at the given points."""
+    ambient Jacobian of the inverse flow there (None without ``jacobian``)."""
     points = np.asarray(points, dtype=float)
-    eye = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3))
-    return advance_state(h, points, eye, t, 0.0, steps)
+    m = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3)) if jacobian else None
+    return advance_state(h, points, m, t, 0.0, steps)
 
 
 def per_time_steps(steps_per_unit_time, t):
     """RK4 steps of a stand-alone transport over [0, t]: at least 8."""
     return max(8, int(round(steps_per_unit_time * abs(t))))
-
-
-def chart_symbol(h, points, t):
-    """North-chart data (values, dz(X_H)) of a closed-form Hamiltonian."""
-    values = h.value(points, t)
-    a = chart_one_form(hamiltonian_vector_field(h, points, t), points)
-    return values, a
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ class HolomorphyError(ValueError):
 @dataclass(frozen=True, eq=False)
 class ChartSamples:
     """The k-independent stage of a time-dependent Kostant-Souriau
-    propagation: north-chart data (values, dz(X)) of a symbol at the Gauss
-    times of every Magnus step, on the nodes of ``grid``.
+    propagation: a symbol at the Gauss times of every Magnus step, as node
+    values or as north-chart data (values, dz(X)), on the nodes of ``grid``.
 
     The samples depend on the grid and the steps but not on the level k,
     so one set, sampled once per sweep, stands in for its symbol at every
@@ -43,19 +43,23 @@ class ChartSamples:
     """
 
     grid: sphere.SphereGrid
-    data: dict  # Gauss time -> (values, a)
+    data: dict  # Gauss time -> values, or (values, a)
     flow_det_drift: float
 
-    def chart_symbol(self, points, t):
-        if points is not self.grid.nodes:
+    def operator(self, space, t):
+        """Kostant-Souriau operator on ``space`` of the sample at time t."""
+        if space.grid.nodes is not self.grid.nodes:
             raise ValueError("chart samples serve only the nodes of their own grid")
         try:
-            return self.data[t]
+            sample = self.data[t]
         except KeyError:
             raise ValueError(
                 f"no chart sample at t = {t!r}; the samples were taken for "
                 "other Magnus steps"
             ) from None
+        if isinstance(sample, tuple):
+            return quantize.kostant_souriau_from_chart(space, *sample)
+        return quantize.kostant_souriau(space, sample)
 
 
 @dataclass(frozen=True)
@@ -147,10 +151,10 @@ def ks_generator(space, h):
     """Kostant-Souriau generator t -> K(t) of a polynomial path h, or of
     :class:`ChartSamples` on ``space.grid``."""
     if isinstance(h, ChartSamples):
-        return lambda t: quantize.kostant_souriau_from_chart(
-            space, *h.chart_symbol(space.grid.nodes, t)
-        )
-    return _separable_generator(space, h, quantize.kostant_souriau)
+        return lambda t: h.operator(space, t)
+    return _separable_generator(
+        space, h, lambda sp, p: quantize.kostant_souriau(sp, p.value(sp.grid.nodes))
+    )
 
 
 def propagate_toeplitz(space, h, steps):
@@ -162,39 +166,33 @@ def propagate_ks(space, h, steps):
     return propagate_generic(space, ks_generator(space, h), steps)
 
 
-def _pulled_chart_symbol(g, y, m, nodes, t):
-    """North-chart data at ``nodes`` of g_t o psi for a flow state
-    (y, m) = (psi(nodes), dpsi): the values g_t(y) and dz of m^{-1} X_g(y),
-    which is the Hamiltonian vector field of g_t o psi."""
-    x = np.linalg.solve(m, flow.hamiltonian_vector_field(g, y, t)[..., None])[..., 0]
-    return g.value(y, t), flow.chart_one_form(x, nodes)
-
-
 def product_samples(f, g, grid, steps, flow_steps=256):
-    """:class:`ChartSamples` on ``grid`` of f_t + g_t o alpha_t^{-1}, the
-    generator of the product of the paths of f and g (alpha the flow of
-    f), at the Gauss times of :func:`propagate_generic`.
+    """:class:`ChartSamples` on ``grid`` of the values of f_t + g_t o
+    alpha_t^{-1}, the generator of the product of the paths of f and g
+    (alpha the flow of f), at the Gauss times of :func:`propagate_generic`.
 
     The inverse flow of an autonomous f is its flow at time -t, so one
     :func:`flow.sweep` at negative times maps the nodes back for every
-    sample.  A time-dependent f is transported backward afresh at each
-    time, with :func:`flow.per_time_steps` steps.
+    sample; a time-dependent f is transported backward afresh at each
+    time.  Only a 6 x 12 grid's nodes carry the variational equation, for
+    ``flow_det_drift``.
     """
     nodes = grid.nodes
+    sentinel = sphere.build_grid(6, 12).nodes
     times = [t for pair in _gauss_times(steps) for t in pair]
     if f.autonomous:
-        inverse = flow.sweep(f, nodes, [-t for t in times], flow_steps)
+        back = [-t for t in times]
+        inverse = flow.sweep(f, nodes, back, flow_steps, jacobian=False)
+        *_, (y, m) = flow.sweep(f, sentinel, back, flow_steps)
     else:
+        counts = [flow.per_time_steps(flow_steps, t) for t in times]
         inverse = (
-            flow.transport_backward(f, nodes, t, flow.per_time_steps(flow_steps, t))
-            for t in times
+            flow.transport_backward(f, nodes, t, n, jacobian=False)
+            for t, n in zip(times, counts)
         )
-    data = {}
-    for t, (y, back) in zip(times, inverse):
-        vals_f, a_f = flow.chart_symbol(f, nodes, t)
-        vals_g, a_g = _pulled_chart_symbol(g, y, back, nodes, t)
-        data[t] = vals_f + vals_g, a_f + a_g
-    drift = flow.jacobian_det_drift(flow.frame_jacobian(back, nodes, y))
+        y, m = flow.transport_backward(f, sentinel, times[-1], counts[-1])
+    drift = flow.jacobian_det_drift(flow.frame_jacobian(m, sentinel, y))
+    data = {t: f.value(nodes, t) + g.value(x, t) for t, (x, _) in zip(times, inverse)}
     return ChartSamples(grid, data, drift)
 
 
@@ -216,7 +214,9 @@ def pull_back(h, grid, steps):
     data = {}
     for t, (y, m) in zip(stops, flow.sweep(h, nodes, stops, steps)):
         if t in samples:
-            data[t] = _pulled_chart_symbol(h, y, m, nodes, t)
+            # dz of m^{-1} X_h(y), the Hamiltonian vector field of h_t o phi_t
+            x = np.linalg.solve(m, flow.hamiltonian_vector_field(h, y, t)[..., None])
+            data[t] = h.value(y, t), flow.chart_one_form(x[..., 0], nodes)
     drift = flow.jacobian_det_drift(flow.frame_jacobian(m, nodes, y))
     return ChartSamples(grid, data, drift)
 
@@ -255,7 +255,7 @@ def check_holomorphic(h):
     if drift > 1e-6:
         raise flow.FlowAccuracyError(
             f"flow Jacobian determinant drifted by {drift:.2e}, beyond 1e-6; "
-            "increase the step count"
+            "the probe's fixed 256 RK4 steps cannot resolve this path"
         )
     mats = np.linalg.solve(jac, flow.J_STANDARD @ jac)
     defect = np.max(np.abs(mats - flow.J_STANDARD))

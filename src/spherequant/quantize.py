@@ -102,6 +102,10 @@ class QuantumSpace:
         index = total * n_phi + (m[:, None] - m[None, :]) % n_phi
         return pairs, kappa, index
 
+    def _modes(self, g):
+        """Azimuthal modes of node values g: one FFT along phi per ring."""
+        return np.fft.fft(np.reshape(g, (self.grid.n_theta, self.grid.n_phi)), axis=1)
+
     def compress(self, g):
         """Matrix [sum_nodes w conj(s_m) g s_n]_{mn} of node values g.
 
@@ -110,10 +114,8 @@ class QuantumSpace:
         over the rings, done as one product over s = m + n (see
         ``_ring_pairs``).
         """
-        grid = self.grid
-        modes = np.fft.fft(np.reshape(g, (grid.n_theta, grid.n_phi)), axis=1)
         pairs, kappa, index = self._ring_pairs
-        return kappa * np.take(pairs @ modes, index)
+        return kappa * np.take(pairs @ self._modes(g), index)
 
 
 def default_grid(k):
@@ -195,10 +197,25 @@ def kostant_souriau_from_chart(space, values, a):
     return space.compress(drift) + space.compress(a / (1j * k * z)) * np.arange(k + 1)
 
 
-def kostant_souriau(space, h, t=0.0):
-    """Kostant-Souriau operator of a closed-form Hamiltonian."""
-    values, a = flow.chart_symbol(h, space.grid.nodes, t)
-    return kostant_souriau_from_chart(space, values, a)
+def kostant_souriau(space, values):
+    """Kostant-Souriau operator of the symbol g with the given node values.
+
+    K(g) = T(g - Delta g / k) on the round sphere (Tuynman, J. Math. Phys.
+    28, 1987), and Green's identity moves Delta onto the basis products:
+    with u = |z|^2 in the north chart and C = ``space.compress``,
+    K_mn = (m+n+2 - 2mn/k) C[g] - (mn/k) C[g/u] - ((k-m)(k-n)/k) C[g u].
+    Each pole's factor meets only products bounded there, so no large terms
+    cancel, and u is constant on each ring, so the three C share one FFT.
+    """
+    u = np.abs(space.z[:: space.grid.n_phi]) ** 2
+    pairs, kappa, index = space._ring_pairs
+    # (re, im) interleaved, so the ring sums are real matrix products
+    modes = space._modes(values).view(float)
+    stack = (pairs, pairs / u, pairs * u)
+    c, c_u, cu = (kappa * np.take((p @ modes).view(complex), index) for p in stack)
+    k, m = space.k, np.arange(space.dim)[:, None]
+    mn, rest = m * m.T / k, (k - m) * (k - m.T) / k
+    return (m + m.T + 2.0 - 2.0 * mn) * c - mn * c_u - rest * cu
 
 
 def trace_residual(space, h):
@@ -210,8 +227,8 @@ def trace_residual(space, h):
     with I the symplectic integral and S = 2 the scalar curvature of the
     round structure.
     """
-    tr = np.trace(kostant_souriau(space, h)).real
     values = h.value(space.grid.nodes, 0.0)
+    tr = np.trace(kostant_souriau(space, values)).real
     i_f = sphere.integrate_values(space.grid, values)
     i_fs = sphere.integrate_values(space.grid, values * 2.0)
     return tr - space.k / (2.0 * np.pi) * i_f - i_fs / (4.0 * np.pi)

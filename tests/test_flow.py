@@ -122,6 +122,26 @@ def test_backward_sweep_matches_per_time_transport():
         assert np.max(np.abs(m - m_ref)) < 1e-13
 
 
+def test_points_only_sweep_gives_the_same_points():
+    # the point update never reads the Jacobian, so dropping the
+    # variational equation leaves the points bit for bit, for an
+    # autonomous and a time-dependent path, forward and backward
+    pts = _random_points(27, 40)
+    for h, times in (
+        (ham.height_squared(2.0), [-0.1, -0.35, -1.0]),
+        (ham.time_mixed(), [0.2, 0.5, 0.91]),
+    ):
+        full = flow.sweep(h, pts, times, 32)
+        points_only = flow.sweep(h, pts, times, 32, jacobian=False)
+        for (y, m), (y_only, m_only) in zip(full, points_only):
+            assert m.shape == (40, 3, 3) and m_only is None
+            assert np.array_equal(y, y_only)
+    h = ham.time_mixed()
+    y, m = flow.transport_backward(h, pts, 0.7, 16)
+    y_only, m_only = flow.transport_backward(h, pts, 0.7, 16, jacobian=False)
+    assert m_only is None and np.array_equal(y, y_only)
+
+
 def test_frames_are_symplectic_in_both_charts():
     rng = np.random.default_rng(23)
     pts = rng.normal(size=(50, 3))

@@ -20,7 +20,10 @@ def test_autonomous_propagation_matches_expm():
     for h in (ham.height(), ham.coordinate(0)):
         for propagate_fn, op in (
             (propagate.propagate_toeplitz, quantize.toeplitz(sp, h)),
-            (propagate.propagate_ks, quantize.kostant_souriau(sp, h)),
+            (
+                propagate.propagate_ks,
+                quantize.kostant_souriau(sp, h.value(sp.grid.nodes)),
+            ),
         ):
             res = propagate_fn(sp, h, steps=16)
             expected = scipy.linalg.expm(-1j * k * op)

@@ -74,16 +74,16 @@ def test_kostant_souriau_closed_forms():
     for k in (8, 32):
         sp = quantize.build_space(k)
         m = np.arange(k + 1)
-        kh = quantize.kostant_souriau(sp, ham.height())
+        kh = quantize.kostant_souriau(sp, ham.height().value(sp.grid.nodes))
         assert np.max(np.abs(kh - np.diag((k - 2 * m) / k))) < 1e-11
-        kc = quantize.kostant_souriau(sp, ham.constant(0.4))
+        kc = quantize.kostant_souriau(sp, ham.constant(0.4).value(sp.grid.nodes))
         assert np.max(np.abs(kc - 0.4 * np.eye(k + 1))) < 1e-12
 
 
 def test_kostant_souriau_hermitian_for_real_symbols():
     sp = quantize.build_space(16)
     for h in (ham.coordinate(0), ham.height_squared(), ham.time_mixed()):
-        op = quantize.kostant_souriau(sp, h, t=0.3)
+        op = quantize.kostant_souriau(sp, h.value(sp.grid.nodes, 0.3))
         assert np.max(np.abs(op - op.conj().T)) < 1e-10
 
 
@@ -204,9 +204,31 @@ def test_kostant_souriau_is_toeplitz_of_laplacian_shift():
             expected = _toeplitz_monomial(k, *powers)
             for coef, lowered in _laplacian_terms(powers):
                 expected -= coef / k * _toeplitz_monomial(k, *lowered)
-            op = quantize.kostant_souriau(sp, ham.Monomial(powers))
+            op = quantize.kostant_souriau(sp, ham.Monomial(powers).value(sp.grid.nodes))
             err = np.max(np.abs(op - expected))
             assert err < 1e-12, (k, powers, err)
+
+
+def test_kostant_souriau_from_values_matches_the_one_form_route():
+    # the Green's-identity assembly against the covariant-derivative
+    # route, which needs the one-form dz(X) as well as the values
+    h = ham.Polynomial(
+        [
+            ham.Monomial((1, 2, 1), 1.0),
+            ham.Monomial((0, 3, 1), 0.4, time_fn=ham.sin_pi_t),
+            ham.Monomial((2, 0, 2), -1.3, time_fn=ham.identity_t),
+            ham.Monomial((0, 0, 1), 0.7),
+        ]
+    )
+    for k in (4, 17, 64, 128):
+        sp = quantize.build_space(k)
+        nodes = sp.grid.nodes
+        for t in (0.0, 0.3):
+            values = h.value(nodes, t)
+            a = flow.chart_one_form(flow.hamiltonian_vector_field(h, nodes, t), nodes)
+            oracle = quantize.kostant_souriau_from_chart(sp, values, a)
+            err = np.max(np.abs(quantize.kostant_souriau(sp, values) - oracle))
+            assert err < 1e-11, (k, t, err)
 
 
 # ---------------------------------------------------------------------------

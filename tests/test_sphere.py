@@ -57,11 +57,19 @@ def _product_generator(rate, angle):
 
 
 def _assert_chart_symbols(samples, exact_at):
-    """Every sample against the chart symbol of the closed form exact_at(t)."""
-    for t, (vals, a) in samples.data.items():
-        exact_vals, exact_a = flow.chart_symbol(exact_at(t), samples.grid.nodes, t)
+    """Every sample against the closed form exact_at(t): its values, and
+    its operator at k = 1, 4, 8 against the closed form's operator by the
+    one-form route."""
+    nodes = samples.grid.nodes
+    spaces = [quantize.build_space(k, samples.grid) for k in (1, 4, 8)]
+    for t, vals in samples.data.items():
+        exact = exact_at(t)
+        exact_vals = exact.value(nodes, t)
         assert np.max(np.abs(vals - exact_vals)) < 1e-8
-        assert np.max(np.abs(a - exact_a)) < 1e-7
+        a = flow.chart_one_form(flow.hamiltonian_vector_field(exact, nodes, t), nodes)
+        for space in spaces:
+            oracle = quantize.kostant_souriau_from_chart(space, exact_vals, a)
+            assert np.max(np.abs(samples.operator(space, t) - oracle)) < 1e-8
 
 
 def test_star_product_values_match_closed_form():
@@ -70,7 +78,7 @@ def test_star_product_values_match_closed_form():
     grid = sphere.build_grid(8, 16)
     samples = propagate.product_samples(ham.height(), ham.coordinate(0), grid, steps=4)
     x1, x2, x3 = grid.nodes.T
-    for t, (vals, _) in samples.data.items():
+    for t, vals in samples.data.items():
         exact = x3 + np.cos(2 * t) * x1 - np.sin(2 * t) * x2
         assert np.max(np.abs(vals - exact)) < 1e-8
 
@@ -97,12 +105,13 @@ def test_star_product_propagation_shares_one_backward_sweep(monkeypatch):
     # 8 Magnus steps sample the generator at (n + 1/2 -+ sqrt(3)/6) / 8; at
     # 32 flow steps per unit time the gaps between samples (0.0264 first,
     # then 0.0722 within and 0.0528 between Magnus steps) take 1, 3 and 2
-    # RK4 steps: 1 + 8 * 3 + 7 * 2 = 39 steps per node
-    point_steps = []
+    # RK4 steps: 1 + 8 * 3 + 7 * 2 = 39 steps per node.  The grid's nodes
+    # go without the variational equation; the 72 sentinel nodes carry it
+    point_steps = {False: 0, True: 0}
     advance = flow.advance_state
 
     def counted(h, y, m, t0, t1, steps=1):
-        point_steps.append(steps * len(y))
+        point_steps[m is not None] += steps * len(y)
         return advance(h, y, m, t0, t1, steps)
 
     def per_time(*args, **kwargs):
@@ -114,5 +123,5 @@ def test_star_product_propagation_shares_one_backward_sweep(monkeypatch):
     propagate.product_samples(
         ham.height_squared(2.0), ham.coordinate(0, 2.0), grid, steps=8, flow_steps=32
     )
-    assert sum(point_steps) == 39 * grid.size
+    assert point_steps == {False: 39 * grid.size, True: 39 * 72}
 

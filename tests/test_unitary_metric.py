@@ -47,7 +47,23 @@ def test_distance_operator_norm_bounds():
 
 
 def brute_force_min(base_args, target_sum, span=4):
-    """Independent exhaustive search over integer offsets."""
+    """Independent exhaustive search over integer offsets: every choice of
+    the first n - 1 offsets in [-span, span] at once, the last one fixed by
+    the sum."""
+    b = np.asarray(base_args)
+    n = len(b)
+    k_total = int(round((target_sum - b.sum()) / (2 * np.pi)))
+    free = np.indices((2 * span + 1,) * (n - 1)).reshape(n - 1, -1).T - span
+    last = k_total - free.sum(axis=1)
+    combos = np.column_stack([free, last])[np.abs(last) <= span]
+    if not len(combos):
+        return np.inf
+    theta = b + 2 * np.pi * combos
+    return np.min(np.max(np.abs(theta), axis=1))
+
+
+def _brute_force_min_loop(base_args, target_sum, span=4):
+    """The same search one offset tuple at a time."""
     b = np.asarray(base_args)
     n = len(b)
     k_total = int(round((target_sum - b.sum()) / (2 * np.pi)))
@@ -59,6 +75,17 @@ def brute_force_min(base_args, target_sum, span=4):
         theta = b + 2 * np.pi * np.array(combo + (last,))
         best = min(best, np.max(np.abs(theta)))
     return best
+
+
+def test_vectorised_brute_force_matches_the_loop():
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        b = rng.uniform(-np.pi, np.pi, size=n)
+        target = b.sum() + 2 * np.pi * int(rng.integers(-8, 9))
+        for span in (1, 4):
+            loop = _brute_force_min_loop(b, target, span)
+            assert brute_force_min(b, target, span) == loop
 
 
 def test_solve_lattice_matches_brute_force():
