@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import flow, hamiltonians, harness, propagate
+from . import hamiltonians, harness, propagate
 
 
 def _load_config(args, experiment):
@@ -56,7 +56,7 @@ def main(argv=None):
     if args.command == "theorem1":
         try:
             report = harness.run_theorem1_holomorphic(config)
-        except (propagate.HolomorphyError, flow.FlowAccuracyError) as exc:
+        except propagate.HolomorphyError as exc:
             return _refuse(args.command, exc)
     elif args.command == "prop53":
         report = harness.run_prop53(config)

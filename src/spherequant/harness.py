@@ -184,11 +184,11 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
     prediction from the Calabi and disc-area invariants.
 
     Raises :class:`propagate.HolomorphyError` before any classical work
-    when the flow of the preset does not preserve the round structure
-    (:class:`flow.FlowAccuracyError` when the probe cannot resolve it)."""
+    unless the exact gate :func:`propagate.check_holomorphic` admits the
+    preset; ``health.holomorphy_defect`` records what the gate returns."""
     t0 = time.perf_counter()
     h = config.hamiltonian()
-    propagate.check_holomorphic(h)
+    holomorphy_defect = propagate.check_holomorphic(h)
     grid = config.grid()
     cal = sphere.calabi(h, grid)
     sh = invariants.shelukhin(
@@ -214,7 +214,10 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
             "max_residual": max_residual,
             "tolerance": 1e-5,
             "timings": {"classical_s": classical_s},
-            "health": {"flow_det_drift": sh.flow_det_drift},
+            "health": {
+                "flow_det_drift": sh.flow_det_drift,
+                "holomorphy_defect": holomorphy_defect,
+            },
         },
         checks_passed=passed,
     )

@@ -1,6 +1,6 @@
 import numpy as np
 
-from spherequant import flow, hamiltonians as ham, siegel, sphere
+from spherequant import flow, hamiltonians as ham, quantize, siegel, sphere
 
 
 def rotation_z(angle):
@@ -20,6 +20,17 @@ def test_vector_field_direction_at_equator():
     x = np.array([[1.0, 0.0, 0.0]])
     v = flow.hamiltonian_vector_field(h, x, 0.0)
     assert np.max(np.abs(v - np.array([[0.0, -2.0, 0.0]]))) < 1e-14
+
+
+def test_cross_gives_the_bits_of_numpy_cross():
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(2, 50, 3))
+    assert np.array_equal(flow._cross(a, b), np.cross(a, b))
+    # the 3200 nodes of the sweep grid of levels 8 to 64, with gradients
+    nodes = quantize.sweep_grid((8, 16, 32, 64)).nodes
+    grad = ham.time_mixed().grad(nodes, 0.3)
+    assert nodes.shape == (3200, 3)
+    assert np.array_equal(flow._cross(nodes, grad), np.cross(nodes, grad))
 
 
 def test_height_flow_is_clockwise_rotation():

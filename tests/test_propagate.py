@@ -4,6 +4,8 @@ import scipy.linalg
 
 from spherequant import flow, hamiltonians as ham, propagate, quantize, sphere
 
+import oracles
+
 
 def test_constant_hamiltonian_closed_form():
     k, c = 8, 0.3
@@ -169,19 +171,70 @@ def test_chart_samples_refuse_other_grids_and_steps():
 def test_pushforward_unitary_requires_holomorphic_flow():
     with pytest.raises(propagate.HolomorphyError, match="round complex structure"):
         propagate.check_holomorphic(ham.height_squared())
-    # rotations pass, about any axis; the probe's 256 steps resolve a
-    # rotation at scale 8 (det drift 2e-7)
+    # rotations pass, about any axis; the exact gate integrates no flow, so
+    # it admits a rotation at scale 12 that the 256-step RK4 probe refused
+    # as under-resolved (det drift 2.3e-6)
     for h in (
         ham.tilted_height(0.2),
         ham.coordinate(0),
         ham.coordinate(1, 0.7),
         ham.height(8.0),
+        ham.height(12.0),
     ):
-        propagate.check_holomorphic(h)
+        assert propagate.check_holomorphic(h) <= propagate.HOLOMORPHY_TOL
     assert issubclass(propagate.HolomorphyError, ValueError)
-    # but not at scale 12 (2.3e-6): its symplecticity guard gives no verdict
-    with pytest.raises(flow.FlowAccuracyError, match="determinant drifted"):
-        propagate.check_holomorphic(ham.height(12.0))
+
+
+def _verdict(h):
+    try:
+        propagate.check_holomorphic(h)
+    except propagate.HolomorphyError:
+        return False
+    return True
+
+
+def test_exact_holomorphy_gate_agrees_with_the_rk4_oracle():
+    cases = {name: factory() for name, factory in ham.PRESETS.items()}
+    cases["height(0.5)"] = ham.height(0.5)
+    cases["height(8)"] = ham.height(8.0)
+    cases["coordinate(1, 0.7)"] = ham.coordinate(1, 0.7)
+    for name, h in cases.items():
+        drift, defect = oracles.rk4_holomorphy(h)
+        assert drift <= 1e-6, name
+        assert _verdict(h) == (defect <= propagate.HOLOMORPHY_TOL), name
+
+
+def test_exact_holomorphy_gate_reads_every_time_not_only_time_one():
+    # H_t = cos(2 pi t) x3^2 turns each height circle about x3 by the angle
+    # 4 x3 sin(2 pi t) / (2 pi), which vanishes at t = 1: phi_1 is the
+    # identity and the oracle, which reads phi_1 alone, admits the path.
+    # For 0 < t < 1 the angle varies with the height, so phi_t shears and
+    # is not holomorphic; the exact gate sees the non-affine x3^2.
+    h = ham.Polynomial(
+        [ham.Monomial((0, 0, 2), 1.0, time_fn=lambda t: np.cos(2.0 * np.pi * t))]
+    )
+    drift, defect = oracles.rk4_holomorphy(h)
+    assert drift <= 1e-6 and defect <= propagate.HOLOMORPHY_TOL
+    with pytest.raises(propagate.HolomorphyError, match="round complex structure"):
+        propagate.check_holomorphic(h)
+
+
+def test_exact_holomorphy_gate_is_sufficient_not_necessary():
+    # two groups with distinct but equal time functions: their x3^2 terms
+    # cancel, so H_t = x1 generates a rotation, but the gate tests each
+    # group alone and refuses the path
+    h = ham.Polynomial(
+        [
+            ham.Monomial((1, 0, 0)),
+            ham.Monomial((0, 0, 2), 1.0, time_fn=lambda t: t),
+            ham.Monomial((0, 0, 2), -1.0, time_fn=lambda t: t),
+        ]
+    )
+    assert len(h.separable_terms()) == 3
+    drift, defect = oracles.rk4_holomorphy(h)
+    assert drift <= 1e-6 and defect <= propagate.HOLOMORPHY_TOL
+    with pytest.raises(propagate.HolomorphyError, match="round complex structure"):
+        propagate.check_holomorphic(h)
 
 
 def test_toeplitz_and_ks_agree_for_constants():
