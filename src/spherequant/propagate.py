@@ -6,13 +6,23 @@ fourth-order Magnus scheme of :func:`_magnus`, exponentiated through a
 Hermitian eigendecomposition, so every partial product is exactly
 unitary, and the determinant of each step factor is exp(-i k dt tr A),
 which accumulates the lifted phase without any angle unwrapping.
+
+A polynomial path A(t) = sum_i c_i(t) A_i has every step generator in the
+span of the A_i and their commutators.  When that span is tridiagonal in
+the monomial basis (the rotations x1, x2 with functions of the height
+x3), the commutators are formed once per propagation and each step is
+diagonalised by a real symmetric tridiagonal solver instead of a dense
+``eigh``; other generators are read per step and take the dense route.
 """
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import flow, quantize, sphere
 from .unitary_metric import Unitary, UnitaryWithPhase
@@ -78,14 +88,40 @@ def _expi(a, scale):
     return (vecs * np.exp(1j * scale * vals)[None, :]) @ vecs.conj().T
 
 
+def _expi_tridiagonal(d, e, scale, u):
+    """exp(1j * scale * H) @ u for the Hermitian tridiagonal H with real
+    diagonal d and superdiagonal e.
+
+    With D = diag(delta), delta_0 = 1 and delta_{j+1} = delta_j conj(e_j) /
+    |e_j| (1 where e_j = 0), H = D T D* for the real symmetric T with
+    diagonal d and off-diagonal |e|.  T = Q diag(lam) Q^T is found by
+    scipy's default symmetric tridiagonal driver (divide and conquer,
+    ``?stevd``, where scipy offers it; MRRR, ``?stemr``, before), and
+    u <- D Q exp(i scale lam) Q^T D* u runs as two real matrix products on
+    the (re, im) interleaved u.
+    """
+    delta = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(e)))))
+    vals, q = scipy.linalg.eigh_tridiagonal(d, np.abs(e))
+    v = (q.T @ (delta.conj()[:, None] * u).view(float)).view(complex)
+    v *= np.exp(1j * scale * vals)[:, None]
+    return delta[:, None] * (q @ v.view(float)).view(complex)
+
+
 # Gauss points of the fourth-order Magnus scheme
 _GAUSS_LO = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_HI = 0.5 + np.sqrt(3.0) / 6.0
 
 
+def _check_steps(steps):
+    """Raise unless the Magnus step count is a positive integer, not a bool."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+
+
 def _gauss_times(steps):
     """The two Gauss times of each of ``steps`` equal Magnus steps on
     [0, 1]; :class:`ChartSamples` are keyed by these floats."""
+    _check_steps(steps)
     dt = 1.0 / steps
     return [((n + _GAUSS_LO) * dt, (n + _GAUSS_HI) * dt) for n in range(steps)]
 
@@ -98,6 +134,38 @@ def _magnus_effective(a1, a2, k, dt, sign):
     return 0.5 * (a1 + a2) - sign * 1j * (np.sqrt(3.0) * k * dt / 12.0) * comm
 
 
+def _step_band(degrees):
+    """Band of the Magnus step generators of a separable path whose groups
+    have azimuthal degrees ``degrees``: a group of degree b vanishes off the
+    diagonals |m - n| <= b, and the commutator of two groups off
+    |m - n| <= b_i + b_j."""
+    return max(degrees + [a + b for a, b in itertools.combinations(degrees, 2)])
+
+
+def _separable_steps(groups, gauss, k, dt, sign):
+    """Every Magnus step generator of a separable A(t) = sum_i c_i(t) A_i
+    as one linear combination: step n's generator is coef[n] @ mats.
+
+    [A(t1), A(t2)] = sum_{i<j} (c_i(t1) c_j(t2) - c_j(t1) c_i(t2)) [A_i, A_j],
+    so with the commutators formed once, :func:`_magnus_effective` becomes
+    sum_i (c_i(t1) + c_i(t2)) / 2 A_i - sign i (sqrt(3) k dt / 12) times
+    that sum.  Returns (coef, mats).
+    """
+    fns, mats, _ = zip(*groups)
+    # c[n, s, i] = c_i at Gauss time s of step n
+    c = np.array(
+        [[[1.0 if fn is None else fn(t) for fn in fns] for t in pair] for pair in gauss]
+    )
+    i, j = np.triu_indices(len(mats), 1)
+    cross = c[:, 0, i] * c[:, 1, j] - c[:, 0, j] * c[:, 1, i]
+    coef = np.concatenate(
+        [0.5 * (c[:, 0] + c[:, 1]), -sign * 1j * (np.sqrt(3.0) * k * dt / 12.0) * cross],
+        axis=1,
+    )
+    commutators = [mats[a] @ mats[b] - mats[b] @ mats[a] for a, b in zip(i, j)]
+    return coef, np.stack(mats + tuple(commutators))
+
+
 def _magnus(space, generator_fn, steps, sign):
     """Fourth-order Magnus integration on [0, 1] of d/dt u = sign * i k A(t) u
     from u = I (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).
@@ -105,16 +173,42 @@ def _magnus(space, generator_fn, steps, sign):
     ``generator_fn`` gives A(t), read at the two :func:`_gauss_times` of
     each of ``steps`` equal steps.  Returns u and its determinant lift, the
     sum of sign * k dt tr A over the steps.
+
+    A generator carrying separable ``groups`` (see
+    :func:`_separable_generator`) whose :func:`_step_band` is at most 1,
+    on a grid with more than k + 1 azimuths, is not read per step: its
+    step generators come from :func:`_separable_steps` and each is
+    exponentiated by :func:`_expi_tridiagonal`.  That is exact up to
+    quadrature rounding: entry (m, n) of a compressed symbol reads its
+    azimuthal mode (m - n) mod n_phi, and a symbol of azimuthal degree
+    b <= 1 has modes |j| <= 1 only; since |m - n - j| <= k + 1 < n_phi, an
+    entry with |m - n| >= 2 meets none of them, so the entries off the
+    band are rounding.  Other generators are read at both Gauss times of
+    every step and go through the dense :func:`_expi`.
     """
     k = space.k
+    gauss = _gauss_times(steps)
     dt = 1.0 / steps
+    scale = sign * k * dt
+    groups = getattr(generator_fn, "groups", None)
+    if (
+        groups is not None
+        and _step_band([degree for _, _, degree in groups]) <= 1
+        and space.grid.n_phi > k + 1
+    ):
+        coef, mats = _separable_steps(groups, gauss, k, dt, sign)
+        diag = (coef @ np.diagonal(mats, axis1=1, axis2=2)).real
+        upper = coef @ np.diagonal(mats, 1, axis1=1, axis2=2)
+        u = np.eye(space.dim, dtype=complex)
+        for d, e in zip(diag, upper):
+            u = _expi_tridiagonal(d, e, scale, u)
+        return u, scale * float(np.sum(diag))
     u = np.eye(space.dim, dtype=complex)
     phase = 0.0
-    for t1, t2 in _gauss_times(steps):
-        a1, a2 = generator_fn(t1), generator_fn(t2)
-        h_eff = _magnus_effective(a1, a2, k, dt, sign)
-        u = _expi(h_eff, sign * k * dt) @ u
-        phase += sign * k * dt * np.trace(h_eff).real
+    for t1, t2 in gauss:
+        h_eff = _magnus_effective(generator_fn(t1), generator_fn(t2), k, dt, sign)
+        u = _expi(h_eff, scale) @ u
+        phase += scale * np.trace(h_eff).real
     return u, phase
 
 
@@ -128,22 +222,37 @@ def propagate_generic(space, generator_fn, steps):
     """
     k = space.k
     if getattr(generator_fn, "autonomous", False):
+        _check_steps(steps)
         a = generator_fn(0.0)
         return PropagationResult(unitary=_expi(a, -k), phase=-k * np.trace(a).real)
     u, phase = _magnus(space, generator_fn, steps, -1.0)
     return PropagationResult(unitary=u, phase=phase)
 
 
+def _azimuthal_degree(poly):
+    """Largest a + b over the monomials x1^a x2^b x3^c of poly: its modes
+    e^{i j phi} have |j| <= a + b, so its quantized operators vanish off
+    the diagonals |m - n| <= a + b."""
+    return max((term.powers[0] + term.powers[1] for term in poly.terms), default=0)
+
+
 def _separable_generator(space, h, builder):
-    terms = [(fn, builder(space, poly)) for fn, poly in h.separable_terms()]
+    """t -> sum_i c_i(t) A_i over the groups of ``h.separable_terms()``,
+    A_i = builder(space, poly_i).  ``groups`` lists (c_i, A_i, azimuthal
+    degree of poly_i), with c_i None for a static group."""
+    groups = [
+        (fn, builder(space, poly), _azimuthal_degree(poly))
+        for fn, poly in h.separable_terms()
+    ]
 
     def generator(t):
         a = np.zeros((space.dim, space.dim), dtype=complex)
-        for fn, mat in terms:
+        for fn, mat, _ in groups:
             a += (1.0 if fn is None else fn(t)) * mat
         return a
 
     generator.autonomous = h.autonomous
+    generator.groups = groups
     return generator
 
 
@@ -206,9 +315,9 @@ def pull_back(h, grid, steps):
     taken at phi_t(node) and the vector field is mapped back by the
     forward tangent map.
     """
+    gauss = _gauss_times(steps)
     dt = 1.0 / steps
     nodes = grid.nodes
-    gauss = _gauss_times(steps)
     samples = {t for pair in gauss for t in pair}
     stops = [t for n, pair in enumerate(gauss) for t in (*pair, (n + 1) * dt)][:-1]
     data = {}

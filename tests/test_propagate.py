@@ -259,3 +259,195 @@ def test_propagation_never_builds_the_node_basis():
     quantize.trace_residual(sp, ham.height_squared())
     assert "basis" not in vars(sp)
     assert "weighted_basis" not in vars(sp)
+
+
+def _rotated_path(theta=0.7):
+    # the spectral benchmark's path: a rotated x1/x2 term plus t x3^2
+    m = ham.Monomial
+    return ham.Polynomial(
+        [
+            m((1, 0, 0), np.cos(theta), time_fn=ham.sin_pi_t),
+            m((0, 1, 0), np.sin(theta), time_fn=ham.sin_pi_t),
+            m((0, 0, 2), 1.0, time_fn=ham.identity_t),
+        ]
+    )
+
+
+TRIDIAGONAL_PATHS = {
+    "time-mixed": ham.time_mixed(),
+    "rotated x1/x2 + x3^2": _rotated_path(),
+    "static height": ham.Polynomial(
+        [ham.Monomial((1, 0, 0), time_fn=ham.sin_pi_t), ham.Monomial((0, 0, 1), 0.5)]
+    ),
+    "reparametrized time-mixed": ham.Reparametrized(
+        ham.time_mixed(), lambda t: t * t, lambda t: 2.0 * t
+    ),
+}
+
+BUILDERS = {
+    "toeplitz": quantize.toeplitz,
+    "ks": lambda sp, p: quantize.kostant_souriau(sp, p.value(sp.grid.nodes)),
+}
+
+
+def _count_routes(monkeypatch):
+    calls = {"dense": 0, "tridiagonal": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(propagate, "_expi", counted("dense", propagate._expi))
+    monkeypatch.setattr(
+        propagate, "_expi_tridiagonal", counted("tridiagonal", propagate._expi_tridiagonal)
+    )
+    return calls
+
+
+def test_tridiagonal_route_matches_the_dense_oracle(monkeypatch):
+    # a generator without ``groups`` is read per step and exponentiated by
+    # the dense eigh: the oracle of the structured tridiagonal route
+    calls = _count_routes(monkeypatch)
+    steps = 32
+    grid = quantize.sweep_grid((8, 64))
+    for k in (8, 64):
+        space = quantize.build_space(k, grid)
+        for name, h in TRIDIAGONAL_PATHS.items():
+            for builder in BUILDERS.values():
+                generator = propagate._separable_generator(space, h, builder)
+                for sign in (-1.0, 1.0):
+                    before = dict(calls)
+                    u, phase = propagate._magnus(space, generator, steps, sign)
+                    assert calls["tridiagonal"] - before["tridiagonal"] == steps, name
+                    assert calls["dense"] == before["dense"], name
+                    u_dense, phase_dense = propagate._magnus(
+                        space, lambda t: generator(t), steps, sign
+                    )
+                    assert np.max(np.abs(u - u_dense)) <= 1e-12, (name, k)
+                    assert abs(phase - phase_dense) <= 1e-12, (name, k)
+
+
+def test_public_propagators_take_the_tridiagonal_route(monkeypatch):
+    calls = _count_routes(monkeypatch)
+    space = quantize.build_space(16)
+    h = ham.time_mixed()
+    toeplitz = propagate.propagate_toeplitz(space, h, steps=8)
+    ks = propagate.propagate_ks(space, h, steps=8)
+    assert calls == {"dense": 0, "tridiagonal": 16}
+    for res in (toeplitz, ks):
+        res.with_phase()
+
+
+def test_discarded_off_band_entries_are_rounding():
+    steps = 16
+    gauss = propagate._gauss_times(steps)
+    for k in (8, 64):
+        space = quantize.build_space(k)
+        off_band = np.abs(np.subtract.outer(np.arange(k + 1), np.arange(k + 1))) >= 2
+        for name, h in TRIDIAGONAL_PATHS.items():
+            for builder in BUILDERS.values():
+                generator = propagate._separable_generator(space, h, builder)
+                degrees = [degree for _, _, degree in generator.groups]
+                assert propagate._step_band(degrees) <= 1, name
+                coef, mats = propagate._separable_steps(
+                    generator.groups, gauss, k, 1.0 / steps, -1.0
+                )
+                for c in coef:
+                    step = np.tensordot(c, mats, 1)
+                    norm = np.linalg.norm(step, 2)
+                    assert np.max(np.abs(step[off_band])) <= 1e-14 * norm, (name, k)
+
+
+def test_band_two_paths_and_coarse_grids_take_the_dense_route(monkeypatch):
+    calls = _count_routes(monkeypatch)
+    m = ham.Monomial
+    band_two = ham.Polynomial(
+        [m((1, 0, 0), time_fn=ham.sin_pi_t), m((0, 1, 0), time_fn=ham.identity_t)]
+    )
+    propagate.propagate_toeplitz(quantize.build_space(8), band_two, steps=4)
+    propagate.propagate_ks(quantize.build_space(8), band_two, steps=4)
+    assert calls == {"dense": 8, "tridiagonal": 0}
+    # n_phi = k + 1: a mode |j| <= 1 may alias into entries off the band
+    coarse = quantize.build_space(23, sphere.build_grid(20, 24))
+    propagate.propagate_toeplitz(coarse, ham.time_mixed(), steps=4)
+    assert calls == {"dense": 12, "tridiagonal": 0}
+    finer = quantize.build_space(22, sphere.build_grid(20, 24))
+    propagate.propagate_toeplitz(finer, ham.time_mixed(), steps=4)
+    assert calls == {"dense": 12, "tridiagonal": 4}
+
+
+def test_step_generator_from_once_formed_commutators():
+    # three groups: sin(pi t) x1, t x3^2 and a static x2
+    m = ham.Monomial
+    h = ham.Polynomial(
+        [
+            m((1, 0, 0), time_fn=ham.sin_pi_t),
+            m((0, 0, 2), 1.0, time_fn=ham.identity_t),
+            m((0, 1, 0), 0.3),
+        ]
+    )
+    k, steps = 16, 8
+    dt = 1.0 / steps
+    space = quantize.build_space(k)
+    gauss = propagate._gauss_times(steps)
+    for builder in BUILDERS.values():
+        generator = propagate._separable_generator(space, h, builder)
+        assert len(generator.groups) == 3
+        assert propagate._step_band([degree for _, _, degree in generator.groups]) == 2
+        for sign in (-1.0, 1.0):
+            coef, mats = propagate._separable_steps(generator.groups, gauss, k, dt, sign)
+            for c, (t1, t2) in zip(coef, gauss):
+                expected = propagate._magnus_effective(
+                    generator(t1), generator(t2), k, dt, sign
+                )
+                assert np.max(np.abs(np.tensordot(c, mats, 1) - expected)) <= 1e-13
+
+
+def _space():
+    return quantize.build_space(4)
+
+
+def _samples(grid, steps=2):
+    return propagate.product_samples(
+        ham.height_squared(), ham.coordinate(0), grid, steps, flow_steps=8
+    )
+
+
+# each entry point with its time-dependent, autonomous and sampled inputs
+STEPS_ENTRY_POINTS = {
+    "propagate_toeplitz": lambda: [
+        lambda steps, h=h: propagate.propagate_toeplitz(_space(), h, steps)
+        for h in (ham.time_mixed(), ham.height())
+    ],
+    "propagate_ks": lambda: [
+        lambda steps, h=h: propagate.propagate_ks(_space(), h, steps)
+        for h in (ham.time_mixed(), ham.height(), _samples(_space().grid))
+    ],
+    "propagate_generic": lambda: [
+        lambda steps, h=h: propagate.propagate_generic(
+            _space(), propagate.ks_generator(_space(), h), steps
+        )
+        for h in (ham.time_mixed(), ham.height())
+    ],
+    "xi_path": lambda: [
+        lambda steps, h=h: propagate.xi_path(_space(), h, steps)
+        for h in (ham.time_mixed(), propagate.pull_back(ham.time_mixed(), _space().grid, 2))
+    ],
+    "pull_back": lambda: [
+        lambda steps: propagate.pull_back(ham.time_mixed(), sphere.build_grid(6, 12), steps)
+    ],
+    "product_samples": lambda: [lambda steps: _samples(sphere.build_grid(6, 12), steps)],
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(STEPS_ENTRY_POINTS))
+def test_entry_points_refuse_steps_that_are_not_positive_integers(entry_point):
+    # steps = 0 used to die dividing by zero, and negative steps returned
+    # the identity with phase 0
+    for run in STEPS_ENTRY_POINTS[entry_point]():
+        for steps in (0, -3, True, 2.0):
+            with pytest.raises(ValueError, match="steps must be a positive integer"):
+                run(steps)
