@@ -1,13 +1,11 @@
 """Classical invariants: scalar curvature, the disc-area quasimorphism,
 and the quantum homomorphism defect at one level.
 
-The quasimorphism is the disc-area term plus a curvature pairing that is
-exactly 0 for the round structure (:data:`ROUND_CURVATURE_PAIRING`), so
-the scalar curvature below serves only as a test oracle.  It is computed
-as the Gauss curvature of g = omega(., j.), by the Brioschi formula with
-central finite differences of the chart metric components; the stencil
-for each node is evaluated in a single chart (the node's hemisphere
-chart) even when it crosses the equator.
+The quasimorphism is a disc term plus a curvature pairing.  The pairing is
+0 for the round structure, and the disc term is 0 on every path the
+holomorphy gate admits.  The finite-difference scalar curvature below
+(Brioschi formula, each node's 5x5 stencil in its hemisphere chart) and
+:func:`shelukhin`, which integrates the disc flux, are their oracles.
 """
 
 from __future__ import annotations
@@ -123,13 +121,19 @@ def scalar_curvature(field, grid) -> sphere.ScalarField:
 # since S(j_0) = 2 and the normalized H_t has mean zero (Shelukhin 2014).
 ROUND_CURVATURE_PAIRING = 0.0
 
+# The disc term of every path :func:`propagate.check_holomorphic` admits is
+# 0: the gate admits only paths whose static groups are affine on S^2, so
+# every phi_t is a rotation.  In the orthonormal, oriented chart frames a
+# rotation's reduced Jacobian J lies in SO(2) and commutes with j0, so
+# phi_t^* j0 = J^{-1} j0 J = j0 at every node and time: the loop is
+# constant and bounds zero sigma-area.  :func:`shelukhin` is the oracle.
+HOLOMORPHIC_DISC_TERM = 0.0
+
 
 @dataclass(frozen=True)
 class ShelukhinValue:
     disc_term: float
     curvature_term: float
-    # max |det J - 1| of the forward flow of the disc flux at t = 1
-    flow_det_drift: float = 0.0
 
     @property
     def total(self):
@@ -151,7 +155,7 @@ def extrapolated_loop_flux(taus):
 
 
 def _disc_flux(h, nodes, time_samples, flow_steps):
-    """Per-node disc flux of the path of h, and the det drift of its flow.
+    """Per-node disc flux of the path of h.
 
     The round curvature pairing vanishes, so the disc term depends only on
     the homotopy class and equals -int area_y(t -> phi_t^* j0) dmu(y), with
@@ -165,7 +169,7 @@ def _disc_flux(h, nodes, time_samples, flow_steps):
         taus[:, i] = siegel.to_upper_half_plane(
             np.linalg.solve(jac, flow.J_STANDARD @ jac)
         )
-    return -extrapolated_loop_flux(taus), flow.jacobian_det_drift(jac)
+    return -extrapolated_loop_flux(taus)
 
 
 def shelukhin(h, grid, time_samples=32, flow_steps=256) -> ShelukhinValue:
@@ -180,9 +184,8 @@ def shelukhin(h, grid, time_samples=32, flow_steps=256) -> ShelukhinValue:
         raise ValueError(
             f"time_samples must be a positive multiple of 4, got {time_samples!r}"
         )
-    flux, drift = _disc_flux(h, grid.nodes, time_samples, flow_steps)
-    disc = sphere.integrate_values(grid, flux)
-    return ShelukhinValue(disc, ROUND_CURVATURE_PAIRING, flow_det_drift=drift)
+    flux = _disc_flux(h, grid.nodes, time_samples, flow_steps)
+    return ShelukhinValue(sphere.integrate_values(grid, flux), ROUND_CURVATURE_PAIRING)
 
 
 # ---------------------------------------------------------------------------

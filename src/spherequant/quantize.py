@@ -17,6 +17,7 @@ on request.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +26,6 @@ from scipy.special import gammaln
 
 from . import flow, sphere
 
-TOTAL_VOLUME = sphere.TOTAL_VOLUME
 # lambda' = half the Liouville mean of the scalar curvature; the round
 # structure has scalar curvature 2 everywhere
 ROUND_LAMBDA_PRIME = 1.0
@@ -161,8 +161,8 @@ def _ring_layout(grid):
 
 
 def build_space(k, grid=None):
-    if k < 1:
-        raise ValueError("level k must be a positive integer")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"level k must be a positive integer, got {k!r}")
     if grid is None:
         grid = default_grid(k)
     radius, weights = _ring_layout(grid)

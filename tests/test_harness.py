@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spherequant
-from spherequant import flow, harness, invariants, propagate
+from spherequant import flow, harness, propagate, sphere
 from spherequant.cli import main as cli_main
 
 
@@ -187,8 +187,10 @@ def test_sweeps_report_classical_time_and_flow_health():
     for report in (theorem1, prop53, defect):
         classical_s = report.summary["timings"]["classical_s"]
         assert np.isfinite(classical_s) and classical_s > 0
-    for report in (theorem1, prop53, defect):
+    for report in (prop53, defect):
         assert np.isfinite(report.summary["health"]["flow_det_drift"])
+    # theorem 1 integrates no flow, so its health is the gate's remainder
+    assert list(theorem1.summary["health"]) == ["holomorphy_defect"]
     holomorphy_defect = theorem1.summary["health"]["holomorphy_defect"]
     assert np.isfinite(holomorphy_defect)
     assert holomorphy_defect <= propagate.HOLOMORPHY_TOL
@@ -220,27 +222,24 @@ def test_theorem1_admits_rotation_about_x1():
 
 def test_theorem1_refuses_non_holomorphic_flow_before_classical_work(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("the disc flux ran before the holomorphy gate")
+        raise AssertionError("the Calabi invariant ran before the holomorphy gate")
 
-    monkeypatch.setattr(invariants, "shelukhin", fail)
+    monkeypatch.setattr(sphere, "calabi", fail)
     with pytest.raises(propagate.HolomorphyError):
         harness.run_theorem1_holomorphic(_theorem1_config("height-squared"))
 
 
-def test_theorem1_integrates_one_forward_flow_per_sweep(monkeypatch):
-    # the disc flux's, of the 8 x 16 sweep grid: the exact holomorphy gate
-    # integrates no flow
-    calls = []
-    sweep = flow.sweep
+def test_theorem1_integrates_no_flow(monkeypatch):
+    # the paths the exact holomorphy gate admits are rotations, whose disc
+    # term is the identity 0: no RK4 step runs and sh_total is exactly 0
+    def fail(*args, **kwargs):
+        raise AssertionError("theorem 1 integrated a flow")
 
-    def counted(h, points, *args, **kwargs):
-        calls.append(len(points))
-        return sweep(h, points, *args, **kwargs)
-
-    monkeypatch.setattr(flow, "sweep", counted)
+    monkeypatch.setattr(flow, "advance_state", fail)
     report = harness.run_theorem1_holomorphic(_theorem1_config("tilted-height", c=0.4))
     assert len(report.rows) == 4
-    assert calls == [8 * 16]
+    assert all(r["sh_total"] == 0.0 for r in report.rows)
+    assert report.checks_passed
 
 
 def test_brute_force_lattice_matches_solver():

@@ -14,6 +14,14 @@ def test_dimension_law():
         assert quantize.build_space(k).dim == k + 1
 
 
+def test_build_space_refuses_a_level_that_is_not_a_positive_integer():
+    # True would build a k = True space, and 3.0 would fail inside leggauss
+    for k in (True, 3.0, 0, -2, "4"):
+        with pytest.raises(ValueError, match=f"level k must be a positive integer, got {k!r}"):
+            quantize.build_space(k)
+    assert quantize.build_space(np.int64(3)).dim == 4
+
+
 def test_basis_is_orthonormal_on_grid():
     for k in (4, 16, 48):
         sp = quantize.build_space(k)
