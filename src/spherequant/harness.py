@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from . import hamiltonians, invariants, propagate, quantize, sphere
 from .unitary_metric import Unitary, UnitaryWithPhase, cover_distance, distance
@@ -267,7 +266,9 @@ def run_defect(config: ExperimentConfig) -> SweepReport:
     """Homomorphism defect of the quantized paths over a k sweep.
 
     The product path's symbol is sampled once, on the sweep grid, before
-    the levels; each row's runtime is that level's quantum work."""
+    the levels; each row's runtime is that level's quantum work.
+    ``health`` records the largest unitarity and determinant-lift residuals
+    of the cover elements every level builds."""
     t0 = time.perf_counter()
     h_a = config.hamiltonian()
     h_b = config.hamiltonian_b()
@@ -275,11 +276,14 @@ def run_defect(config: ExperimentConfig) -> SweepReport:
     product = propagate.product_samples(h_a, h_b, grid, config.steps, config.flow_steps)
     classical_s = time.perf_counter() - t0
     rows = []
+    unitarity = det_lift = 0.0
     for k in config.ks:
         t0 = time.perf_counter()
         space = quantize.build_space(k, grid)
-        d = invariants.level_defect(space, h_a, h_b, product, config.steps)
+        d, covers = invariants.level_defect(space, h_a, h_b, product, config.steps)
         rows.append({"k": k, "defect": float(d), "runtime": time.perf_counter() - t0})
+        unitarity = max(unitarity, *(c.u.unitarity for c in covers))
+        det_lift = max(det_lift, *(c.det_lift for c in covers))
     values = np.array([r["defect"] for r in rows])
     slope = fit_slope(config.ks, values, floor=1e-6)
     passed = slope is None or slope <= 0.2
@@ -292,7 +296,11 @@ def run_defect(config: ExperimentConfig) -> SweepReport:
             "defect_slope": slope,
             "slope_bound": 0.2,
             "timings": {"classical_s": classical_s},
-            "health": {"flow_det_drift": product.flow_det_drift},
+            "health": {
+                "flow_det_drift": product.flow_det_drift,
+                "unitarity": unitarity,
+                "det_lift": det_lift,
+            },
         },
         checks_passed=passed,
     )
@@ -302,8 +310,20 @@ def run_defect(config: ExperimentConfig) -> SweepReport:
 # distance-formula oracle sweep
 
 
+def haar_unitary(rng, n):
+    """Haar-random n x n unitary: the QR factor of a complex Ginibre matrix
+    with the phases of diag(r) moved into q (Mezzadri, Notices AMS 54,
+    2007).  From the same generator state it draws what scipy's
+    ``unitary_group.rvs(n, random_state=rng)`` draws, without importing
+    scipy's statistics package."""
+    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    return q * (d / np.abs(d))
+
+
 def random_unitary_with_phase(rng, n):
-    u = unitary_group.rvs(n, random_state=rng)
+    u = haar_unitary(rng, n)
     phase = float(np.angle(np.linalg.det(u)))
     return UnitaryWithPhase(Unitary(u), phase)
 

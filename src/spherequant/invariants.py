@@ -199,8 +199,9 @@ def cover_product(a: UnitaryWithPhase, b: UnitaryWithPhase) -> UnitaryWithPhase:
 def level_defect(space, h_a, h_b, product, steps):
     """Cover distance at one level between the product of the quantized
     paths of h_a and h_b and the quantized product path, whose
-    :func:`propagate.product_samples` were taken on ``space.grid``."""
+    :func:`propagate.product_samples` were taken on ``space.grid``, and the
+    three cover elements (a, b, product) it was measured from."""
     ua = propagate.propagate_ks(space, h_a, steps).with_phase()
     ub = propagate.propagate_ks(space, h_b, steps).with_phase()
     uab = propagate.propagate_ks(space, product, steps).with_phase()
-    return cover_distance(cover_product(ua, ub), uab)
+    return cover_distance(cover_product(ua, ub), uab), (ua, ub, uab)

@@ -18,34 +18,8 @@ OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J_STANDARD = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-class SiegelError(ValueError):
-    """Raised on points outside the upper half-plane."""
-
-
 # ---------------------------------------------------------------------------
 # batched matrix-level routines
-
-
-def structure_defect(j):
-    """Max violation of j^2 = -Id and of omega0-compatibility, batched."""
-    j = np.asarray(j, dtype=float)
-    sq = np.einsum("...ij,...jk->...ik", j, j) + np.eye(2)
-    comp = np.einsum("...ji,jk,...kl->...il", j, OMEGA, j) - OMEGA
-    metric = np.einsum("ij,...jk->...ik", OMEGA, j)
-    asym = metric - np.swapaxes(metric, -1, -2)
-    err = np.max(np.abs(sq), axis=(-2, -1))
-    err = np.maximum(err, np.max(np.abs(comp), axis=(-2, -1)))
-    err = np.maximum(err, np.max(np.abs(asym), axis=(-2, -1)))
-    # positivity of the induced metric: both diagonal entries and det
-    neg = np.minimum(metric[..., 0, 0], metric[..., 1, 1])
-    det = metric[..., 0, 0] * metric[..., 1, 1] - metric[..., 0, 1] ** 2
-    err = np.maximum(err, np.maximum(-neg, -det) + 0.0)
-    return err
-
-
-def sigma_matrices(j, a, b):
-    """sigma_j(a, b) = tr(j a b) / 4, batched over leading axes."""
-    return 0.25 * np.einsum("...ij,...jk,...ki->...", j, a, b)
 
 
 def geodesic_matrices(j0, j1, t):
@@ -109,20 +83,6 @@ def to_upper_half_plane(j):
     y = 1.0 / g[..., 0, 0]
     x = g[..., 0, 1] * y
     return x + 1j * y
-
-
-def from_upper_half_plane(tau):
-    """Inverse of :func:`to_upper_half_plane`."""
-    tau = np.asarray(tau, dtype=complex)
-    x, y = tau.real, tau.imag
-    if np.any(y <= 0):
-        raise SiegelError("point not in the upper half-plane")
-    j = np.empty(tau.shape + (2, 2))
-    j[..., 0, 0] = -x / y
-    j[..., 0, 1] = -(x**2 + y**2) / y
-    j[..., 1, 0] = 1.0 / y
-    j[..., 1, 1] = x / y
-    return j
 
 
 def geodesic_arc_flux(tau0, tau1):

@@ -10,7 +10,7 @@ theta with e^{i theta_i} = lambda_i and sum theta_i = psi - phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -31,6 +31,8 @@ class LatticeInvariantError(ValueError):
 @dataclass(frozen=True)
 class Unitary:
     mat: np.ndarray
+    # max |u^H u - I|, the residual the constructor checks
+    unitarity: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
@@ -38,8 +40,10 @@ class Unitary:
         n = m.shape[0]
         if m.shape != (n, n):
             raise ValueError("expected a square matrix")
-        if np.max(np.abs(m.conj().T @ m - np.eye(n))) > 1e-10:
+        residual = float(np.max(np.abs(m.conj().T @ m - np.eye(n))))
+        if residual > 1e-10:
             raise ValueError("matrix is not unitary to 1e-10")
+        object.__setattr__(self, "unitarity", residual)
 
     @property
     def dim(self):
@@ -52,11 +56,14 @@ class UnitaryWithPhase:
 
     u: Unitary
     phase: float
+    # |det u - e^{i phase}|, the residual the constructor checks
+    det_lift: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        det = np.linalg.det(self.u.mat)
-        if abs(det - np.exp(1j * self.phase)) > 1e-8:
+        residual = float(abs(np.linalg.det(self.u.mat) - np.exp(1j * self.phase)))
+        if residual > 1e-8:
             raise ValueError("phase is not a lift of arg det u")
+        object.__setattr__(self, "det_lift", residual)
 
     @property
     def dim(self):

@@ -134,6 +134,12 @@ def test_run_defect_with_a_time_dependent_first_factor():
     assert np.isfinite(report.summary["health"]["flow_det_drift"])
 
 
+def test_run_defect_records_unitarity_and_det_lift():
+    health = harness.run_defect(_defect_config()).summary["health"]
+    assert np.isfinite(health["unitarity"]) and health["unitarity"] < 1e-10
+    assert np.isfinite(health["det_lift"]) and health["det_lift"] < 1e-8
+
+
 def _defect_config(ks=(8, 16), flow_steps=8):
     return harness.ExperimentConfig(
         experiment="defect",
@@ -254,6 +260,43 @@ def test_brute_force_lattice_matches_solver():
         radius_exact, theta = solve_lattice(LatticeProblem(args, target))
         assert abs(radius_exact - radius) < 1e-12
         assert abs(theta.sum() - target) < 1e-9
+
+
+def test_haar_unitary_draws_what_scipy_draws():
+    # the scipy sampler the distance sweep used before is kept as the oracle
+    from scipy.stats import unitary_group
+
+    for seed in range(20):
+        for n in range(2, 9):
+            ours = harness.haar_unitary(np.random.default_rng(seed), n)
+            ref = unitary_group.rvs(n, random_state=np.random.default_rng(seed))
+            np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
+
+
+def test_distance_sweep_summary_at_the_default_config():
+    report = harness.run_distance_tests(harness.ExperimentConfig(experiment="distance"))
+    assert report.checks_passed
+    assert report.summary["worst"] == {
+        "metric_axioms": 1.3322676295501878e-15,
+        "norm_bounds": 0.0,
+        "lattice_vs_brute_force": 0.0,
+        "cover_bounds": 0.0,
+        "small_distance_collapse": 0.0,
+    }
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs more import time than any sweep of the benchmark runs
+    src = str(Path(spherequant.__file__).resolve().parents[1])
+    code = "import sys, spherequant.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_distance_tests_passes():

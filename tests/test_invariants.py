@@ -195,7 +195,7 @@ def test_defect_on_the_shared_grid_matches_a_fine_reference():
     h_a, h_b = ham.height_squared(2.0), ham.coordinate(0, 2.0)
     fine = sphere.build_grid(80, 160)
     product = propagate.product_samples(h_a, h_b, fine, steps=8, flow_steps=32)
-    reference = invariants.level_defect(
+    reference, _ = invariants.level_defect(
         quantize.build_space(8, fine), h_a, h_b, product, steps=8
     )
     shared = _defects(

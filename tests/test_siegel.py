@@ -2,29 +2,31 @@ import numpy as np
 
 from spherequant import siegel
 
+import oracles
+
 
 def random_structures(rng, n):
     tau = rng.normal(size=n) + 1j * np.exp(rng.normal(size=n))
-    return siegel.from_upper_half_plane(tau), tau
+    return oracles.from_upper_half_plane(tau), tau
 
 
 def test_round_trip_upper_half_plane():
     rng = np.random.default_rng(1)
     j, tau = random_structures(rng, 50)
-    assert np.max(siegel.structure_defect(j)) < 1e-12
+    assert np.max(oracles.structure_defect(j)) < 1e-12
     back = siegel.to_upper_half_plane(j)
     assert np.max(np.abs(back - tau)) < 1e-12
 
 
 def test_structure_defect_flags_bad_matrices():
     bad = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert siegel.structure_defect(bad) > 0.5
+    assert oracles.structure_defect(bad) > 0.5
 
 
 def fd_tangent(tau, dtau, h=1e-6):
     """Tangent vector at j(tau) from a finite difference of structures."""
-    jp = siegel.from_upper_half_plane(tau + h * dtau)
-    jm = siegel.from_upper_half_plane(tau - h * dtau)
+    jp = oracles.from_upper_half_plane(tau + h * dtau)
+    jm = oracles.from_upper_half_plane(tau - h * dtau)
     return (jp - jm) / (2 * h)
 
 
@@ -33,11 +35,11 @@ def test_sigma_antisymmetric_and_bilinear():
     j, tau = random_structures(rng, 20)
     a = fd_tangent(tau, rng.normal(size=20) + 1j * rng.normal(size=20))
     b = fd_tangent(tau, rng.normal(size=20) + 1j * rng.normal(size=20))
-    sab = siegel.sigma_matrices(j, a, b)
-    sba = siegel.sigma_matrices(j, b, a)
+    sab = oracles.sigma_matrices(j, a, b)
+    sba = oracles.sigma_matrices(j, b, a)
     scale = 1.0 + np.abs(sab)
     assert np.max(np.abs(sab + sba) / scale) < 1e-12
-    s2 = siegel.sigma_matrices(j, 2.5 * a, b)
+    s2 = oracles.sigma_matrices(j, 2.5 * a, b)
     assert np.max(np.abs(s2 - 2.5 * sab) / scale) < 1e-10
 
 
@@ -45,17 +47,17 @@ def test_sigma_constant_is_half():
     # sigma = c * (hyperbolic area form), and the area form is 1 on
     # (d/dx, d/dy) at tau = i: measure c from finite-difference tangents
     assert siegel.SIGMA_AREA_CONSTANT == 0.5
-    j = siegel.from_upper_half_plane(1j)
+    j = oracles.from_upper_half_plane(1j)
     ax = fd_tangent(1j, 1.0, h=1e-6)
     ay = fd_tangent(1j, 1j, h=1e-6)
     assert np.max(np.abs(ax - [[-1.0, 0.0], [0.0, 1.0]])) < 1e-8
     assert np.max(np.abs(ay - [[0.0, -1.0], [-1.0, 0.0]])) < 1e-8
-    assert abs(siegel.sigma_matrices(j, ax, ay) - 0.5) < 1e-8
+    assert abs(oracles.sigma_matrices(j, ax, ay) - 0.5) < 1e-8
 
 
 def test_geodesic_endpoints_and_vertical_line():
-    j0 = siegel.from_upper_half_plane(1j)
-    j1 = siegel.from_upper_half_plane(3j)
+    j0 = oracles.from_upper_half_plane(1j)
+    j1 = oracles.from_upper_half_plane(3j)
     assert np.max(np.abs(siegel.geodesic_matrices(j0, j1, 0.0) - j0)) < 1e-12
     assert np.max(np.abs(siegel.geodesic_matrices(j0, j1, 1.0) - j1)) < 1e-9
     # one-parameter subgroup: the geodesic from i to i y runs through i y^t
@@ -65,10 +67,10 @@ def test_geodesic_endpoints_and_vertical_line():
 
 
 def test_geodesic_near_identity_uses_taylor_branch():
-    j0 = siegel.from_upper_half_plane(1j)
-    j1 = siegel.from_upper_half_plane(1e-7 + 1j * (1 + 1e-7))
+    j0 = oracles.from_upper_half_plane(1j)
+    j1 = oracles.from_upper_half_plane(1e-7 + 1j * (1 + 1e-7))
     jt = siegel.geodesic_matrices(j0, j1, 0.5)
-    assert np.max(siegel.structure_defect(jt)) < 1e-10
+    assert np.max(oracles.structure_defect(jt)) < 1e-10
 
 
 def test_geodesic_batched_compatibility():
@@ -77,7 +79,7 @@ def test_geodesic_batched_compatibility():
     j1, _ = random_structures(rng, 30)
     for t in (0.3, 0.7):
         jt = siegel.geodesic_matrices(j0, j1, t)
-        assert np.max(siegel.structure_defect(jt)) < 1e-9
+        assert np.max(oracles.structure_defect(jt)) < 1e-9
 
 
 def test_arc_flux_additive_along_geodesic():
