@@ -49,17 +49,6 @@ def chart_coords(points, chart):
     return num / den
 
 
-def chart_points(z, chart):
-    """Embedded point of a chart coordinate."""
-    z = np.asarray(z, dtype=complex)
-    chart = np.broadcast_to(chart, z.shape)
-    d = 1.0 + np.abs(z) ** 2
-    x1 = 2.0 * z.real / d
-    x2 = np.where(chart == NORTH, 2.0 * z.imag / d, -2.0 * z.imag / d)
-    x3 = np.where(chart == NORTH, (2.0 - d) / d, (d - 2.0) / d)
-    return np.stack([x1, x2, x3], axis=-1)
-
-
 def frames(points, chart):
     """Symplectic frame (n, 3, 2): columns span the tangent plane and
     omega(e1, e2) = 1; both columns have squared length 2."""
@@ -215,38 +204,3 @@ def transport_backward(h, points, t, steps, jacobian=True):
 def per_time_steps(steps_per_unit_time, t):
     """RK4 steps of a stand-alone transport over [0, t]: at least 8."""
     return max(8, int(round(steps_per_unit_time * abs(t))))
-
-
-# ---------------------------------------------------------------------------
-# complex-structure fields: ``evaluate(points, chart)`` gives the 2x2 frame
-# matrices in the given charts (per-point hemisphere charts for None)
-
-
-class RoundStructure:
-    """The integrable round structure; standard matrix in either frame."""
-
-    def evaluate(self, points, chart=None):
-        points = np.asarray(points, dtype=float)
-        return np.broadcast_to(J_STANDARD, points.shape[:-1] + (2, 2)).copy()
-
-
-class PushforwardStructure:
-    """Pushforward of a structure field by the time-t Hamiltonian flow,
-    transported backward afresh at each evaluation."""
-
-    def __init__(self, inner, h, t, steps_per_unit_time=256):
-        self.inner = inner
-        self.h = h
-        self.t = float(t)
-        self.steps_per_unit_time = steps_per_unit_time
-
-    def evaluate(self, points, chart=None):
-        points = np.asarray(points, dtype=float)
-        if chart is None:
-            chart = chart_of(points)
-        if self.t == 0.0:
-            return self.inner.evaluate(points, chart)
-        steps = per_time_steps(self.steps_per_unit_time, self.t)
-        y, m3 = transport_backward(self.h, points, self.t, steps)
-        b = frame_jacobian(m3, points, y, x_chart=chart)
-        return np.linalg.solve(b, self.inner.evaluate(y) @ b)

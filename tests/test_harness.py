@@ -94,6 +94,14 @@ def test_config_rejects_unknown_preset():
         harness.ExperimentConfig(experiment="defect", preset_params={"c": 0.5})
 
 
+def test_config_rejects_an_out_that_is_not_a_path():
+    for value in (5, 2.5, True, ["reports"], {"dir": "reports"}):
+        with pytest.raises(ValueError, match="^out must be a directory path"):
+            harness.ExperimentConfig(experiment="distance", out=value)
+    assert harness.ExperimentConfig(experiment="distance", out="reports").out == "reports"
+    assert harness.ExperimentConfig(experiment="distance").out is None
+
+
 def test_config_from_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiment": "distance", "pairz": 5}))
@@ -138,6 +146,17 @@ def test_run_defect_records_unitarity_and_det_lift():
     health = harness.run_defect(_defect_config()).summary["health"]
     assert np.isfinite(health["unitarity"]) and health["unitarity"] < 1e-10
     assert np.isfinite(health["det_lift"]) and health["det_lift"] < 1e-8
+
+
+def test_phase_sweeps_record_unitarity_and_det_lift():
+    # every level's propagator is a checked cover element, as in run_defect
+    for report in (
+        harness.run_theorem1_holomorphic(_theorem1_config("x1")),
+        harness.run_prop53(_prop53_config()),
+    ):
+        health = report.summary["health"]
+        assert np.isfinite(health["unitarity"]) and health["unitarity"] < 1e-10
+        assert np.isfinite(health["det_lift"]) and health["det_lift"] < 1e-8
 
 
 def _defect_config(ks=(8, 16), flow_steps=8):
@@ -196,7 +215,8 @@ def test_sweeps_report_classical_time_and_flow_health():
     for report in (prop53, defect):
         assert np.isfinite(report.summary["health"]["flow_det_drift"])
     # theorem 1 integrates no flow, so its health is the gate's remainder
-    assert list(theorem1.summary["health"]) == ["holomorphy_defect"]
+    # and the cover-element residuals, without a flow drift
+    assert list(theorem1.summary["health"]) == ["holomorphy_defect", "unitarity", "det_lift"]
     holomorphy_defect = theorem1.summary["health"]["holomorphy_defect"]
     assert np.isfinite(holomorphy_defect)
     assert holomorphy_defect <= propagate.HOLOMORPHY_TOL
@@ -360,6 +380,19 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg.write_text(json.dumps([{"pairs": 3}]))
     assert cli_main(["distance", "--config", str(cfg), "--out", str(out_dir)]) == 2
     assert "JSON object" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_refuses_a_non_string_out_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def sweep(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(harness, "run_distance_tests", sweep)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": 5, "pairs": 2}))
+    out_dir = tmp_path / "out"
+    assert cli_main(["distance", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    assert "out must be a directory path or null, got 5" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

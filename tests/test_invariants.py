@@ -12,19 +12,21 @@ from spherequant import (
     sphere,
 )
 
+import oracles
+
 
 GRID = sphere.build_grid(12, 24)
 
 
 def test_round_curvature_constant_two():
-    s = invariants.scalar_curvature(flow.RoundStructure(), GRID)
+    s = oracles.scalar_curvature(oracles.RoundStructure(), GRID)
     assert np.max(np.abs(s.values - 2.0)) < 1e-6
     assert abs(sphere.integrate(s) - 4 * np.pi) < 1e-6
 
 
 def test_pushforward_curvature_integral():
-    ps = flow.PushforwardStructure(flow.RoundStructure(), ham.height_squared(), 0.6)
-    s = invariants.scalar_curvature(ps, GRID)
+    ps = oracles.PushforwardStructure(oracles.RoundStructure(), ham.height_squared(), 0.6)
+    s = oracles.scalar_curvature(ps, GRID)
     assert abs(sphere.integrate(s) - 4 * np.pi) < 1e-3
 
 
@@ -32,11 +34,11 @@ def test_curvature_equivariance():
     # S(phi_* j) = S(j) o phi^{-1}; with j itself a transported structure
     h1 = ham.coordinate(0, 0.8)
     h2 = ham.height_squared()
-    inner = flow.PushforwardStructure(flow.RoundStructure(), h1, 0.5)
-    outer = flow.PushforwardStructure(inner, h2, 0.4)
-    s_outer = invariants.scalar_curvature_at(outer, GRID.nodes)
+    inner = oracles.PushforwardStructure(oracles.RoundStructure(), h1, 0.5)
+    outer = oracles.PushforwardStructure(inner, h2, 0.4)
+    s_outer = oracles.scalar_curvature_at(outer, GRID.nodes)
     y, _ = flow.transport_backward(h2, GRID.nodes, 0.4, steps=256)
-    s_inner_pulled = invariants.scalar_curvature_at(inner, y)
+    s_inner_pulled = oracles.scalar_curvature_at(inner, y)
     assert np.max(np.abs(s_outer - s_inner_pulled)) < 1e-4
 
 
@@ -49,10 +51,10 @@ def test_round_curvature_pairing_is_zero():
     for h in (ham.height_squared(), ham.time_mixed()):
         pairing = 0.0
         for t, w in zip(ts, ws):
-            j_t = flow.PushforwardStructure(
-                flow.RoundStructure(), h, t, steps_per_unit_time=64
+            j_t = oracles.PushforwardStructure(
+                oracles.RoundStructure(), h, t, steps_per_unit_time=64
             )
-            s = invariants.scalar_curvature_at(j_t, GRID.nodes)
+            s = oracles.scalar_curvature_at(j_t, GRID.nodes)
             values = h.value(GRID.nodes, t)
             values = values - sphere.integrate_values(GRID, values) / sphere.TOTAL_VOLUME
             pairing += w * sphere.integrate_values(GRID, s * values)
@@ -95,7 +97,7 @@ def _backward_disc_term(h, grid, time_samples):
     taus = np.stack(
         [
             siegel.to_upper_half_plane(
-                flow.PushforwardStructure(flow.RoundStructure(), h, t, 256).evaluate(
+                oracles.PushforwardStructure(oracles.RoundStructure(), h, t, 256).evaluate(
                     grid.nodes
                 )
             )
@@ -146,8 +148,8 @@ def test_shelukhin_and_the_holomorphy_probe_use_no_backward_route(monkeypatch):
     def backward(*args, **kwargs):
         raise AssertionError("backward route called")
 
-    for name in ("transport_backward", "PushforwardStructure"):
-        monkeypatch.setattr(flow, name, backward)
+    monkeypatch.setattr(flow, "transport_backward", backward)
+    monkeypatch.setattr(oracles, "PushforwardStructure", backward)
     for h in (ham.height_squared(), ham.time_mixed()):
         assert np.isfinite(invariants.shelukhin(h, GRID, time_samples=8).disc_term)
     propagate.check_holomorphic(ham.coordinate(0))

@@ -109,6 +109,17 @@ def test_lattice_rejects_inconsistent_sum():
         um.LatticeProblem(np.array([0.1, 0.2]), 1.0)
 
 
+def test_lattice_sum_tolerance_is_the_bound_the_check_applies():
+    # about 1.063e-7 rad off a multiple of 2 pi, on either side
+    assert abs(um.LATTICE_SUM_TOL - 1.0628e-7) < 1e-11
+    b = np.array([0.1, 0.2])
+    for sign in (1.0, -1.0):
+        target = b.sum() + 2 * np.pi + sign * um.LATTICE_SUM_TOL
+        um.LatticeProblem(b, target - sign * 1e-10)
+        with pytest.raises(um.LatticeInvariantError):
+            um.LatticeProblem(b, target + sign * 1e-10)
+
+
 def random_cover_element(rng, n):
     u = unitary_group.rvs(n, random_state=rng)
     phase = float(np.angle(np.linalg.det(u))) + 2 * np.pi * int(rng.integers(-2, 3))
