@@ -51,6 +51,8 @@ def main(argv=None):
         config = _load_config(args, args.command)
     except ValueError as exc:  # the message names the offending field
         return _refuse(args.command, exc)
+    except OSError as exc:  # a missing file, a directory, no read permission
+        return _refuse(args.command, f"cannot read config {args.config}: {exc.strerror}")
     # one directory for the report and the toeplitz-dump matrices
     out_dir = config.out or args.out
     if args.command == "theorem1":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -26,6 +27,11 @@ NOISE_FLOOR = 10.0 * ODE_TOLERANCE
 def _is_count(value, least=1):
     """Whether a config value is an integer, not a bool, of at least ``least``."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def _is_finite_real(value):
+    """Whether a config value is a finite real number, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -72,6 +78,13 @@ class ExperimentConfig:
             raise ValueError(f"out must be a directory path or null, got {self.out!r}")
         for name in ("preset", "preset_b"):
             preset, params = getattr(self, name), getattr(self, f"{name}_params")
+            if not isinstance(params, dict):
+                raise ValueError(f"{name}_params must be an object of parameters, got {params!r}")
+            for key, value in params.items():
+                if not _is_finite_real(value):
+                    raise ValueError(
+                        f"{name}_params[{key!r}] must be a finite real number, got {value!r}"
+                    )
             try:
                 hamiltonians.preset(preset, **params)
             except KeyError as exc:

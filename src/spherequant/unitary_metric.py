@@ -4,7 +4,8 @@ The distance between unitaries u, v is max_i |arg lambda_i| over the
 eigenvalues of u^{-1} v, with arg taken in (-pi, pi].  On the universal
 cover, realised as pairs (u, phi) with det u = e^{i phi}, the distance is
 the minimum of max_i |theta_i| over the affine lattice of angle vectors
-theta with e^{i theta_i} = lambda_i and sum theta_i = psi - phi.
+theta with e^{i theta_i} = lambda_i and sum theta_i = psi - phi.  The
+minimum takes a Schur form and one sort (:func:`solve_lattice`).
 """
 
 from __future__ import annotations
@@ -112,56 +113,24 @@ def distance(u: Unitary, v: Unitary) -> float:
     return float(np.max(np.abs(principal_args(lam))))
 
 
-def _feasible(problem: LatticeProblem, radius: float):
-    """Offset bounds per coordinate for |theta_i| <= radius, or None."""
-    b = problem.base_args
-    lo = np.ceil((-radius - b) / TWO_PI - 1e-12).astype(np.int64)
-    hi = np.floor((radius - b) / TWO_PI + 1e-12).astype(np.int64)
-    if np.any(lo > hi):
-        return None
-    k = problem.offset_sum
-    if not (lo.sum() <= k <= hi.sum()):
-        return None
-    return lo, hi
-
-
 def solve_lattice(problem: LatticeProblem):
     """Exact minimiser of max_i |theta_i| over the constrained lattice.
 
-    The optimum radius equals |base_args_i + 2 pi n| for some coordinate,
-    so it is found by scanning the sorted finite candidate set; for each
-    radius feasibility amounts to interval conditions on the integer
-    offsets and their sum.
+    With q, r = divmod(K, N) for K = offset_sum, the offsets n_i = q + 1 on
+    the r smallest base args (a stable sort breaks ties) and n_i = q on the
+    rest attain the minimum.  Two exchanges take any minimiser there, and
+    neither raises the maximum: if n_i >= n_j + 2, then theta_i - theta_j >
+    2 pi, and moving one unit from i to j leaves both new values inside
+    [theta_j, theta_i]; if b_i < b_j and n_i < n_j, swapping their units
+    leaves both inside [theta_i, theta_j].  The first lowers sum n_i^2 and
+    the second the number of inversions, so both stop.
     """
     b = problem.base_args
-    k = problem.offset_sum
-    n_max = abs(k) + b.size + 2
-    offsets = TWO_PI * np.arange(-n_max, n_max + 1)
-    candidates = np.unique(np.abs(b[:, None] + offsets[None, :]))
-
-    lo_idx, hi_idx = 0, candidates.size - 1
-    if _feasible(problem, candidates[hi_idx]) is None:
-        raise LatticeInvariantError("lattice problem is infeasible")
-    # feasibility is monotone in the radius: bisect for the smallest one
-    while lo_idx < hi_idx:
-        mid = (lo_idx + hi_idx) // 2
-        if _feasible(problem, candidates[mid]) is None:
-            lo_idx = mid + 1
-        else:
-            hi_idx = mid
-    radius = float(candidates[lo_idx])
-    lo, hi = _feasible(problem, radius)
-
-    offsets = lo.copy()
-    deficit = k - lo.sum()
-    for i in range(b.size):
-        if deficit == 0:
-            break
-        step = min(deficit, hi[i] - lo[i])
-        offsets[i] += step
-        deficit -= step
+    q, r = divmod(problem.offset_sum, b.size)
+    offsets = np.full(b.size, q)
+    offsets[np.argsort(b, kind="stable")[:r]] += 1
     theta = b + TWO_PI * offsets
-    return radius, theta
+    return float(np.max(np.abs(theta))), theta
 
 
 def _lattice_problem_between(a: UnitaryWithPhase, b: UnitaryWithPhase):

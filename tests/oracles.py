@@ -4,6 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from spherequant import flow, siegel, sphere
+from spherequant.unitary_metric import TWO_PI, LatticeInvariantError, LatticeProblem
 
 
 def rk4_holomorphy(h):
@@ -259,3 +260,60 @@ def spin_representation(k, g):
     a = 2.0 * np.einsum("ij,nji->n", scipy.linalg.logm(g), s)
     vals, vecs = np.linalg.eigh(1j * np.tensordot(a, spin_matrices(k), 1))
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
+# ---------------------------------------------------------------------------
+# the cover-distance lattice problem by a search over radii: the route
+# ``unitary_metric.solve_lattice`` replaced by its closed form
+
+
+def _feasible(problem: LatticeProblem, radius: float):
+    """Offset bounds per coordinate for |theta_i| <= radius, or None."""
+    b = problem.base_args
+    lo = np.ceil((-radius - b) / TWO_PI - 1e-12).astype(np.int64)
+    hi = np.floor((radius - b) / TWO_PI + 1e-12).astype(np.int64)
+    if np.any(lo > hi):
+        return None
+    k = problem.offset_sum
+    if not (lo.sum() <= k <= hi.sum()):
+        return None
+    return lo, hi
+
+
+def bisect_lattice(problem: LatticeProblem):
+    """(radius, theta) minimising max_i |theta_i| over the constrained lattice.
+
+    The optimum radius equals |base_args_i + 2 pi n| for some coordinate,
+    so it is found by scanning the sorted finite candidate set; for each
+    radius feasibility amounts to interval conditions on the integer
+    offsets and their sum.
+    """
+    b = problem.base_args
+    k = problem.offset_sum
+    n_max = abs(k) + b.size + 2
+    offsets = TWO_PI * np.arange(-n_max, n_max + 1)
+    candidates = np.unique(np.abs(b[:, None] + offsets[None, :]))
+
+    lo_idx, hi_idx = 0, candidates.size - 1
+    if _feasible(problem, candidates[hi_idx]) is None:
+        raise LatticeInvariantError("lattice problem is infeasible")
+    # feasibility is monotone in the radius: bisect for the smallest one
+    while lo_idx < hi_idx:
+        mid = (lo_idx + hi_idx) // 2
+        if _feasible(problem, candidates[mid]) is None:
+            lo_idx = mid + 1
+        else:
+            hi_idx = mid
+    radius = float(candidates[lo_idx])
+    lo, hi = _feasible(problem, radius)
+
+    offsets = lo.copy()
+    deficit = k - lo.sum()
+    for i in range(b.size):
+        if deficit == 0:
+            break
+        step = min(deficit, hi[i] - lo[i])
+        offsets[i] += step
+        deficit -= step
+    theta = b + TWO_PI * offsets
+    return radius, theta

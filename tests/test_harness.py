@@ -94,6 +94,14 @@ def test_config_rejects_unknown_preset():
         harness.ExperimentConfig(experiment="defect", preset_params={"c": 0.5})
 
 
+def test_config_rejects_preset_params_that_are_not_finite_reals():
+    for value in (float("nan"), float("inf"), -float("inf"), True, "a"):
+        with pytest.raises(ValueError, match=r"^preset_params\['scale'\] must be a finite real"):
+            harness.ExperimentConfig(experiment="prop53", preset_params={"scale": value})
+        with pytest.raises(ValueError, match=r"^preset_b_params\['scale'\] must be a finite real"):
+            harness.ExperimentConfig(experiment="defect", preset_b_params={"scale": value})
+
+
 def test_config_rejects_an_out_that_is_not_a_path():
     for value in (5, 2.5, True, ["reports"], {"dir": "reports"}):
         with pytest.raises(ValueError, match="^out must be a directory path"):
@@ -380,6 +388,27 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg.write_text(json.dumps([{"pairs": 3}]))
     assert cli_main(["distance", "--config", str(cfg), "--out", str(out_dir)]) == 2
     assert "JSON object" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_refuses_a_config_it_cannot_read(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert cli_main(["distance", "--config", str(path), "--out", str(out_dir)]) == 2
+        assert f"cannot read config {path}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def test_cli_refuses_a_nan_preset_parameter_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def sweep(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(harness, "run_prop53", sweep)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"preset": "height", "preset_params": {"scale": NaN}}')
+    out_dir = tmp_path / "out"
+    assert cli_main(["prop53", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    assert "preset_params['scale'] must be a finite real number, got nan" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

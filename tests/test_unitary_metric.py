@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+import oracles
 from spherequant import unitary_metric as um
 
 
@@ -102,6 +103,27 @@ def test_solve_lattice_matches_brute_force():
         assert abs(theta.sum() - target) < 1e-8
         assert np.max(np.abs((theta - b) / (2 * np.pi) - np.round((theta - b) / (2 * np.pi)))) < 1e-8
         assert abs(np.max(np.abs(theta)) - radius) < 1e-10
+
+
+def test_solve_lattice_matches_the_bisection_oracle_at_workload_sizes():
+    # brute force stops at n = 6; the radius search it checks reaches every
+    # size the sweeps make (n = k + 1 up to 129), ties and arg pi included
+    rng = np.random.default_rng(17)
+    for n in range(2, 130):
+        distinct = rng.uniform(-np.pi, np.pi, size=n)
+        tied = rng.choice(distinct[: max(1, n // 3)], size=n)
+        tied[0] = np.pi
+        for b in (distinct, tied):
+            for k in (-3 * n, int(rng.integers(-3 * n, 3 * n + 1)), 3 * n):
+                target = b.sum() + 2 * np.pi * k
+                problem = um.LatticeProblem(b, target)
+                radius, theta = um.solve_lattice(problem)
+                assert radius == oracles.bisect_lattice(problem)[0]
+                assert np.max(np.abs(theta)) == radius
+                units = (theta - b) / (2 * np.pi)
+                assert np.max(np.abs(units - np.round(units))) < 1e-9
+                assert int(np.round(units).sum()) == k
+                assert abs(theta.sum() - target) < 1e-9 * max(1.0, abs(target))
 
 
 def test_lattice_rejects_inconsistent_sum():
