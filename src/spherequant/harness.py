@@ -154,13 +154,15 @@ def fit_slope(ks, residuals, floor=NOISE_FLOOR, scales=None):
 
     ``scales`` gives the magnitude of the quantities whose difference is
     the residual; points below ``floor * scale`` are relative rounding
-    noise, not signal, and are excluded as well.
+    noise, not signal, and are excluded as well.  A residual or scale that
+    is not finite is no noise floor: it raises ``ValueError``.
     """
     ks = np.asarray(ks, dtype=float)
     r = np.abs(np.asarray(residuals, dtype=float))
-    mask = r > floor
-    if scales is not None:
-        mask &= r > floor * np.abs(np.asarray(scales, dtype=float))
+    s = np.abs(np.asarray(0.0 if scales is None else scales, dtype=float))
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
+        raise ValueError("residuals and scales must be finite")
+    mask = (r > floor) & (r > floor * s)
     if mask.sum() < 2:
         return None
     return float(np.polyfit(np.log(ks[mask]), np.log(r[mask]), 1)[0])

@@ -365,7 +365,7 @@ def check_holomorphic(h):
         # the basis is orthogonal, with Liouville norms 2 pi and 2 pi / 3
         coeffs = (grid.weights * values) @ basis * [1, 3, 3, 3] / sphere.TOTAL_VOLUME
         remainder = values - basis @ coeffs
-        worst = max(worst, float(np.sqrt(grid.weights @ remainder**2)))
+        worst = max(worst, float(np.sqrt(sphere.integrate_values(grid, remainder**2))))
     if worst > HOLOMORPHY_TOL:
         raise HolomorphyError(
             "flow does not preserve the round complex structure "

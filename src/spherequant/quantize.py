@@ -7,8 +7,10 @@ by quadrature on a grid tight enough that polynomial symbols are
 integrated exactly, so the basis Gram matrix is the identity to machine
 precision.
 
-The grid is a product of Gauss-Legendre rings and uniform azimuths, and
-a basis section on ring i is |s_m|(ring i) * e^{i m phi}.  The quadrature
+The grid is a product of Gauss-Legendre rings and uniform azimuths, laid
+out ring by ring by :class:`~spherequant.sphere.SphereGrid` itself, so
+:func:`build_space` reads each ring from its phi = 0 node.  A basis
+section on ring i is |s_m|(ring i) * e^{i m phi}.  The quadrature
 sum therefore factors ring by ring (Driscoll & Healy, Adv. Appl. Math. 15,
 1994): one FFT along phi per ring, then a sum over rings, with the same
 aliasing as the node sum.  The (nodes x (k+1)) node basis is built only
@@ -131,41 +133,15 @@ def sweep_grid(ks):
     return default_grid(max(ks))
 
 
-def _ring_layout(grid):
-    """Chart radius and node weight of each ring; raises unless the nodes
-    run ring by ring, each ring n_phi uniform azimuths from phi = 0."""
-    n_theta, n_phi = grid.n_theta, grid.n_phi
-    ok = grid.nodes.shape == (n_theta * n_phi, 3)
-    if ok:
-        nodes = grid.nodes.reshape(n_theta, n_phi, 3)
-        weights = grid.weights.reshape(n_theta, n_phi)
-        s = nodes[:, :1, 0]
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        ring_major = np.stack(
-            np.broadcast_arrays(s * np.cos(phi), s * np.sin(phi), nodes[:, :1, 2]),
-            axis=-1,
-        )
-        ok = (
-            np.all(s > 0.0)
-            and np.allclose(nodes, ring_major, rtol=0.0, atol=1e-12)
-            and np.allclose(weights, weights[:, :1], rtol=1e-12, atol=0.0)
-        )
-    if not ok:
-        raise ValueError(
-            f"SphereGrid(n_theta={n_theta}, n_phi={n_phi}) with "
-            f"{grid.nodes.shape[0]} nodes does not list them ring by ring "
-            "(n_theta rings of n_phi uniform azimuths from phi = 0)"
-        )
-    radius = np.abs(flow.chart_coords(nodes[:, 0], np.zeros(n_theta, dtype=int)))
-    return radius, weights[:, 0]
-
-
 def build_space(k, grid=None):
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"level k must be a positive integer, got {k!r}")
     if grid is None:
         grid = default_grid(k)
-    radius, weights = _ring_layout(grid)
+    # the grid is ring-major, so each ring's phi = 0 node stands for it
+    n_phi = grid.n_phi
+    radius = np.abs(flow.chart_coords(grid.nodes[::n_phi], np.zeros(grid.n_theta, dtype=int)))
+    weights = grid.weights[::n_phi]
     m = np.arange(k + 1)
     log_rings = (
         m[None, :] * np.log(radius)[:, None]

@@ -45,7 +45,7 @@ class Unitary:
         if m.shape != (n, n):
             raise ValueError("expected a square matrix")
         residual = float(np.max(np.abs(m.conj().T @ m - np.eye(n))))
-        if residual > 1e-10:
+        if not residual <= 1e-10:  # NaN included
             raise ValueError("matrix is not unitary to 1e-10")
         object.__setattr__(self, "unitarity", residual)
 
@@ -64,8 +64,9 @@ class UnitaryWithPhase:
     det_lift: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        residual = float(abs(np.linalg.det(self.u.mat) - np.exp(1j * self.phase)))
-        if residual > 1e-8:
+        with np.errstate(invalid="ignore"):  # an infinite phase gives NaN
+            residual = float(abs(np.linalg.det(self.u.mat) - np.exp(1j * self.phase)))
+        if not residual <= 1e-8:
             raise ValueError("phase is not a lift of arg det u")
         object.__setattr__(self, "det_lift", residual)
 
@@ -85,6 +86,8 @@ class LatticeProblem:
     def __post_init__(self):
         b = np.asarray(self.base_args, dtype=float)
         object.__setattr__(self, "base_args", b)
+        if not (np.all(np.isfinite(b)) and np.isfinite(self.target_sum)):
+            raise LatticeInvariantError("base args and target sum must be finite")
         if np.any(b <= -math.pi - 1e-12) or np.any(b > math.pi + 1e-12):
             raise LatticeInvariantError("base args must lie in (-pi, pi]")
         k = (self.target_sum - b.sum()) / TWO_PI

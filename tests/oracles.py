@@ -163,8 +163,9 @@ def scalar_curvature_at(field, points):
     return (np.linalg.det(m1) - np.linalg.det(m2)) / det**2
 
 
-def scalar_curvature(field, grid) -> sphere.ScalarField:
-    return sphere.ScalarField(scalar_curvature_at(field, grid.nodes), grid)
+def scalar_curvature(field, grid):
+    """Scalar curvature of ``field`` at the nodes of ``grid``."""
+    return scalar_curvature_at(field, grid.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,20 @@ def test_fit_slope_relative_floor_excludes_rounding_noise():
     assert abs(slope - (-1.0)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "residuals, scales",
+    [
+        ([np.nan] * 4, None),
+        ([0.1, 0.05, np.inf, 0.01], None),
+        ([0.1, 0.05, 0.02, 0.01], [1.0, np.nan, 1.0, 1.0]),
+    ],
+)
+def test_fit_slope_refuses_non_finite_residuals(residuals, scales):
+    # a NaN residual is no noise floor: it must not pass a slope rule
+    with pytest.raises(ValueError, match="must be finite"):
+        harness.fit_slope([8, 16, 32, 64], residuals, scales=scales)
+
+
 def test_config_rejects_bad_k_list():
     with pytest.raises(ValueError):
         harness.ExperimentConfig(experiment="defect", ks=(8, 8))

@@ -130,7 +130,7 @@ def test_lambda_prime_is_one():
     # curvature of the round structure
     grid = sphere.build_grid(24, 48)
     s = oracles.scalar_curvature(oracles.RoundStructure(), grid)
-    lam = 0.5 * sphere.integrate(s) / sphere.TOTAL_VOLUME
+    lam = 0.5 * sphere.integrate_values(grid, s) / sphere.TOTAL_VOLUME
     assert abs(lam - quantize.ROUND_LAMBDA_PRIME) < 1e-6
 
 
@@ -262,17 +262,3 @@ def test_compress_matches_dense_quadrature(k, n_theta, n_phi, seed):
     g = rng.normal(size=sp.grid.size) + 1j * rng.normal(size=sp.grid.size)
     dense = sp.weighted_basis.conj().T @ (g[:, None] * sp.basis)
     assert np.max(np.abs(sp.compress(g) - dense)) <= 1e-13 * np.max(np.abs(g))
-
-
-def test_build_space_rejects_nodes_out_of_ring_order():
-    g = sphere.build_grid(6, 12)
-    perm = np.random.default_rng(0).permutation(g.size)
-    shuffled = sphere.SphereGrid(g.nodes[perm], g.weights[perm], g.n_theta, g.n_phi)
-    with pytest.raises(ValueError, match=r"SphereGrid\(n_theta=6, n_phi=12\)"):
-        quantize.build_space(4, shuffled)
-    # whole rings in another order are still ring by ring
-    rings = np.arange(g.size).reshape(6, 12)[::-1].ravel()
-    flipped = sphere.SphereGrid(g.nodes[rings], g.weights[rings], 6, 12)
-    h = ham.height_squared()
-    op = quantize.toeplitz(quantize.build_space(4, flipped), h)
-    assert np.max(np.abs(op - quantize.toeplitz(quantize.build_space(4, g), h))) < 1e-14

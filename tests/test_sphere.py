@@ -35,7 +35,46 @@ def test_scalar_field_rejects_nonfinite():
     values = np.zeros(g.size)
     values[0] = np.nan
     with pytest.raises(ValueError):
-        sphere.ScalarField(values, g)
+        sphere.integrate_values(g, values)
+
+
+def test_grid_is_ring_major_by_construction():
+    # node i * n_phi + j is (s cos phi_j, s sin phi_j, u) on Gauss ring i,
+    # to the last bit, and a ring's nodes share one weight
+    for n_theta, n_phi in [(1, 1), (4, 1), (1, 7), (5, 9), (6, 12), (9, 17), (24, 48)]:
+        g = sphere.SphereGrid(n_theta, n_phi)
+        u = np.polynomial.legendre.leggauss(n_theta)[0][:, None]
+        s, phi = np.sqrt(1.0 - u**2), 2.0 * np.pi * np.arange(n_phi) / n_phi
+        rings = g.nodes.reshape(n_theta, n_phi, 3)
+        assert np.array_equal(rings[..., 0], s * np.cos(phi))
+        assert np.array_equal(rings[..., 1], s * np.sin(phi))
+        assert np.array_equal(rings[..., 2], np.broadcast_to(u, (n_theta, n_phi)))
+        weights = g.weights.reshape(n_theta, n_phi)
+        assert np.array_equal(weights, np.broadcast_to(weights[:, :1], weights.shape))
+    for n_theta, n_phi, name in [
+        (True, 12, "n_theta"),
+        (0, 12, "n_theta"),
+        (2.0, 12, "n_theta"),
+        (3, 4.5, "n_phi"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            sphere.build_grid(n_theta, n_phi)
+    g = sphere.build_grid(6, 12)
+    # nodes and weights follow from the counts; no constructor takes them
+    with pytest.raises(TypeError):
+        sphere.SphereGrid(g.nodes, g.weights, 6, 12)
+    # the holomorphy gate's remainder norm is the one integral, which
+    # refuses NaN instead of admitting the path
+    with pytest.raises(ValueError, match="non-finite"):
+        propagate.check_holomorphic(ham.height_squared(np.nan))
+
+
+def test_integral_rejects_values_off_the_grid():
+    g = sphere.build_grid(4, 8)
+    with pytest.raises(ValueError, match="do not match the grid"):
+        sphere.integrate_values(g, np.zeros(g.size + 1))
+    with pytest.raises(ValueError, match="do not match the grid"):
+        sphere.integrate_values(g, np.zeros((g.size, 1)))
 
 
 def test_calabi_closed_forms():

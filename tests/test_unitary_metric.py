@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import unitary_group
 
 import oracles
-from spherequant import unitary_metric as um
+from spherequant import propagate, unitary_metric as um
 
 
 def random_pair(rng, n):
@@ -129,6 +129,32 @@ def test_solve_lattice_matches_the_bisection_oracle_at_workload_sizes():
 def test_lattice_rejects_inconsistent_sum():
     with pytest.raises(um.LatticeInvariantError):
         um.LatticeProblem(np.array([0.1, 0.2]), 1.0)
+
+
+def test_unitary_refuses_nan():
+    with pytest.raises(ValueError, match="not unitary"):
+        um.Unitary(np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
+def test_cover_element_refuses_a_non_finite_phase(phase):
+    with pytest.raises(ValueError, match="not a lift"):
+        um.UnitaryWithPhase(um.Unitary(np.eye(2)), phase)
+
+
+def test_with_phase_refuses_a_nan_propagation():
+    result = propagate.PropagationResult(unitary=np.full((3, 3), np.nan), phase=np.nan)
+    with pytest.raises(ValueError, match="not unitary"):
+        result.with_phase()
+
+
+@pytest.mark.parametrize(
+    "base_args, target",
+    [([0.1, np.nan], 0.3), ([0.1, 0.2], np.nan), ([0.1, 0.2], np.inf), ([np.inf, 0.2], 0.3)],
+)
+def test_lattice_refuses_non_finite_input(base_args, target):
+    with pytest.raises(um.LatticeInvariantError, match="must be finite"):
+        um.LatticeProblem(np.array(base_args), target)
 
 
 def test_lattice_sum_tolerance_is_the_bound_the_check_applies():
