@@ -176,10 +176,7 @@ def sweep(h, points, times, steps_per_unit_time, jacobian=True):
     most 1/steps_per_unit_time.  For an autonomous h the states at -t are
     the inverse flow maps at t, as :func:`transport_backward` gives them.
     """
-    if not steps_per_unit_time > 0:
-        raise ValueError(
-            f"steps_per_unit_time must be positive, got {steps_per_unit_time!r}"
-        )
+    _check_rate(steps_per_unit_time)
     y = np.asarray(points, dtype=float)
     m = np.broadcast_to(np.eye(3), y.shape[:-1] + (3, 3)) if jacobian else None
     t_prev = 0.0
@@ -201,6 +198,14 @@ def transport_backward(h, points, t, steps, jacobian=True):
     return advance_state(h, points, m, t, 0.0, steps)
 
 
+def _check_rate(steps_per_unit_time):
+    if not steps_per_unit_time > 0:
+        raise ValueError(
+            f"steps_per_unit_time must be positive, got {steps_per_unit_time!r}"
+        )
+
+
 def per_time_steps(steps_per_unit_time, t):
     """RK4 steps of a stand-alone transport over [0, t]: at least 8."""
+    _check_rate(steps_per_unit_time)
     return max(8, int(round(steps_per_unit_time * abs(t))))

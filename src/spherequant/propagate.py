@@ -7,12 +7,14 @@ Hermitian eigendecomposition, so every partial product is exactly
 unitary, and the determinant of each step factor is exp(-i k dt tr A),
 which accumulates the lifted phase without any angle unwrapping.
 
-A polynomial path A(t) = sum_i c_i(t) A_i has every step generator in the
-span of the A_i and their commutators.  When that span is tridiagonal in
-the monomial basis (the rotations x1, x2 with functions of the height
-x3), the commutators are formed once per propagation and each step is
+A path reaches the Magnus integrator as data: :class:`ChartSamples`, a symbol
+sampled at every Gauss time, or the separable groups (c_i, A_i) of a
+polynomial path A(t) = sum_i c_i(t) A_i.  Every step generator of the
+groups is a combination of the A_i and their commutators, which are formed
+once per propagation.  When that span is tridiagonal in the monomial basis
+(the rotations x1, x2 with functions of the height x3), each step is
 diagonalised by a real symmetric tridiagonal solver instead of a dense
-``eigh``; other generators are read per step and take the dense route.
+``eigh``; static groups take one exponential in all.
 """
 
 from __future__ import annotations
@@ -166,66 +168,63 @@ def _separable_steps(groups, gauss, k, dt, sign):
     return coef, np.stack(mats + tuple(commutators))
 
 
-def _magnus(space, generator_fn, steps, sign):
+def _magnus(space, path, steps, sign):
     """Fourth-order Magnus integration on [0, 1] of d/dt u = sign * i k A(t) u
-    from u = I (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).
+    from u = I (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009), over
+    ``steps`` equal steps.  Returns u and its determinant lift, the sum of
+    sign * k dt tr A over the steps.
 
-    ``generator_fn`` gives A(t), read at the two :func:`_gauss_times` of
-    each of ``steps`` equal steps.  Returns u and its determinant lift, the
-    sum of sign * k dt tr A over the steps.
-
-    A generator carrying separable ``groups`` (see
-    :func:`_separable_generator`) whose :func:`_step_band` is at most 1,
-    on a grid with more than k + 1 azimuths, is not read per step: its
-    step generators come from :func:`_separable_steps` and each is
-    exponentiated by :func:`_expi_tridiagonal`.  That is exact up to
+    ``path`` is :class:`ChartSamples`, whose operators are read at the two
+    :func:`_gauss_times` of every step and exponentiated by the dense
+    :func:`_expi`, or the :func:`_groups` of a separable path, whose step
+    generators all come from :func:`_separable_steps`.  Groups whose
+    :func:`_step_band` is at most 1, on a grid with more than k + 1
+    azimuths, take :func:`_expi_tridiagonal`.  That is exact up to
     quadrature rounding: entry (m, n) of a compressed symbol reads its
     azimuthal mode (m - n) mod n_phi, and a symbol of azimuthal degree
     b <= 1 has modes |j| <= 1 only; since |m - n - j| <= k + 1 < n_phi, an
     entry with |m - n| >= 2 meets none of them, so the entries off the
-    band are rounding.  Other generators are read at both Gauss times of
-    every step and go through the dense :func:`_expi`.
+    band are rounding.  Other groups take the dense :func:`_expi`.
     """
     k = space.k
     gauss = _gauss_times(steps)
     dt = 1.0 / steps
     scale = sign * k * dt
-    groups = getattr(generator_fn, "groups", None)
-    if (
-        groups is not None
-        and _step_band([degree for _, _, degree in groups]) <= 1
-        and space.grid.n_phi > k + 1
-    ):
-        coef, mats = _separable_steps(groups, gauss, k, dt, sign)
-        diag = (coef @ np.diagonal(mats, axis1=1, axis2=2)).real
-        upper = coef @ np.diagonal(mats, 1, axis1=1, axis2=2)
-        u = np.eye(space.dim, dtype=complex)
-        for d, e in zip(diag, upper):
-            u = _expi_tridiagonal(d, e, scale, u)
-        return u, scale * float(np.sum(diag))
     u = np.eye(space.dim, dtype=complex)
-    phase = 0.0
-    for t1, t2 in gauss:
-        h_eff = _magnus_effective(generator_fn(t1), generator_fn(t2), k, dt, sign)
-        u = _expi(h_eff, scale) @ u
-        phase += scale * np.trace(h_eff).real
-    return u, phase
+    if isinstance(path, ChartSamples):
+        phase = 0.0
+        for t1, t2 in gauss:
+            a1, a2 = path.operator(space, t1), path.operator(space, t2)
+            h_eff = _magnus_effective(a1, a2, k, dt, sign)
+            u = _expi(h_eff, scale) @ u
+            phase += scale * np.trace(h_eff).real
+        return u, phase
+    coef, mats = _separable_steps(path, gauss, k, dt, sign)
+    diag = (coef @ np.diagonal(mats, axis1=1, axis2=2)).real
+    if _step_band([degree for _, _, degree in path]) <= 1 and space.grid.n_phi > k + 1:
+        for d, e in zip(diag, coef @ np.diagonal(mats, 1, axis1=1, axis2=2)):
+            u = _expi_tridiagonal(d, e, scale, u)
+    else:
+        for c in coef:
+            u = _expi(np.tensordot(c, mats, 1), scale) @ u
+    return u, scale * float(np.sum(diag))
 
 
-def propagate_generic(space, generator_fn, steps):
-    """Fourth-order Magnus propagation of d/dt u = -i k A(t) u on [0, 1].
+def propagate_generic(space, path, steps):
+    """Fourth-order Magnus propagation of d/dt u = -i k A(t) u on [0, 1],
+    for ``path`` as :func:`_magnus` takes it.
 
-    A generator marked ``autonomous`` (see :func:`_separable_generator`)
-    is constant in time, so both Gauss points see the same matrix, the
-    commutator vanishes and the steps multiply to exp(-i k A): one
-    eigendecomposition replaces the loop.
+    Groups that are all static make A constant in time, so both Gauss
+    points see the same matrix, the commutator vanishes and the steps
+    multiply to exp(-i k A): one eigendecomposition replaces the loop.
     """
     k = space.k
-    if getattr(generator_fn, "autonomous", False):
+    if not isinstance(path, ChartSamples) and all(fn is None for fn, _, _ in path):
         _check_steps(steps)
-        a = generator_fn(0.0)
+        zero = np.zeros((space.dim, space.dim), dtype=complex)
+        a = sum((mat for _, mat, _ in path), zero)
         return PropagationResult(unitary=_expi(a, -k), phase=-k * np.trace(a).real)
-    u, phase = _magnus(space, generator_fn, steps, -1.0)
+    u, phase = _magnus(space, path, steps, -1.0)
     return PropagationResult(unitary=u, phase=phase)
 
 
@@ -236,43 +235,28 @@ def _azimuthal_degree(poly):
     return max((term.powers[0] + term.powers[1] for term in poly.terms), default=0)
 
 
-def _separable_generator(space, h, builder):
-    """t -> sum_i c_i(t) A_i over the groups of ``h.separable_terms()``,
-    A_i = builder(space, poly_i).  ``groups`` lists (c_i, A_i, azimuthal
-    degree of poly_i), with c_i None for a static group."""
-    groups = [
+def _groups(space, h, builder):
+    """(c_i, A_i, azimuthal degree of poly_i) over the groups c_i(t) poly_i
+    of ``h.separable_terms()``, A_i = builder(space, poly_i), with c_i None
+    for a static group: the path A(t) = sum_i c_i(t) A_i as data."""
+    return [
         (fn, builder(space, poly), _azimuthal_degree(poly))
         for fn, poly in h.separable_terms()
     ]
 
-    def generator(t):
-        a = np.zeros((space.dim, space.dim), dtype=complex)
-        for fn, mat, _ in groups:
-            a += (1.0 if fn is None else fn(t)) * mat
-        return a
-
-    generator.autonomous = h.autonomous
-    generator.groups = groups
-    return generator
-
-
-def ks_generator(space, h):
-    """Kostant-Souriau generator t -> K(t) of a polynomial path h, or of
-    :class:`ChartSamples` on ``space.grid``."""
-    if isinstance(h, ChartSamples):
-        return lambda t: h.operator(space, t)
-    return _separable_generator(
-        space, h, lambda sp, p: quantize.kostant_souriau(sp, p.value(sp.grid.nodes))
-    )
-
 
 def propagate_toeplitz(space, h, steps):
-    generator = _separable_generator(space, h, quantize.toeplitz)
-    return propagate_generic(space, generator, steps)
+    return propagate_generic(space, _groups(space, h, quantize.toeplitz), steps)
 
 
 def propagate_ks(space, h, steps):
-    return propagate_generic(space, ks_generator(space, h), steps)
+    """Kostant-Souriau propagator of a polynomial path h, or of
+    :class:`ChartSamples` on ``space.grid``."""
+    if not isinstance(h, ChartSamples):
+        h = _groups(
+            space, h, lambda sp, p: quantize.kostant_souriau(sp, p.value(sp.grid.nodes))
+        )
+    return propagate_generic(space, h, steps)
 
 
 def product_samples(f, g, grid, steps, flow_steps=256):
@@ -339,10 +323,9 @@ def xi_path(space, h, steps):
     its :func:`pull_back` samples on ``space.grid`` for the same steps,
     which the levels of a sweep share.
     """
-    pulled = h
     if not isinstance(h, ChartSamples):
-        pulled = pull_back(h, space.grid, steps)
-    x, phase = _magnus(space, ks_generator(space, pulled), steps, 1.0)
+        h = pull_back(h, space.grid, steps)
+    x, phase = _magnus(space, h, steps, 1.0)
     return PropagationResult(unitary=x.conj().T, phase=-phase)
 
 

@@ -60,7 +60,9 @@ def build_grid(n_theta: int = 24, n_phi: int = 48) -> SphereGrid:
 def integrate_values(grid: SphereGrid, values) -> float:
     """Integral against the Liouville measure of the function with the
     given node values: the package's one quadrature sum.  Raises
-    ``ValueError`` unless there is one finite value per node."""
+    ``ValueError`` unless there is one finite real value per node."""
+    if np.iscomplexobj(values):
+        raise ValueError("field has complex values")
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.size,):
         raise ValueError("values do not match the grid")

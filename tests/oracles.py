@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.linalg
 
-from spherequant import flow, siegel, sphere
+from spherequant import flow, propagate, siegel, sphere
 from spherequant.unitary_metric import TWO_PI, LatticeInvariantError, LatticeProblem
 
 
@@ -261,6 +261,44 @@ def spin_representation(k, g):
     a = 2.0 * np.einsum("ij,nji->n", scipy.linalg.logm(g), s)
     vals, vecs = np.linalg.eigh(1j * np.tensordot(a, spin_matrices(k), 1))
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Magnus propagation read per step: the route every time-dependent path took
+# before separable paths reached ``propagate._magnus`` as groups, and the
+# oracle of its tridiagonal and dense group routes
+
+
+def group_generator(groups):
+    """t -> A(t) = sum_i c_i(t) A_i for ``propagate._groups``, summed from a
+    zero matrix in the order of the groups."""
+
+    def generator(t):
+        a = np.zeros(groups[0][1].shape, dtype=complex)
+        for fn, mat, _ in groups:
+            a += (1.0 if fn is None else fn(t)) * mat
+        return a
+
+    return generator
+
+
+def dense_magnus(space, generator, steps, sign):
+    """(u, phase) of the fourth-order Magnus integration of
+    d/dt u = sign * i k A(t) u on [0, 1] with A(t) = generator(t) read at
+    both Gauss times of every step: each step generator is
+    ``propagate._magnus_effective`` of the two readings, exponentiated by
+    the dense ``propagate._expi``, and the phase sums sign * k dt times its
+    trace."""
+    k = space.k
+    dt = 1.0 / steps
+    scale = sign * k * dt
+    u = np.eye(space.dim, dtype=complex)
+    phase = 0.0
+    for t1, t2 in propagate._gauss_times(steps):
+        h_eff = propagate._magnus_effective(generator(t1), generator(t2), k, dt, sign)
+        u = propagate._expi(h_eff, scale) @ u
+        phase += scale * np.trace(h_eff).real
+    return u, phase
 
 
 # ---------------------------------------------------------------------------

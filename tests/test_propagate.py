@@ -19,7 +19,7 @@ def test_autonomous_propagation_matches_expm():
     # a time-independent generator is propagated by one exponential
     k = 16
     sp = quantize.build_space(k)
-    for h in (ham.height(), ham.coordinate(0)):
+    for h in (ham.height(), ham.coordinate(0), ham.Polynomial([])):
         for propagate_fn, op in (
             (propagate.propagate_toeplitz, quantize.toeplitz(sp, h)),
             (
@@ -336,8 +336,8 @@ def _count_routes(monkeypatch):
 
 
 def test_tridiagonal_route_matches_the_dense_oracle(monkeypatch):
-    # a generator without ``groups`` is read per step and exponentiated by
-    # the dense eigh: the oracle of the structured tridiagonal route
+    # oracles.dense_magnus reads A(t) per step and exponentiates by the
+    # dense eigh: the oracle of the structured tridiagonal route
     calls = _count_routes(monkeypatch)
     steps = 32
     grid = quantize.sweep_grid((8, 64))
@@ -345,14 +345,14 @@ def test_tridiagonal_route_matches_the_dense_oracle(monkeypatch):
         space = quantize.build_space(k, grid)
         for name, h in TRIDIAGONAL_PATHS.items():
             for builder in BUILDERS.values():
-                generator = propagate._separable_generator(space, h, builder)
+                groups = propagate._groups(space, h, builder)
                 for sign in (-1.0, 1.0):
                     before = dict(calls)
-                    u, phase = propagate._magnus(space, generator, steps, sign)
+                    u, phase = propagate._magnus(space, groups, steps, sign)
                     assert calls["tridiagonal"] - before["tridiagonal"] == steps, name
                     assert calls["dense"] == before["dense"], name
-                    u_dense, phase_dense = propagate._magnus(
-                        space, lambda t: generator(t), steps, sign
+                    u_dense, phase_dense = oracles.dense_magnus(
+                        space, oracles.group_generator(groups), steps, sign
                     )
                     assert np.max(np.abs(u - u_dense)) <= 1e-12, (name, k)
                     assert abs(phase - phase_dense) <= 1e-12, (name, k)
@@ -377,11 +377,11 @@ def test_discarded_off_band_entries_are_rounding():
         off_band = np.abs(np.subtract.outer(np.arange(k + 1), np.arange(k + 1))) >= 2
         for name, h in TRIDIAGONAL_PATHS.items():
             for builder in BUILDERS.values():
-                generator = propagate._separable_generator(space, h, builder)
-                degrees = [degree for _, _, degree in generator.groups]
+                groups = propagate._groups(space, h, builder)
+                degrees = [degree for _, _, degree in groups]
                 assert propagate._step_band(degrees) <= 1, name
                 coef, mats = propagate._separable_steps(
-                    generator.groups, gauss, k, 1.0 / steps, -1.0
+                    groups, gauss, k, 1.0 / steps, -1.0
                 )
                 for c in coef:
                     step = np.tensordot(c, mats, 1)
@@ -405,6 +405,19 @@ def test_band_two_paths_and_coarse_grids_take_the_dense_route(monkeypatch):
     finer = quantize.build_space(22, sphere.build_grid(20, 24))
     propagate.propagate_toeplitz(finer, ham.time_mixed(), steps=4)
     assert calls == {"dense": 12, "tridiagonal": 4}
+    # the dense route of a band-two path exponentiates the step generators
+    # of the once-formed commutators: the per-step oracle agrees
+    for k in (8, 64):
+        space = quantize.build_space(k)
+        for builder in BUILDERS.values():
+            groups = propagate._groups(space, band_two, builder)
+            for sign in (-1.0, 1.0):
+                u, phase = propagate._magnus(space, groups, 4, sign)
+                u_dense, phase_dense = oracles.dense_magnus(
+                    space, oracles.group_generator(groups), 4, sign
+                )
+                assert np.max(np.abs(u - u_dense)) <= 1e-12, k
+                assert abs(phase - phase_dense) <= 1e-12, k
 
 
 def test_step_generator_from_once_formed_commutators():
@@ -422,11 +435,12 @@ def test_step_generator_from_once_formed_commutators():
     space = quantize.build_space(k)
     gauss = propagate._gauss_times(steps)
     for builder in BUILDERS.values():
-        generator = propagate._separable_generator(space, h, builder)
-        assert len(generator.groups) == 3
-        assert propagate._step_band([degree for _, _, degree in generator.groups]) == 2
+        groups = propagate._groups(space, h, builder)
+        generator = oracles.group_generator(groups)
+        assert len(groups) == 3
+        assert propagate._step_band([degree for _, _, degree in groups]) == 2
         for sign in (-1.0, 1.0):
-            coef, mats = propagate._separable_steps(generator.groups, gauss, k, dt, sign)
+            coef, mats = propagate._separable_steps(groups, gauss, k, dt, sign)
             for c, (t1, t2) in zip(coef, gauss):
                 expected = propagate._magnus_effective(
                     generator(t1), generator(t2), k, dt, sign
@@ -456,7 +470,7 @@ STEPS_ENTRY_POINTS = {
     ],
     "propagate_generic": lambda: [
         lambda steps, h=h: propagate.propagate_generic(
-            _space(), propagate.ks_generator(_space(), h), steps
+            _space(), propagate._groups(_space(), h, BUILDERS["ks"]), steps
         )
         for h in (ham.time_mixed(), ham.height())
     ],

@@ -36,6 +36,9 @@ def test_scalar_field_rejects_nonfinite():
     values[0] = np.nan
     with pytest.raises(ValueError):
         sphere.integrate_values(g, values)
+    # a complex field used to lose its imaginary part with a ComplexWarning
+    with pytest.raises(ValueError, match="field has complex values"):
+        sphere.integrate_values(g, 1j * np.ones(g.size))
 
 
 def test_grid_is_ring_major_by_construction():
