@@ -37,16 +37,17 @@ def chart_of(points):
     return np.where(points[..., 2] >= 0.0, NORTH, SOUTH)
 
 
+def _reflection(chart, shape):
+    """diag(1, f, f) per point, f = -1 in the south chart, which is the north
+    chart of the reflected point; its frames are the north ones reflected back."""
+    north = np.broadcast_to(chart, shape)[..., None] == NORTH
+    return np.where(north, 1.0, [1.0, -1.0, -1.0])
+
+
 def chart_coords(points, chart):
     points = np.asarray(points, dtype=float)
-    chart = np.broadcast_to(chart, points.shape[:-1])
-    num = np.where(
-        chart == NORTH,
-        points[..., 0] + 1j * points[..., 1],
-        points[..., 0] - 1j * points[..., 1],
-    )
-    den = np.where(chart == NORTH, 1.0 + points[..., 2], 1.0 - points[..., 2])
-    return num / den
+    p = points * _reflection(chart, points.shape[:-1])
+    return (p[..., 0] + 1j * p[..., 1]) / (1.0 + p[..., 2])
 
 
 def frames(points, chart):
@@ -56,25 +57,9 @@ def frames(points, chart):
     u, v = z.real, z.imag
     d = 1.0 + u**2 + v**2
     c = np.sqrt(2.0) / d
-    chart = np.broadcast_to(chart, z.shape)
-    north = chart == NORTH
-    e1 = np.stack(
-        [
-            c * (1.0 + v**2 - u**2),
-            np.where(north, -2.0 * c * u * v, 2.0 * c * u * v),
-            np.where(north, -2.0 * c * u, 2.0 * c * u),
-        ],
-        axis=-1,
-    )
-    e2 = np.stack(
-        [
-            -2.0 * c * u * v,
-            np.where(north, c * (1.0 + u**2 - v**2), -c * (1.0 + u**2 - v**2)),
-            np.where(north, -2.0 * c * v, 2.0 * c * v),
-        ],
-        axis=-1,
-    )
-    return np.stack([e1, e2], axis=-1)
+    e1 = np.stack([c * (1.0 + v**2 - u**2), -2.0 * c * u * v, -2.0 * c * u], axis=-1)
+    e2 = np.stack([-2.0 * c * u * v, c * (1.0 + u**2 - v**2), -2.0 * c * v], axis=-1)
+    return np.stack([e1, e2], axis=-1) * _reflection(chart, z.shape)[..., None]
 
 
 def frame_jacobian(m3, x_points, y_points, x_chart=None):
@@ -94,7 +79,7 @@ def frame_jacobian(m3, x_points, y_points, x_chart=None):
 def chart_one_form(vectors, points):
     """dz(X) in the north chart for ambient tangent vectors X."""
     points = np.asarray(points, dtype=float)
-    z = chart_coords(points, np.full(points.shape[:-1], NORTH))
+    z = chart_coords(points, NORTH)
     vectors = np.asarray(vectors, dtype=float)
     return (vectors[..., 0] + 1j * vectors[..., 1] - z * vectors[..., 2]) / (
         1.0 + points[..., 2]

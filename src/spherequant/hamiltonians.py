@@ -8,6 +8,7 @@ flow integration and quantization never rely on interpolated symbols.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -16,9 +17,12 @@ class Monomial:
     """c(t) * x1^p1 * x2^p2 * x3^p3 with a smooth time coefficient."""
 
     def __init__(self, powers, coefficient=1.0, time_fn=None):
-        self.powers = tuple(int(p) for p in powers)
-        if len(self.powers) != 3 or min(self.powers) < 0:
+        powers = tuple(powers)
+        if len(powers) != 3 or not all(
+            isinstance(p, numbers.Integral) and p >= 0 for p in powers
+        ):
             raise ValueError("powers must be three non-negative integers")
+        self.powers = tuple(int(p) for p in powers)
         self.coefficient = float(coefficient)
         self.time_fn = time_fn
 
@@ -27,43 +31,40 @@ class Monomial:
             return self.coefficient
         return self.coefficient * self.time_fn(t)
 
-    def _mono(self, x, powers):
+    def _derivative(self, x, axes=()):
+        """x1^p1 x2^p2 x3^p3 differentiated along ``axes``, each of which
+        multiplies the integer factor by its power and lowers that power by
+        one (the caller keeps every power non-negative); no axes give the monomial."""
+        powers = list(self.powers)
+        factor = 1
+        for axis in axes:
+            factor *= powers[axis]
+            powers[axis] -= 1
         out = np.ones(x.shape[:-1])
         for axis, p in enumerate(powers):
             if p:
                 out = out * x[..., axis] ** p
-        return out
+        return out if factor == 1 else factor * out  # 1 * out has the bits of out
 
     def value(self, x, t=0.0):
         x = np.asarray(x, dtype=float)
-        return self._c(t) * self._mono(x, self.powers)
+        return self._c(t) * self._derivative(x)
 
     def grad(self, x, t=0.0):
         x = np.asarray(x, dtype=float)
         g = np.zeros(x.shape)
         for axis, p in enumerate(self.powers):
             if p:
-                lowered = list(self.powers)
-                lowered[axis] -= 1
-                g[..., axis] = p * self._mono(x, lowered)
+                g[..., axis] = self._derivative(x, (axis,))
         return self._c(t) * g
 
     def hess(self, x, t=0.0):
         x = np.asarray(x, dtype=float)
         h = np.zeros(x.shape[:-1] + (3, 3))
         for i, p in enumerate(self.powers):
-            if not p:
-                continue
             for j, q in enumerate(self.powers):
-                lowered = list(self.powers)
-                lowered[i] -= 1
-                if i == j:
-                    if p - 1:
-                        lowered[i] -= 1
-                        h[..., i, i] = p * (p - 1) * self._mono(x, lowered)
-                elif q:
-                    lowered[j] -= 1
-                    h[..., i, j] = p * q * self._mono(x, lowered)
+                if p and (q > 1 if i == j else q):
+                    h[..., i, j] = self._derivative(x, (i, j))
         return self._c(t) * h
 
 
@@ -78,26 +79,22 @@ class Polynomial:
         """True when no term carries a time dependence."""
         return all(term.time_fn is None for term in self.terms)
 
-    def value(self, x, t=0.0):
+    def _sum(self, derivative, x, t, shape):
+        """Sum over the terms of one Monomial method, of entry shape ``shape``."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
+        out = np.zeros(x.shape[:-1] + shape)
         for term in self.terms:
-            out += term.value(x, t)
+            out += derivative(term, x, t)
         return out
+
+    def value(self, x, t=0.0):
+        return self._sum(Monomial.value, x, t, ())
 
     def grad(self, x, t=0.0):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for term in self.terms:
-            out += term.grad(x, t)
-        return out
+        return self._sum(Monomial.grad, x, t, (3,))
 
     def hess(self, x, t=0.0):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (3, 3))
-        for term in self.terms:
-            out += term.hess(x, t)
-        return out
+        return self._sum(Monomial.hess, x, t, (3, 3))
 
     def separable_terms(self):
         """(time_fn, static Polynomial) pairs, for operator precomputation.

@@ -60,14 +60,14 @@ class ChartSamples:
 
     def operator(self, space, t):
         """Kostant-Souriau operator on ``space`` of the sample at time t."""
-        if space.grid.nodes is not self.grid.nodes:
+        if space.grid != self.grid:
             raise ValueError("chart samples serve only the nodes of their own grid")
         try:
             sample = self.data[t]
         except KeyError:
             raise ValueError(
-                f"no chart sample at t = {t!r}; the samples were taken for "
-                "other Magnus steps"
+                f"chart samples taken for {len(self.data) // 2} Magnus steps "
+                "cannot serve other Magnus steps"
             ) from None
         if isinstance(sample, tuple):
             return quantize.kostant_souriau_from_chart(space, *sample)
@@ -246,6 +246,8 @@ def _groups(space, h, builder):
 
 
 def propagate_toeplitz(space, h, steps):
+    if isinstance(h, ChartSamples):
+        raise ValueError("Toeplitz propagation needs a polynomial path")
     return propagate_generic(space, _groups(space, h, quantize.toeplitz), steps)
 
 

@@ -168,6 +168,10 @@ def test_frames_are_symplectic_in_both_charts():
         # frame vectors are tangent
         assert np.max(np.abs(np.sum(pts * e1, axis=1))) < 1e-12
         assert np.max(np.abs(np.sum(pts * e2, axis=1))) < 1e-12
+    # the south chart is w = 1/z away from the poles
+    away = pts[np.abs(pts[:, 2]) < 0.9]
+    w_z = flow.chart_coords(away, flow.SOUTH) * flow.chart_coords(away, flow.NORTH)
+    assert np.max(np.abs(w_z - 1.0)) < 1e-12
 
 
 def test_chart_points_round_trip():

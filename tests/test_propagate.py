@@ -186,14 +186,25 @@ def test_chart_samples_refuse_other_grids_and_steps():
     pulled = propagate.pull_back(h, space.grid, steps=4)
     with pytest.raises(ValueError, match="other Magnus steps"):
         propagate.xi_path(space, pulled, steps=8)
-    other_grid = quantize.build_space(8, sphere.build_grid(12, 24))
+    other_grid = quantize.build_space(8, sphere.build_grid(10, 20))
     with pytest.raises(ValueError, match="their own grid"):
         propagate.xi_path(other_grid, pulled, steps=4)
+    # an equal grid built separately has the same nodes, bit for bit
+    equal_grid = quantize.build_space(8, sphere.build_grid(12, 24))
+    assert equal_grid.grid is not space.grid
+    a = propagate.xi_path(space, pulled, steps=4)
+    b = propagate.xi_path(equal_grid, pulled, steps=4)
+    assert np.array_equal(a.unitary, b.unitary) and a.phase == b.phase
     samples = propagate.product_samples(
         ham.height_squared(), ham.coordinate(0), space.grid, steps=4, flow_steps=8
     )
     with pytest.raises(ValueError, match="other Magnus steps"):
         propagate.propagate_ks(space, samples, steps=2)
+    # the message names the step count the samples were taken for
+    with pytest.raises(ValueError, match="samples taken for 4 Magnus steps"):
+        propagate.propagate_ks(space, samples, steps=8)
+    with pytest.raises(ValueError, match="needs a polynomial path"):
+        propagate.propagate_toeplitz(space, samples, steps=4)
 
 
 def test_pushforward_unitary_requires_holomorphic_flow():
