@@ -19,11 +19,14 @@ class Monomial:
     def __init__(self, powers, coefficient=1.0, time_fn=None):
         powers = tuple(powers)
         if len(powers) != 3 or not all(
-            isinstance(p, numbers.Integral) and p >= 0 for p in powers
+            isinstance(p, numbers.Integral) and not isinstance(p, bool) and p >= 0
+            for p in powers
         ):
             raise ValueError("powers must be three non-negative integers")
         self.powers = tuple(int(p) for p in powers)
         self.coefficient = float(coefficient)
+        if not math.isfinite(self.coefficient):
+            raise ValueError(f"coefficient must be a finite real number, got {coefficient!r}")
         self.time_fn = time_fn
 
     def _c(self, t):

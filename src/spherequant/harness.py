@@ -168,39 +168,58 @@ def fit_slope(ks, residuals, floor=NOISE_FLOOR, scales=None):
     return float(np.polyfit(np.log(ks[mask]), np.log(r[mask]), 1)[0])
 
 
-def _phase_rows(config, grid, symbol, propagator, cal, term, column):
-    """Det-phase of ``propagator(space, symbol, config.steps)`` at each
-    level k, every space built on ``grid``, against
-    -(k / 2 pi) ((k + lambda') cal + term / 2); the row names the classical
-    term ``column``, and its runtime is that level's quantum work.
-
-    Each level's propagator is validated as a cover element (unitarity and
-    determinant lift), as in :func:`run_defect`.  Returns the rows and the
-    largest ``unitarity`` and ``det_lift`` residuals, for ``health``."""
-    lam = quantize.ROUND_LAMBDA_PRIME
+def _sweep_levels(ks, grid, level):
+    """The quantum stage of a k-sweep: ``level(space)`` at each k, every
+    space built on ``grid``, gives the level's row entries and the cover
+    elements it built.  Each row is ``k``, those entries, then ``runtime``,
+    that level's quantum work.  Returns the rows and the largest
+    ``unitarity`` and ``det_lift`` of the cover elements, for ``health``."""
     rows = []
     unitarity = det_lift = 0.0
-    for k in config.ks:
+    for k in ks:
         t0 = time.perf_counter()
-        space = quantize.build_space(k, grid)
-        result = propagator(space, symbol, config.steps)
-        cover = result.with_phase()
-        unitarity = max(unitarity, cover.u.unitarity)
-        det_lift = max(det_lift, cover.det_lift)
-        predicted = -(k / (2.0 * np.pi)) * ((k + lam) * cal + 0.5 * term)
-        rows.append(
-            {
-                "k": k,
-                "measured": result.phase,
-                "predicted": predicted,
-                "residual": result.phase - predicted,
-                "cal": cal,
-                column: term,
-                "lambda_prime": lam,
-                "runtime": time.perf_counter() - t0,
-            }
-        )
+        entries, covers = level(quantize.build_space(k, grid))
+        rows.append({"k": k, **entries, "runtime": time.perf_counter() - t0})
+        for cover in covers:
+            unitarity = max(unitarity, cover.u.unitarity)
+            det_lift = max(det_lift, cover.det_lift)
     return rows, {"unitarity": unitarity, "det_lift": det_lift}
+
+
+def _phase_level(symbol, propagator, steps, cal, term, column):
+    """Level function of the det-phase sweeps: the phase of
+    ``propagator(space, symbol, steps)`` against
+    -(k / 2 pi) ((k + lambda') cal + term / 2); the row names the classical
+    term ``column``, and the propagator is validated as a cover element."""
+    lam = quantize.ROUND_LAMBDA_PRIME
+
+    def level(space):
+        k = space.k
+        result = propagator(space, symbol, steps)
+        predicted = -(k / (2.0 * np.pi)) * ((k + lam) * cal + 0.5 * term)
+        entries = {
+            "measured": result.phase,
+            "predicted": predicted,
+            "residual": result.phase - predicted,
+            "cal": cal,
+            column: term,
+            "lambda_prime": lam,
+        }
+        return entries, [result.with_phase()]
+
+    return level
+
+
+def _sweep_report(experiment, config, rows, verdict, passed, classical_s, health):
+    """SweepReport of a k-sweep: ``summary`` is the verdict keys, then
+    ``timings.classical_s``, then ``health``."""
+    return SweepReport(
+        experiment=experiment,
+        config=asdict(config),
+        rows=rows,
+        summary={**verdict, "timings": {"classical_s": classical_s}, "health": health},
+        checks_passed=passed,
+    )
 
 
 def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
@@ -219,29 +238,14 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
     holomorphy_defect = propagate.check_holomorphic(h)
     cal = sphere.calabi(h, config.grid())
     classical_s = time.perf_counter() - t0
-    rows, cover_health = _phase_rows(
-        config,
-        quantize.sweep_grid(config.ks),
-        h,
-        propagate.propagate_ks,
-        cal,
-        invariants.HOLOMORPHIC_DISC_TERM + invariants.ROUND_CURVATURE_PAIRING,
-        "sh_total",
-    )
+    term = invariants.HOLOMORPHIC_DISC_TERM + invariants.ROUND_CURVATURE_PAIRING
+    level = _phase_level(h, propagate.propagate_ks, config.steps, cal, term, "sh_total")
+    rows, cover_health = _sweep_levels(config.ks, quantize.sweep_grid(config.ks), level)
     max_residual = max(abs(r["residual"]) for r in rows)
+    verdict = {"max_residual": max_residual, "tolerance": 1e-5}
     passed = max_residual <= 1e-5
-    return SweepReport(
-        experiment="theorem1",
-        config=asdict(config),
-        rows=rows,
-        summary={
-            "max_residual": max_residual,
-            "tolerance": 1e-5,
-            "timings": {"classical_s": classical_s},
-            "health": {"holomorphy_defect": holomorphy_defect, **cover_health},
-        },
-        checks_passed=passed,
-    )
+    health = {"holomorphy_defect": holomorphy_defect, **cover_health}
+    return _sweep_report("theorem1", config, rows, verdict, passed, classical_s, health)
 
 
 def run_prop53(config: ExperimentConfig) -> SweepReport:
@@ -260,77 +264,41 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
     grid = quantize.sweep_grid(config.ks)
     pulled = propagate.pull_back(h, grid, config.steps)
     classical_s = time.perf_counter() - t0
-    rows, cover_health = _phase_rows(
-        config,
-        grid,
-        pulled,
-        propagate.xi_path,
-        cal,
-        invariants.ROUND_CURVATURE_PAIRING,
-        "curvature_pairing",
-    )
-    slope = fit_slope(
-        config.ks,
-        [r["residual"] for r in rows],
-        scales=[r["predicted"] for r in rows],
-    )
+    term = invariants.ROUND_CURVATURE_PAIRING
+    level = _phase_level(pulled, propagate.xi_path, config.steps, cal, term, "curvature_pairing")
+    rows, cover_health = _sweep_levels(config.ks, grid, level)
+    residuals = [r["residual"] for r in rows]
+    slope = fit_slope(config.ks, residuals, scales=[r["predicted"] for r in rows])
+    verdict = {"residual_slope": slope, "slope_bound": 0.2}
     passed = slope is None or slope <= 0.2
-    return SweepReport(
-        experiment="prop53",
-        config=asdict(config),
-        rows=rows,
-        summary={
-            "residual_slope": slope,
-            "slope_bound": 0.2,
-            "timings": {"classical_s": classical_s},
-            "health": {"flow_det_drift": pulled.flow_det_drift, **cover_health},
-        },
-        checks_passed=passed,
-    )
+    health = {"flow_det_drift": pulled.flow_det_drift, **cover_health}
+    return _sweep_report("prop53", config, rows, verdict, passed, classical_s, health)
 
 
 def run_defect(config: ExperimentConfig) -> SweepReport:
     """Homomorphism defect of the quantized paths over a k sweep.
 
     The product path's symbol is sampled once, on the sweep grid, before
-    the levels; each row's runtime is that level's quantum work.
-    ``health`` records the largest unitarity and determinant-lift residuals
-    of the cover elements every level builds."""
+    the levels; each level's cover elements are those
+    :func:`invariants.level_defect` measured the defect from."""
     t0 = time.perf_counter()
     h_a = config.hamiltonian()
     h_b = config.hamiltonian_b()
     grid = quantize.sweep_grid(config.ks)
     product = propagate.product_samples(h_a, h_b, grid, config.steps, config.flow_steps)
     classical_s = time.perf_counter() - t0
-    rows = []
-    unitarity = det_lift = 0.0
-    for k in config.ks:
-        t0 = time.perf_counter()
-        space = quantize.build_space(k, grid)
+
+    def level(space):
         d, covers = invariants.level_defect(space, h_a, h_b, product, config.steps)
-        rows.append({"k": k, "defect": float(d), "runtime": time.perf_counter() - t0})
-        unitarity = max(unitarity, *(c.u.unitarity for c in covers))
-        det_lift = max(det_lift, *(c.det_lift for c in covers))
+        return {"defect": float(d)}, covers
+
+    rows, cover_health = _sweep_levels(config.ks, grid, level)
     values = np.array([r["defect"] for r in rows])
     slope = fit_slope(config.ks, values, floor=1e-6)
+    verdict = {"max_defect": float(np.max(values)), "defect_slope": slope, "slope_bound": 0.2}
     passed = slope is None or slope <= 0.2
-    return SweepReport(
-        experiment="defect",
-        config=asdict(config),
-        rows=rows,
-        summary={
-            "max_defect": float(np.max(values)),
-            "defect_slope": slope,
-            "slope_bound": 0.2,
-            "timings": {"classical_s": classical_s},
-            "health": {
-                "flow_det_drift": product.flow_det_drift,
-                "unitarity": unitarity,
-                "det_lift": det_lift,
-            },
-        },
-        checks_passed=passed,
-    )
+    health = {"flow_det_drift": product.flow_det_drift, **cover_health}
+    return _sweep_report("defect", config, rows, verdict, passed, classical_s, health)
 
 
 # ---------------------------------------------------------------------------
@@ -371,28 +339,33 @@ def brute_force_lattice(base_args, target_sum, span=4):
     return float(radii[best]), theta[best]
 
 
+# every check of :func:`run_distance_tests` and the largest violation it admits
+DISTANCE_TOLERANCES = {
+    "metric_axioms": 1e-10,
+    "norm_bounds": 1e-10,
+    "lattice_vs_brute_force": 1e-8,
+    "cover_bounds": 1e-10,
+    "small_distance_collapse": 1e-9,
+}
+
+
 def run_distance_tests(config: ExperimentConfig) -> SweepReport:
-    """Random-instance checks of the distance formulas and their bounds."""
+    """Random-instance checks of the distance formulas and their bounds,
+    each reported as its largest violation over ``config.pairs`` pairs."""
     rng = np.random.default_rng(config.seed)
-    rows = []
-    worst = {
-        "metric_axioms": 0.0,
-        "norm_bounds": 0.0,
-        "lattice_vs_brute_force": 0.0,
-        "cover_bounds": 0.0,
-        "small_distance_collapse": 0.0,
-    }
-    for i in range(config.pairs):
+    worst = dict.fromkeys(DISTANCE_TOLERANCES, 0.0)
+
+    def record(check, *violations):
+        worst[check] = max(worst[check], *violations)
+
+    for _ in range(config.pairs):
         n = int(rng.integers(2, 9))
         a = random_unitary_with_phase(rng, n)
         b = random_unitary_with_phase(rng, n)
         d = distance(a.u, b.u)
-        sym = abs(d - distance(b.u, a.u))
-        self_d = distance(a.u, a.u)
-        worst["metric_axioms"] = max(worst["metric_axioms"], sym, self_d)
+        record("metric_axioms", abs(d - distance(b.u, a.u)), distance(a.u, a.u))
         gap = np.linalg.norm(a.u.mat - b.u.mat, ord=2)
-        viol = max(gap - d, d - np.pi / 2 * gap, 0.0)
-        worst["norm_bounds"] = max(worst["norm_bounds"], viol)
+        record("norm_bounds", max(gap - d, d - np.pi / 2 * gap, 0.0))
 
         m = int(rng.integers(2, 7))
         am = random_unitary_with_phase(rng, m)
@@ -400,35 +373,23 @@ def run_distance_tests(config: ExperimentConfig) -> SweepReport:
         shift = 2.0 * np.pi * int(rng.integers(-2, 3))
         bm = UnitaryWithPhase(bm.u, bm.phase + shift)
         dc = cover_distance(am, bm)
-        lam = np.linalg.eigvals(bm.u.mat @ am.u.mat.conj().T)
-        base = np.angle(lam)
+        base = np.angle(np.linalg.eigvals(bm.u.mat @ am.u.mat.conj().T))
         ref, _ = brute_force_lattice(base, bm.phase - am.phase)
-        worst["lattice_vs_brute_force"] = max(
-            worst["lattice_vs_brute_force"], abs(dc - ref)
-        )
+        record("lattice_vs_brute_force", abs(dc - ref))
         gap_phase = abs(bm.phase - am.phase)
-        viol = max(gap_phase / m - dc, dc - gap_phase / m - 2 * np.pi, 0.0)
-        worst["cover_bounds"] = max(worst["cover_bounds"], viol)
+        record("cover_bounds", max(gap_phase / m - dc, dc - gap_phase / m - 2 * np.pi, 0.0))
         if dc <= np.pi / (2 * m):
-            worst["small_distance_collapse"] = max(
-                worst["small_distance_collapse"], abs(dc - distance(am.u, bm.u))
-            )
-    for name, value in worst.items():
-        rows.append({"check": name, "pairs": config.pairs, "max_violation": value})
-    tol = {
-        "metric_axioms": 1e-10,
-        "norm_bounds": 1e-10,
-        "lattice_vs_brute_force": 1e-8,
-        "cover_bounds": 1e-10,
-        "small_distance_collapse": 1e-9,
-    }
-    passed = all(worst[name] <= tol[name] for name in worst)
+            record("small_distance_collapse", abs(dc - distance(am.u, bm.u)))
+    rows = [
+        {"check": name, "pairs": config.pairs, "max_violation": value}
+        for name, value in worst.items()
+    ]
     return SweepReport(
         experiment="distance",
         config=asdict(config),
         rows=rows,
-        summary={"worst": worst, "tolerances": tol},
-        checks_passed=passed,
+        summary={"worst": worst, "tolerances": dict(DISTANCE_TOLERANCES)},
+        checks_passed=all(worst[name] <= tol for name, tol in DISTANCE_TOLERANCES.items()),
     )
 
 

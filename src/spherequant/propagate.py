@@ -151,13 +151,18 @@ def _separable_steps(groups, gauss, k, dt, sign):
     [A(t1), A(t2)] = sum_{i<j} (c_i(t1) c_j(t2) - c_j(t1) c_i(t2)) [A_i, A_j],
     so with the commutators formed once, :func:`_magnus_effective` becomes
     sum_i (c_i(t1) + c_i(t2)) / 2 A_i - sign i (sqrt(3) k dt / 12) times
-    that sum.  Returns (coef, mats).
+    that sum.  Returns (coef, mats); raises ``ValueError`` naming the group
+    whose time function is not finite at a Gauss time.
     """
     fns, mats, _ = zip(*groups)
     # c[n, s, i] = c_i at Gauss time s of step n
     c = np.array(
         [[[1.0 if fn is None else fn(t) for fn in fns] for t in pair] for pair in gauss]
     )
+    bad = np.argwhere(~np.isfinite(c))
+    if len(bad):
+        n, s, i = bad[0]
+        raise ValueError(f"the time function of group {i} is {c[n, s, i]} at t = {gauss[n][s]}")
     i, j = np.triu_indices(len(mats), 1)
     cross = c[:, 0, i] * c[:, 1, j] - c[:, 0, j] * c[:, 1, i]
     coef = np.concatenate(

@@ -34,8 +34,8 @@ def test_reparametrized_path_is_the_rescaled_polynomial():
 
 
 def test_monomial_refuses_powers_that_are_not_non_negative_integers():
-    # int() would truncate the first two to x1 and x3
-    for powers in ((1.5, 0, 0), (-0.5, 0, 1), (0, -1, 0), (1, 0), (1, 0, 0, 0)):
+    # int() would truncate the first two to x1 and x3, and read True as 1
+    for powers in ((1.5, 0, 0), (-0.5, 0, 1), (0, -1, 0), (1, 0), (1, 0, 0, 0), (True, 0, 0)):
         with pytest.raises(ValueError, match="powers must be three non-negative integers"):
             ham.Monomial(powers)
     assert ham.Monomial((np.int64(2), 0, 1)).powers == (2, 0, 1)

@@ -248,6 +248,40 @@ def test_sweeps_report_classical_time_and_flow_health():
     assert finer.summary["health"]["flow_det_drift"] <= drift_32 / 10
 
 
+def test_sweep_reports_keep_their_layout():
+    # the CSV columns and the JSON summary follow these key orders, which
+    # tools/workload_digest.py cannot see: it hashes dicts by sorted key
+    def phase_columns(column):
+        return ["k", "measured", "predicted", "residual", "cal", column, "lambda_prime", "runtime"]
+
+    cover = ["unitarity", "det_lift"]
+    layouts = [
+        (
+            harness.run_theorem1_holomorphic(_theorem1_config("x1")),
+            phase_columns("sh_total"),
+            ["max_residual", "tolerance"],
+            ["holomorphy_defect", *cover],
+        ),
+        (
+            harness.run_prop53(_prop53_config()),
+            phase_columns("curvature_pairing"),
+            ["residual_slope", "slope_bound"],
+            ["flow_det_drift", *cover],
+        ),
+        (
+            harness.run_defect(_defect_config()),
+            ["k", "defect", "runtime"],
+            ["max_defect", "defect_slope", "slope_bound"],
+            ["flow_det_drift", *cover],
+        ),
+    ]
+    for report, columns, verdict, health in layouts:
+        assert all(list(row) == columns for row in report.rows)
+        assert list(report.summary) == [*verdict, "timings", "health"]
+        assert list(report.summary["timings"]) == ["classical_s"]
+        assert list(report.summary["health"]) == health
+
+
 def _theorem1_config(preset, **params):
     return harness.ExperimentConfig(
         experiment="theorem1",

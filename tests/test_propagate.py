@@ -504,3 +504,34 @@ def test_entry_points_refuse_steps_that_are_not_positive_integers(entry_point):
         for steps in (0, -3, True, 2.0):
             with pytest.raises(ValueError, match="steps must be a positive integer"):
                 run(steps)
+
+
+def test_a_non_finite_coefficient_is_refused_before_propagation():
+    # a NaN coefficient used to reach the Magnus driver, where eigh died with
+    # LinAlgError: Eigenvalues did not converge
+    space = quantize.build_space(4)
+    for propagate_fn in (propagate.propagate_toeplitz, propagate.propagate_ks):
+        for c in (np.nan, np.inf, -np.inf):
+            for time_fn in (None, ham.sin_pi_t):
+                with pytest.raises(ValueError, match="coefficient must be a finite real number"):
+                    path = ham.Polynomial([ham.Monomial((1, 0, 0), c, time_fn=time_fn)])
+                    propagate_fn(space, path, 4)
+
+
+def test_a_non_finite_time_function_value_names_its_group():
+    # NaN used to surface inside eigh_tridiagonal as "array must not contain
+    # infs or NaNs", naming neither the path nor the group
+    def nan_after_half(t):
+        return np.nan if t > 0.5 else t
+
+    path = ham.Polynomial(
+        [
+            ham.Monomial((0, 0, 2), 1.0, time_fn=ham.identity_t),
+            ham.Monomial((1, 0, 0), 1.0, time_fn=nan_after_half),
+        ]
+    )
+    space = quantize.build_space(4)
+    # the first Gauss time past 1/2 at 4 steps is (2 + 1/2 - sqrt(3)/6) / 4
+    for propagate_fn in (propagate.propagate_toeplitz, propagate.propagate_ks):
+        with pytest.raises(ValueError, match=r"time function of group 1 is nan at t = 0\.5528"):
+            propagate_fn(space, path, 4)

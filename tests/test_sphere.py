@@ -66,9 +66,9 @@ def test_grid_is_ring_major_by_construction():
     # nodes and weights follow from the counts; no constructor takes them
     with pytest.raises(TypeError):
         sphere.SphereGrid(g.nodes, g.weights, 6, 12)
-    # the holomorphy gate's remainder norm is the one integral, which
-    # refuses NaN instead of admitting the path
-    with pytest.raises(ValueError, match="non-finite"):
+    # a NaN coefficient no longer reaches the holomorphy gate, whose
+    # remainder norm is the one integral: its monomial refuses it first
+    with pytest.raises(ValueError, match="coefficient must be a finite real number"):
         propagate.check_holomorphic(ham.height_squared(np.nan))
 
 
