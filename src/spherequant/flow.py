@@ -184,9 +184,9 @@ def transport_backward(h, points, t, steps, jacobian=True):
 
 
 def _check_rate(steps_per_unit_time):
-    if not steps_per_unit_time > 0:
+    if isinstance(steps_per_unit_time, bool) or not 0 < steps_per_unit_time < math.inf:
         raise ValueError(
-            f"steps_per_unit_time must be positive, got {steps_per_unit_time!r}"
+            f"steps_per_unit_time must be positive and finite, got {steps_per_unit_time!r}"
         )
 
 

@@ -13,6 +13,11 @@ import numbers
 import numpy as np
 
 
+def _is_finite_real(value):
+    """Whether a value is a finite real number, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 class Monomial:
     """c(t) * x1^p1 * x2^p2 * x3^p3 with a smooth time coefficient."""
 
@@ -24,15 +29,18 @@ class Monomial:
         ):
             raise ValueError("powers must be three non-negative integers")
         self.powers = tuple(int(p) for p in powers)
-        self.coefficient = float(coefficient)
-        if not math.isfinite(self.coefficient):
+        if not _is_finite_real(coefficient):
             raise ValueError(f"coefficient must be a finite real number, got {coefficient!r}")
+        self.coefficient = float(coefficient)
         self.time_fn = time_fn
 
     def _c(self, t):
         if self.time_fn is None:
             return self.coefficient
-        return self.coefficient * self.time_fn(t)
+        value = self.time_fn(t)
+        if not _is_finite_real(value):
+            raise ValueError(f"the time function is {value!r} at t = {t}, not a finite real")
+        return self.coefficient * value
 
     def _derivative(self, x, axes=()):
         """x1^p1 x2^p2 x3^p3 differentiated along ``axes``, each of which
@@ -128,6 +136,8 @@ def height(scale=1.0):
 
 
 def coordinate(axis, scale=1.0):
+    if isinstance(axis, bool) or not isinstance(axis, numbers.Integral) or not 0 <= axis <= 2:
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
     powers = [0, 0, 0]
     powers[axis] = 1
     return Polynomial([Monomial(tuple(powers), scale)])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -27,11 +26,6 @@ NOISE_FLOOR = 10.0 * ODE_TOLERANCE
 def _is_count(value, least=1):
     """Whether a config value is an integer, not a bool, of at least ``least``."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
-
-
-def _is_finite_real(value):
-    """Whether a config value is a finite real number, not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -81,7 +75,7 @@ class ExperimentConfig:
             if not isinstance(params, dict):
                 raise ValueError(f"{name}_params must be an object of parameters, got {params!r}")
             for key, value in params.items():
-                if not _is_finite_real(value):
+                if not hamiltonians._is_finite_real(value):
                     raise ValueError(
                         f"{name}_params[{key!r}] must be a finite real number, got {value!r}"
                     )
@@ -154,14 +148,16 @@ def fit_slope(ks, residuals, floor=NOISE_FLOOR, scales=None):
 
     ``scales`` gives the magnitude of the quantities whose difference is
     the residual; points below ``floor * scale`` are relative rounding
-    noise, not signal, and are excluded as well.  A residual or scale that
-    is not finite is no noise floor: it raises ``ValueError``.
+    noise, not signal, and are excluded as well.  A non-finite residual or
+    scale (no noise floor) or level, or a level <= 0, raises ``ValueError``.
     """
     ks = np.asarray(ks, dtype=float)
     r = np.abs(np.asarray(residuals, dtype=float))
     s = np.abs(np.asarray(0.0 if scales is None else scales, dtype=float))
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
         raise ValueError("residuals and scales must be finite")
+    if not np.all((ks > 0) & (ks < np.inf)):
+        raise ValueError(f"levels ks must be positive and finite, got {ks}")
     mask = (r > floor) & (r > floor * s)
     if mask.sum() < 2:
         return None
@@ -240,7 +236,7 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
     classical_s = time.perf_counter() - t0
     term = invariants.HOLOMORPHIC_DISC_TERM + invariants.ROUND_CURVATURE_PAIRING
     level = _phase_level(h, propagate.propagate_ks, config.steps, cal, term, "sh_total")
-    rows, cover_health = _sweep_levels(config.ks, quantize.sweep_grid(config.ks), level)
+    rows, cover_health = _sweep_levels(config.ks, quantize.default_grid(max(config.ks)), level)
     max_residual = max(abs(r["residual"]) for r in rows)
     verdict = {"max_residual": max_residual, "tolerance": 1e-5}
     passed = max_residual <= 1e-5
@@ -261,7 +257,7 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
     t0 = time.perf_counter()
     h = config.hamiltonian()
     cal = sphere.calabi(h, config.grid())
-    grid = quantize.sweep_grid(config.ks)
+    grid = quantize.default_grid(max(config.ks))
     pulled = propagate.pull_back(h, grid, config.steps)
     classical_s = time.perf_counter() - t0
     term = invariants.ROUND_CURVATURE_PAIRING
@@ -284,7 +280,7 @@ def run_defect(config: ExperimentConfig) -> SweepReport:
     t0 = time.perf_counter()
     h_a = config.hamiltonian()
     h_b = config.hamiltonian_b()
-    grid = quantize.sweep_grid(config.ks)
+    grid = quantize.default_grid(max(config.ks))
     product = propagate.product_samples(h_a, h_b, grid, config.steps, config.flow_steps)
     classical_s = time.perf_counter() - t0
 

@@ -86,7 +86,7 @@ def shelukhin(h, grid, time_samples=32, flow_steps=256) -> ShelukhinValue:
     The disc term only depends on the underlying path of diffeomorphisms,
     not on the normalization of its generating Hamiltonian.
     """
-    if time_samples < 4 or time_samples % 4:
+    if not isinstance(time_samples, (int, np.integer)) or time_samples < 4 or time_samples % 4:
         raise ValueError(
             f"time_samples must be a positive multiple of 4, got {time_samples!r}"
         )

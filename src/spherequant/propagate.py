@@ -152,14 +152,14 @@ def _separable_steps(groups, gauss, k, dt, sign):
     so with the commutators formed once, :func:`_magnus_effective` becomes
     sum_i (c_i(t1) + c_i(t2)) / 2 A_i - sign i (sqrt(3) k dt / 12) times
     that sum.  Returns (coef, mats); raises ``ValueError`` naming the group
-    whose time function is not finite at a Gauss time.
+    whose time function is not a finite real number at a Gauss time.
     """
     fns, mats, _ = zip(*groups)
     # c[n, s, i] = c_i at Gauss time s of step n
     c = np.array(
         [[[1.0 if fn is None else fn(t) for fn in fns] for t in pair] for pair in gauss]
     )
-    bad = np.argwhere(~np.isfinite(c))
+    bad = np.argwhere(~np.isfinite(c) | (c.imag != 0))
     if len(bad):
         n, s, i = bad[0]
         raise ValueError(f"the time function of group {i} is {c[n, s, i]} at t = {gauss[n][s]}")
@@ -183,13 +183,8 @@ def _magnus(space, path, steps, sign):
     :func:`_gauss_times` of every step and exponentiated by the dense
     :func:`_expi`, or the :func:`_groups` of a separable path, whose step
     generators all come from :func:`_separable_steps`.  Groups whose
-    :func:`_step_band` is at most 1, on a grid with more than k + 1
-    azimuths, take :func:`_expi_tridiagonal`.  That is exact up to
-    quadrature rounding: entry (m, n) of a compressed symbol reads its
-    azimuthal mode (m - n) mod n_phi, and a symbol of azimuthal degree
-    b <= 1 has modes |j| <= 1 only; since |m - n - j| <= k + 1 < n_phi, an
-    entry with |m - n| >= 2 meets none of them, so the entries off the
-    band are rounding.  Other groups take the dense :func:`_expi`.
+    :func:`_step_band` is at most 1 take :func:`_expi_tridiagonal`, exact up to
+    rounding on the exact grids of :func:`_groups`, and others the dense :func:`_expi`.
     """
     k = space.k
     gauss = _gauss_times(steps)
@@ -206,7 +201,7 @@ def _magnus(space, path, steps, sign):
         return u, phase
     coef, mats = _separable_steps(path, gauss, k, dt, sign)
     diag = (coef @ np.diagonal(mats, axis1=1, axis2=2)).real
-    if _step_band([degree for _, _, degree in path]) <= 1 and space.grid.n_phi > k + 1:
+    if _step_band([degree for _, _, degree in path]) <= 1:
         for d, e in zip(diag, coef @ np.diagonal(mats, 1, axis1=1, axis2=2)):
             u = _expi_tridiagonal(d, e, scale, u)
     else:
@@ -233,21 +228,13 @@ def propagate_generic(space, path, steps):
     return PropagationResult(unitary=u, phase=phase)
 
 
-def _azimuthal_degree(poly):
-    """Largest a + b over the monomials x1^a x2^b x3^c of poly: its modes
-    e^{i j phi} have |j| <= a + b, so its quantized operators vanish off
-    the diagonals |m - n| <= a + b."""
-    return max((term.powers[0] + term.powers[1] for term in poly.terms), default=0)
-
-
 def _groups(space, h, builder):
-    """(c_i, A_i, azimuthal degree of poly_i) over the groups c_i(t) poly_i
-    of ``h.separable_terms()``, A_i = builder(space, poly_i), with c_i None
-    for a static group: the path A(t) = sum_i c_i(t) A_i as data."""
-    return [
-        (fn, builder(space, poly), _azimuthal_degree(poly))
-        for fn, poly in h.separable_terms()
-    ]
+    """The path A(t) = sum_i c_i(t) A_i as data: (c_i, A_i, b_i) over the groups c_i(t) poly_i
+    of ``h.separable_terms()``, c_i None when static, A_i = builder(space, poly_i) on a grid
+    exact for poly_i, and b_i its azimuthal degree: A_i vanishes off |m - n| <= b_i."""
+    terms = h.separable_terms()
+    bands = [quantize._certified_band(space, poly) for _, poly in terms]
+    return [(fn, builder(space, poly), b) for (fn, poly), b in zip(terms, bands)]
 
 
 def propagate_toeplitz(space, h, steps):

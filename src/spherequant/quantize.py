@@ -3,9 +3,9 @@
 For the total symplectic volume 2*pi the space at level k has dimension
 k + 1 and a monomial orthogonal basis z^m (m = 0..k) in the north chart,
 with squared norms 2*pi * m! (k-m)! / (k+1)!.  Operators are compressed
-by quadrature on a grid tight enough that polynomial symbols are
-integrated exactly, so the basis Gram matrix is the identity to machine
-precision.
+by quadrature; level k assembles a symbol of degree d and azimuthal degree b
+exactly on (k + d + 2) // 2 rings and k + b + 1 azimuths (:func:`_exact_grid`),
+and assembly from a polynomial refuses a grid that rule does not certify.
 
 The grid is a product of Gauss-Legendre rings and uniform azimuths, laid
 out ring by ring by :class:`~spherequant.sphere.SphereGrid` itself, so
@@ -120,17 +120,33 @@ class QuantumSpace:
         return kappa * np.take(pairs @ self._modes(g), index)
 
 
+def _exact_grid(k, d, b):
+    """(n_theta, n_phi) of a grid on which level k assembles a symbol of degree d and
+    azimuthal degree b exactly: each entry integrates degree k + d and modes |j| <= k + b,
+    and n Gauss rings are exact to degree 2n - 1, n uniform azimuths for |j| < n."""
+    return (k + d + 2) // 2, k + b + 1
+
+
+def _certified_band(space, h):
+    """Azimuthal degree b of the Monomial or Polynomial h; raises ``ValueError``,
+    naming a grid that works, unless :func:`_exact_grid` certifies that of ``space``."""
+    powers = [term.powers for term in getattr(h, "terms", [h])]
+    d = max(map(sum, powers), default=0)
+    b = max((p[0] + p[1] for p in powers), default=0)
+    n_theta, n_phi = _exact_grid(space.k, d, b)
+    grid = space.grid
+    if grid.n_theta < n_theta or grid.n_phi < n_phi:
+        raise ValueError(
+            f"a {grid.n_theta} x {grid.n_phi} grid is not certified exact for level {space.k} "
+            f"of degree {d} and azimuthal degree {b}; a {n_theta} x {n_phi} grid is"
+        )
+    return b
+
+
 def default_grid(k):
-    """Grid exact for Toeplitz entries of polynomial symbols up to
-    moderate degree at level k."""
-    return sphere.build_grid(k // 2 + 8, k + 16)
-
-
-def sweep_grid(ks):
-    """The one grid of a sweep over the levels ks: the default grid of the
-    largest level, on which every level's k-independent classical data is
-    sampled once and every operator is assembled."""
-    return default_grid(max(ks))
+    """The :func:`_exact_grid` of level k at d = b = 15: exact for every symbol
+    of degree and azimuthal degree at most 15."""
+    return sphere.build_grid(*_exact_grid(k, 15, 15))
 
 
 def build_space(k, grid=None):
@@ -154,7 +170,8 @@ def build_space(k, grid=None):
 
 def toeplitz(space, h):
     """Toeplitz operator: compress multiplication by the values of the
-    closed-form Hamiltonian h at t = 0."""
+    closed-form Hamiltonian h at t = 0, on a grid exact for h (:func:`_certified_band`)."""
+    _certified_band(space, h)
     return space.compress(h.value(space.grid.nodes, 0.0))
 
 

@@ -29,7 +29,7 @@ def test_cross_gives_the_bits_of_numpy_cross():
     a, b = rng.normal(size=(2, 50, 3))
     assert np.array_equal(flow._cross(a, b), np.cross(a, b))
     # the 3200 nodes of the sweep grid of levels 8 to 64, with gradients
-    nodes = quantize.sweep_grid((8, 16, 32, 64)).nodes
+    nodes = quantize.default_grid(64).nodes
     grad = ham.time_mixed().grad(nodes, 0.3)
     assert nodes.shape == (3200, 3)
     assert np.array_equal(flow._cross(nodes, grad), np.cross(nodes, grad))

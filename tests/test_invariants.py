@@ -166,14 +166,15 @@ def test_zero_counts_are_refused_at_the_library_boundary():
     # term of 0.0 for any path (2.997 at 8 samples)
     h = ham.height_squared()
     grid = sphere.build_grid(8, 16)
-    for steps in (0, -4):
+    # an infinite rate used to die with OverflowError in math.ceil
+    for steps in (0, -4, np.inf):
         with pytest.raises(ValueError, match="steps_per_unit_time"):
             next(flow.sweep(h, grid.nodes, [0.5, 1.0], steps))
         with pytest.raises(ValueError, match="steps_per_unit_time"):
             invariants.shelukhin(h, grid, time_samples=8, flow_steps=steps)
     # a time-dependent first factor used to take 8 RK4 steps per sample time
     reparametrized = ham.Reparametrized(ham.height(), lambda t: t * t, lambda t: 2.0 * t)
-    for steps in (0, -5):
+    for steps in (0, -5, np.inf):
         with pytest.raises(ValueError, match="steps_per_unit_time must be positive"):
             propagate.product_samples(reparametrized, h, grid, 2, flow_steps=steps)
     for samples in (0, -4, 6):

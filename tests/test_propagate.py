@@ -172,7 +172,7 @@ def test_xi_path_on_the_shared_grid_matches_each_levels_own_grid():
     # the pulled-back samples of the k = 64 grid serve the lower levels;
     # their phases move only by quadrature rounding
     h = ham.time_mixed()
-    grid = quantize.sweep_grid((8, 16, 32, 64))
+    grid = quantize.default_grid(64)
     pulled = propagate.pull_back(h, grid, steps=32)
     for k in (8, 16, 32):
         shared = propagate.xi_path(quantize.build_space(k, grid), pulled, steps=32)
@@ -351,7 +351,7 @@ def test_tridiagonal_route_matches_the_dense_oracle(monkeypatch):
     # dense eigh: the oracle of the structured tridiagonal route
     calls = _count_routes(monkeypatch)
     steps = 32
-    grid = quantize.sweep_grid((8, 64))
+    grid = quantize.default_grid(64)
     for k in (8, 64):
         space = quantize.build_space(k, grid)
         for name, h in TRIDIAGONAL_PATHS.items():
@@ -400,7 +400,7 @@ def test_discarded_off_band_entries_are_rounding():
                     assert np.max(np.abs(step[off_band])) <= 1e-14 * norm, (name, k)
 
 
-def test_band_two_paths_and_coarse_grids_take_the_dense_route(monkeypatch):
+def test_band_two_paths_take_the_dense_route_and_coarse_grids_are_refused(monkeypatch):
     calls = _count_routes(monkeypatch)
     m = ham.Monomial
     band_two = ham.Polynomial(
@@ -409,13 +409,16 @@ def test_band_two_paths_and_coarse_grids_take_the_dense_route(monkeypatch):
     propagate.propagate_toeplitz(quantize.build_space(8), band_two, steps=4)
     propagate.propagate_ks(quantize.build_space(8), band_two, steps=4)
     assert calls == {"dense": 8, "tridiagonal": 0}
-    # n_phi = k + 1: a mode |j| <= 1 may alias into entries off the band
+    # n_phi = k + 1: x1's mode -1 aliases into entry (23, 0), so the grid is
+    # refused before any route runs
     coarse = quantize.build_space(23, sphere.build_grid(20, 24))
-    propagate.propagate_toeplitz(coarse, ham.time_mixed(), steps=4)
-    assert calls == {"dense": 12, "tridiagonal": 0}
+    for propagate_fn in (propagate.propagate_toeplitz, propagate.propagate_ks):
+        with pytest.raises(ValueError, match="a 20 x 24 grid is not certified exact for level 23"):
+            propagate_fn(coarse, ham.time_mixed(), steps=4)
+    assert calls == {"dense": 8, "tridiagonal": 0}
     finer = quantize.build_space(22, sphere.build_grid(20, 24))
     propagate.propagate_toeplitz(finer, ham.time_mixed(), steps=4)
-    assert calls == {"dense": 12, "tridiagonal": 4}
+    assert calls == {"dense": 8, "tridiagonal": 4}
     # the dense route of a band-two path exponentiates the step generators
     # of the once-formed commutators: the per-step oracle agrees
     for k in (8, 64):
@@ -535,3 +538,31 @@ def test_a_non_finite_time_function_value_names_its_group():
     for propagate_fn in (propagate.propagate_toeplitz, propagate.propagate_ks):
         with pytest.raises(ValueError, match=r"time function of group 1 is nan at t = 0\.5528"):
             propagate_fn(space, path, 4)
+    # a complex value used to propagate silently: the tridiagonal route read
+    # the non-Hermitian generator as Hermitian (propagate_ks gave phase -3.333)
+    complex_path = ham.Polynomial(
+        [
+            ham.Monomial((1, 0, 0), 1.0, time_fn=lambda t: 1j * t),
+            ham.Monomial((0, 0, 2), 1.0, time_fn=ham.identity_t),
+        ]
+    )
+    # the first Gauss time is (1/2 - sqrt(3)/6) / 4
+    message = r"time function of group 0 is 0\.0528\d*j at t = 0\.0528"
+    for propagate_fn in (propagate.propagate_toeplitz, propagate.propagate_ks):
+        with pytest.raises(ValueError, match=message):
+            propagate_fn(space, complex_path, 4)
+
+
+def test_a_non_finite_time_function_value_is_refused_on_the_flow_routes():
+    # xi_path used to die in eigh with LinAlgError after RuntimeWarnings, and
+    # product_samples returned NaN samples with a NaN flow_det_drift
+    def nan_after_half(t):
+        return np.nan if t > 0.5 else t
+
+    path = ham.Polynomial([ham.Monomial((1, 0, 0), 1.0, time_fn=nan_after_half)])
+    space = quantize.build_space(4)
+    message = r"the time function is nan at t = 0\.\d+, not a finite real"
+    with pytest.raises(ValueError, match=message):
+        propagate.xi_path(space, path, 4)
+    with pytest.raises(ValueError, match=message):
+        propagate.product_samples(path, ham.height(), space.grid, 4, flow_steps=8)

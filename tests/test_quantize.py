@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import betaln, gammaln
 
-from spherequant import flow, hamiltonians as ham, quantize, sphere
+from spherequant import flow, hamiltonians as ham, propagate, quantize, sphere
 
 import oracles
 
@@ -262,3 +262,78 @@ def test_compress_matches_dense_quadrature(k, n_theta, n_phi, seed):
     g = rng.normal(size=sp.grid.size) + 1j * rng.normal(size=sp.grid.size)
     dense = sp.weighted_basis.conj().T @ (g[:, None] * sp.basis)
     assert np.max(np.abs(sp.compress(g) - dense)) <= 1e-13 * np.max(np.abs(g))
+
+
+def _degree_combinations(nodes, rng, max_degree=15):
+    """(max_degree + 1, nodes) node values: row d is a fixed random unit-scale
+    combination of the monomials of degree exactly d, from power tables."""
+    powers = nodes[None, :, :] ** np.arange(max_degree + 1)[:, None, None]
+    rows = []
+    for d in range(max_degree + 1):
+        monomials = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+        coeffs = rng.normal(size=len(monomials)) / np.sqrt(len(monomials))
+        terms = (
+            c * powers[a, :, 0] * powers[b, :, 1] * powers[e, :, 2]
+            for c, (a, b, e) in zip(coeffs, monomials)
+        )
+        rows.append(sum(terms))
+    return np.array(rows)
+
+
+def test_default_grid_is_exact_for_every_symbol_of_degree_at_most_15():
+    # assembly is linear in the symbol, so a generic combination of the
+    # monomials of each degree stands for all of them; at odd k the grid
+    # used to resolve degree 14 only, and x3^15 at k = 9 came out 2.3e-7 off
+    fine_grid = sphere.build_grid(40, 80)
+    x3_15 = ham.Monomial((0, 0, 15))
+    for k in range(1, 34):
+        sp, fine = quantize.build_space(k), quantize.build_space(k, fine_grid)
+        coarse_rows = _degree_combinations(sp.grid.nodes, np.random.default_rng(k))
+        fine_rows = _degree_combinations(fine_grid.nodes, np.random.default_rng(k))
+        for d, (g, g_fine) in enumerate(zip(coarse_rows, fine_rows)):
+            # toeplitz is the compression of the symbol's node values
+            err_t = np.max(np.abs(sp.compress(g) - fine.compress(g_fine)))
+            err_ks = np.max(
+                np.abs(quantize.kostant_souriau(sp, g) - quantize.kostant_souriau(fine, g_fine))
+            )
+            assert max(err_t, err_ks) <= 1e-12, (k, d, err_t, err_ks)
+        err = np.max(np.abs(quantize.toeplitz(sp, x3_15) - quantize.toeplitz(fine, x3_15)))
+        assert err <= 1e-12, (k, err)
+
+
+def _ks_groups(space, h):
+    return propagate._groups(
+        space, h, lambda sp, p: quantize.kostant_souriau(sp, p.value(sp.grid.nodes))
+    )
+
+
+def test_a_grid_one_ring_or_one_azimuth_below_the_rule_is_refused():
+    # the rule: n_theta >= (k + d + 2) // 2 and n_phi >= k + b + 1.  It is
+    # sufficient, not necessary (some grids below it are exact by parity), so
+    # below it only the refusal is asserted
+    for k in (1, 2, 9, 22, 23):
+        for powers in ((0, 0, 15), (15, 0, 0), (1, 2, 4), (1, 0, 0), (0, 0, 0)):
+            d, b = sum(powers), powers[0] + powers[1]
+            n_theta, n_phi = (k + d + 2) // 2, k + b + 1
+            h = ham.Polynomial([ham.Monomial(powers)])
+            at_rule = quantize.build_space(k, sphere.build_grid(n_theta, n_phi))
+            quantize.toeplitz(at_rule, h)
+            assert [band for _, _, band in _ks_groups(at_rule, h)] == [b]
+            below = [(n_theta, n_phi - 1)] + ([(n_theta - 1, n_phi)] if n_theta > 1 else [])
+            for grid in (sphere.build_grid(*counts) for counts in below):
+                space = quantize.build_space(k, grid)
+                message = (
+                    f"a {grid.n_theta} x {grid.n_phi} grid is not certified exact for level "
+                    f"{k} of degree {d} and azimuthal degree {b}; a {n_theta} x {n_phi} grid is"
+                )
+                for assemble in (quantize.toeplitz, _ks_groups):
+                    with pytest.raises(ValueError, match=message):
+                        assemble(space, h)
+
+
+def test_default_grid_keeps_even_levels_and_adds_a_ring_at_odd_levels():
+    # the rule at d = b = 15 gives the old (k // 2 + 8, k + 16) at even k;
+    # odd k gains the ring that resolves degree 15
+    for k in range(1, 257):
+        grid = quantize.default_grid(k)
+        assert (grid.n_theta, grid.n_phi) == (k // 2 + 8 + k % 2, k + 16), k
