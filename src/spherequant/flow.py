@@ -5,7 +5,11 @@ The Hamiltonian vector field of H for omega = (1/2) dA is X = 2 x on grad H
 trajectories stay on the unit sphere up to integrator error and are
 renormalized each step.  Jacobians are propagated through the variational
 equation in ambient coordinates and reduced to 2x2 matrices in symplectic
-chart frames when complex structures are involved.
+chart frames when complex structures are involved.  The flow of a static
+axial polynomial, a function of x3 alone or an affine function, is a
+rotation about a fixed axis by an angle constant on each trajectory;
+:func:`axial_flow` gives it and its Jacobian in closed form, and RK4
+serves every other path.
 
 Chart conventions: the north chart is z = (x1 + i x2)/(1 + x3), the south
 chart w = (x1 - i x2)/(1 - x3) = 1/z; both are holomorphic, and the frames
@@ -173,6 +177,47 @@ def sweep(h, points, times, steps_per_unit_time, jacobian=True):
             y, m = advance_state(h, y, m, t_prev, t, steps)
             t_prev = t
         yield y, m
+
+
+def axial_flow(h, points, times, jacobian=True):
+    """Flow states (y, M) of h out of ``points`` at each of ``times`` in closed
+    form, as :func:`sweep` approximates them, when h is a static axial
+    polynomial; None for any other path.
+
+    The form is read from the powers alone: every term a power of x3 (axis
+    n = e3), or every term of degree at most 1, h = c + a.x (n = a / |a|; a
+    constant is the identity).  Then grad H is (n . grad H) n, so the field
+    2 x cross grad H is -2 (n . grad H) n cross x, and n . grad H is constant
+    along each trajectory: phi_t rotates x about n by
+    theta(x) = -2 t n . grad H(x), y = R_n(theta) x by Rodrigues' formula, with
+    ambient Jacobian M = R_n(theta) + (n cross y) grad(theta)^T,
+    grad(theta) = -2 t Hess H n.  Returns a list of states; M is None without
+    ``jacobian``.
+    """
+    powers = [term.powers for term in h.terms]
+    if not h.autonomous or not (
+        all(p[:2] == (0, 0) for p in powers) or all(sum(p) <= 1 for p in powers)
+    ):
+        return None
+    x = np.asarray(points, dtype=float)
+    a = h.grad(np.zeros(3))
+    n = np.array([0.0, 0.0, 1.0]) if a[0] == a[1] == 0.0 else a / np.linalg.norm(a)
+    rate = -2.0 * (h.grad(x) @ n)
+    curl = _cross(n, x)
+    along = (x @ n)[..., None] * n
+    if jacobian:
+        n_x = _cross_matrix(n)
+        rate_grad = -2.0 * (h.hess(x) @ n)
+    states = []
+    for t in times:
+        cos, sin = np.cos(t * rate)[..., None], np.sin(t * rate)[..., None]
+        y = cos * x + sin * curl + (1.0 - cos) * along
+        m = None
+        if jacobian:
+            r = np.eye(3) + sin[..., None] * n_x + (1.0 - cos)[..., None] * (n_x @ n_x)
+            m = r + _cross(n, y)[..., :, None] * (t * rate_grad)[..., None, :]
+        states.append((y, m))
+    return states
 
 
 def transport_backward(h, points, t, steps, jacobian=True):

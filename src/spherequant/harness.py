@@ -149,8 +149,12 @@ def fit_slope(ks, residuals, floor=NOISE_FLOOR, scales=None):
     ``scales`` gives the magnitude of the quantities whose difference is
     the residual; points below ``floor * scale`` are relative rounding
     noise, not signal, and are excluded as well.  A non-finite residual or
-    scale (no noise floor) or level, or a level <= 0, raises ``ValueError``.
+    scale (no noise floor) or level, a level <= 0, or a ``floor`` that is
+    not a finite number >= 0 (a NaN floor would drop every point, which
+    reads as exact) raises ``ValueError``.
     """
+    if not (hamiltonians._is_finite_real(floor) and floor >= 0):
+        raise ValueError(f"floor must be a finite number >= 0, got {floor!r}")
     ks = np.asarray(ks, dtype=float)
     r = np.abs(np.asarray(residuals, dtype=float))
     s = np.abs(np.asarray(0.0 if scales is None else scales, dtype=float))

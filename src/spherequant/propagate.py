@@ -258,17 +258,24 @@ def product_samples(f, g, grid, steps, flow_steps=256):
     alpha_t^{-1}, the generator of the product of the paths of f and g
     (alpha the flow of f), at the Gauss times of :func:`propagate_generic`.
 
-    The inverse flow of an autonomous f is its flow at time -t, so one
-    :func:`flow.sweep` at negative times maps the nodes back for every
-    sample; a time-dependent f is transported backward afresh at each
-    time.  Only a 6 x 12 grid's nodes carry the variational equation, for
-    ``flow_det_drift``.
+    The inverse flow of an autonomous f is its flow at time -t.  For a
+    static axial f that flow is a rotation, which :func:`flow.axial_flow`
+    gives in closed form at every negative time, with no RK4 and without
+    reading ``flow_steps`` (which is still validated); for another
+    autonomous f one :func:`flow.sweep` at negative times maps the nodes
+    back for every sample; a time-dependent f is transported backward
+    afresh at each time.  Only a 6 x 12 grid's nodes carry the Jacobian, for
+    ``flow_det_drift``, which reads rounding on the closed-form route.
     """
     nodes = grid.nodes
     sentinel = sphere.build_grid(6, 12).nodes
     times = [t for pair in _gauss_times(steps) for t in pair]
-    if f.autonomous:
-        back = [-t for t in times]
+    back = [-t for t in times]
+    flow._check_rate(flow_steps)
+    inverse = flow.axial_flow(f, nodes, back, jacobian=False)
+    if inverse is not None:
+        [(y, m)] = flow.axial_flow(f, sentinel, back[-1:])
+    elif f.autonomous:
         inverse = flow.sweep(f, nodes, back, flow_steps, jacobian=False)
         *_, (y, m) = flow.sweep(f, sentinel, back, flow_steps)
     else:

@@ -105,7 +105,11 @@ class QuantumSpace:
         return pairs, kappa, index
 
     def _modes(self, g):
-        """Azimuthal modes of node values g: one FFT along phi per ring."""
+        """Azimuthal modes of node values g: one FFT along phi per ring.  Every
+        assembly from node values passes here, so non-finite values raise
+        ``ValueError`` here, before they reach an operator."""
+        if not np.all(np.isfinite(g)):
+            raise ValueError("node values must be finite")
         return np.fft.fft(np.reshape(g, (self.grid.n_theta, self.grid.n_phi)), axis=1)
 
     def compress(self, g):

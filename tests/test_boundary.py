@@ -26,6 +26,13 @@ def _timed(value):
     )
 
 
+def _one_value(value):
+    """Node values of x3 on the grid of ``_space()`` with one node set to ``value``."""
+    values = _space().grid.nodes[:, 2].copy()
+    values[7] = value
+    return values
+
+
 def _cover(phase=0.0, n=2):
     return UnitaryWithPhase(Unitary(np.eye(n)), phase)
 
@@ -83,6 +90,12 @@ CASES = [
         ),
         "20 x 24 grid is not certified exact",
     ),
+    (
+        "kostant-souriau-nan-values",
+        lambda: quantize.kostant_souriau(_space(), np.full(_space().grid.size, NAN)),
+        "node values",
+    ),
+    ("compress-inf-value", lambda: _space().compress(_one_value(INF)), "node values"),
     # propagate
     (
         "toeplitz-steps-nan",
@@ -200,6 +213,9 @@ CASES = [
         lambda: harness.fit_slope(LEVELS, RESIDUALS, scales=[INF] * 4),
         "scales",
     ),
+    ("fit-slope-floor-nan", lambda: harness.fit_slope(LEVELS, RESIDUALS, floor=NAN), "floor"),
+    ("fit-slope-floor-inf", lambda: harness.fit_slope(LEVELS, RESIDUALS, floor=INF), "floor"),
+    ("fit-slope-floor-below-0", lambda: harness.fit_slope(LEVELS, RESIDUALS, floor=-1.0), "floor"),
     ("config-ks-nan", lambda: _config(ks=(8, NAN)), "ks"),
     ("config-ks-bool", lambda: _config(ks=(True, 8)), "ks"),
     ("config-ks-zero", lambda: _config(ks=(0, 8)), "ks"),
