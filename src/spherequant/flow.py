@@ -8,8 +8,8 @@ equation in ambient coordinates and reduced to 2x2 matrices in symplectic
 chart frames when complex structures are involved.  The flow of a static
 axial polynomial, a function of x3 alone or an affine function, is a
 rotation about a fixed axis by an angle constant on each trajectory;
-:func:`axial_flow` gives it and its Jacobian in closed form, and RK4
-serves every other path.
+:func:`axial_flow` gives its points in closed form, and RK4 serves every
+other path.
 
 Chart conventions: the north chart is z = (x1 + i x2)/(1 + x3), the south
 chart w = (x1 - i x2)/(1 - x3) = 1/z; both are holomorphic, and the frames
@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .hamiltonians import _is_finite_real
 
 # flow does not call geodesic_matrices; perfbench/selftest.py asserts that
 # tracing rebinds this imported copy
@@ -179,8 +181,8 @@ def sweep(h, points, times, steps_per_unit_time, jacobian=True):
         yield y, m
 
 
-def axial_flow(h, points, times, jacobian=True):
-    """Flow states (y, M) of h out of ``points`` at each of ``times`` in closed
+def axial_flow(h, points, times):
+    """Points of the flow of h out of ``points`` at each of ``times`` in closed
     form, as :func:`sweep` approximates them, when h is a static axial
     polynomial; None for any other path.
 
@@ -189,10 +191,9 @@ def axial_flow(h, points, times, jacobian=True):
     constant is the identity).  Then grad H is (n . grad H) n, so the field
     2 x cross grad H is -2 (n . grad H) n cross x, and n . grad H is constant
     along each trajectory: phi_t rotates x about n by
-    theta(x) = -2 t n . grad H(x), y = R_n(theta) x by Rodrigues' formula, with
-    ambient Jacobian M = R_n(theta) + (n cross y) grad(theta)^T,
-    grad(theta) = -2 t Hess H n.  Returns a list of states; M is None without
-    ``jacobian``.
+    theta(x) = -2 t n . grad H(x), y = R_n(theta) x by Rodrigues' formula.
+    Returns a list of point arrays and forms no Jacobian: the map is a
+    Hamiltonian flow, so it preserves area exactly.
     """
     powers = [term.powers for term in h.terms]
     if not h.autonomous or not (
@@ -205,18 +206,10 @@ def axial_flow(h, points, times, jacobian=True):
     rate = -2.0 * (h.grad(x) @ n)
     curl = _cross(n, x)
     along = (x @ n)[..., None] * n
-    if jacobian:
-        n_x = _cross_matrix(n)
-        rate_grad = -2.0 * (h.hess(x) @ n)
     states = []
     for t in times:
         cos, sin = np.cos(t * rate)[..., None], np.sin(t * rate)[..., None]
-        y = cos * x + sin * curl + (1.0 - cos) * along
-        m = None
-        if jacobian:
-            r = np.eye(3) + sin[..., None] * n_x + (1.0 - cos)[..., None] * (n_x @ n_x)
-            m = r + _cross(n, y)[..., :, None] * (t * rate_grad)[..., None, :]
-        states.append((y, m))
+        states.append(cos * x + sin * curl + (1.0 - cos) * along)
     return states
 
 
@@ -229,7 +222,7 @@ def transport_backward(h, points, t, steps, jacobian=True):
 
 
 def _check_rate(steps_per_unit_time):
-    if isinstance(steps_per_unit_time, bool) or not 0 < steps_per_unit_time < math.inf:
+    if not (_is_finite_real(steps_per_unit_time) and steps_per_unit_time > 0):
         raise ValueError(
             f"steps_per_unit_time must be positive and finite, got {steps_per_unit_time!r}"
         )

@@ -36,6 +36,7 @@ class ExperimentConfig:
     preset_b: str = "x1"
     preset_b_params: dict = field(default_factory=dict)
     ks: tuple = (8, 16, 32, 64)
+    # validated, but read by nothing: every sweep integrates on its own exact grid
     grid_theta: int = 24
     grid_phi: int = 48
     steps: int = 128
@@ -108,9 +109,6 @@ class ExperimentConfig:
     def hamiltonian_b(self):
         return hamiltonians.preset(self.preset_b, **self.preset_b_params)
 
-    def grid(self):
-        return sphere.build_grid(self.grid_theta, self.grid_phi)
-
 
 @dataclass
 class SweepReport:
@@ -148,16 +146,19 @@ def fit_slope(ks, residuals, floor=NOISE_FLOOR, scales=None):
 
     ``scales`` gives the magnitude of the quantities whose difference is
     the residual; points below ``floor * scale`` are relative rounding
-    noise, not signal, and are excluded as well.  A non-finite residual or
-    scale (no noise floor) or level, a level <= 0, or a ``floor`` that is
-    not a finite number >= 0 (a NaN floor would drop every point, which
-    reads as exact) raises ``ValueError``.
+    noise, not signal, and are excluded as well.  Arrays that are not 1-D
+    of one length, a non-finite residual or scale (no noise floor) or level,
+    a level <= 0, or a ``floor`` that is not a finite number >= 0 (a NaN
+    floor would drop every point, which reads as exact) raise ``ValueError``.
     """
     if not (hamiltonians._is_finite_real(floor) and floor >= 0):
         raise ValueError(f"floor must be a finite number >= 0, got {floor!r}")
     ks = np.asarray(ks, dtype=float)
     r = np.abs(np.asarray(residuals, dtype=float))
-    s = np.abs(np.asarray(0.0 if scales is None else scales, dtype=float))
+    s = np.zeros(ks.shape) if scales is None else np.abs(np.asarray(scales, dtype=float))
+    if ks.ndim != 1 or not ks.shape == r.shape == s.shape:
+        shapes = (ks.shape, r.shape, s.shape)
+        raise ValueError(f"ks, residuals and scales must be 1-D of one length, got {shapes}")
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
         raise ValueError("residuals and scales must be finite")
     if not np.all((ks > 0) & (ks < np.inf)):
@@ -236,11 +237,12 @@ def run_theorem1_holomorphic(config: ExperimentConfig) -> SweepReport:
     t0 = time.perf_counter()
     h = config.hamiltonian()
     holomorphy_defect = propagate.check_holomorphic(h)
-    cal = sphere.calabi(h, config.grid())
+    grid = quantize.default_grid(max(config.ks))
+    cal = sphere.calabi(h, grid)
     classical_s = time.perf_counter() - t0
     term = invariants.HOLOMORPHIC_DISC_TERM + invariants.ROUND_CURVATURE_PAIRING
     level = _phase_level(h, propagate.propagate_ks, config.steps, cal, term, "sh_total")
-    rows, cover_health = _sweep_levels(config.ks, quantize.default_grid(max(config.ks)), level)
+    rows, cover_health = _sweep_levels(config.ks, grid, level)
     max_residual = max(abs(r["residual"]) for r in rows)
     verdict = {"max_residual": max_residual, "tolerance": 1e-5}
     passed = max_residual <= 1e-5
@@ -260,8 +262,8 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
     records its det drift and the largest cover-element residuals."""
     t0 = time.perf_counter()
     h = config.hamiltonian()
-    cal = sphere.calabi(h, config.grid())
     grid = quantize.default_grid(max(config.ks))
+    cal = sphere.calabi(h, grid)
     pulled = propagate.pull_back(h, grid, config.steps)
     classical_s = time.perf_counter() - t0
     term = invariants.ROUND_CURVATURE_PAIRING

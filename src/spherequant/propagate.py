@@ -261,32 +261,32 @@ def product_samples(f, g, grid, steps, flow_steps=256):
     The inverse flow of an autonomous f is its flow at time -t.  For a
     static axial f that flow is a rotation, which :func:`flow.axial_flow`
     gives in closed form at every negative time, with no RK4 and without
-    reading ``flow_steps`` (which is still validated); for another
-    autonomous f one :func:`flow.sweep` at negative times maps the nodes
-    back for every sample; a time-dependent f is transported backward
-    afresh at each time.  Only a 6 x 12 grid's nodes carry the Jacobian, for
-    ``flow_det_drift``, which reads rounding on the closed-form route.
+    reading ``flow_steps`` (which is still validated), and ``flow_det_drift``
+    is 0.0 because a Hamiltonian flow preserves area.  For another autonomous
+    f one :func:`flow.sweep` at negative times maps the nodes back for every
+    sample; a time-dependent f is transported backward afresh at each time.
+    On these RK4 routes a 6 x 12 grid's nodes carry the Jacobian, for the drift.
     """
     nodes = grid.nodes
-    sentinel = sphere.build_grid(6, 12).nodes
     times = [t for pair in _gauss_times(steps) for t in pair]
     back = [-t for t in times]
     flow._check_rate(flow_steps)
-    inverse = flow.axial_flow(f, nodes, back, jacobian=False)
-    if inverse is not None:
-        [(y, m)] = flow.axial_flow(f, sentinel, back[-1:])
-    elif f.autonomous:
-        inverse = flow.sweep(f, nodes, back, flow_steps, jacobian=False)
-        *_, (y, m) = flow.sweep(f, sentinel, back, flow_steps)
-    else:
-        counts = [flow.per_time_steps(flow_steps, t) for t in times]
-        inverse = (
-            flow.transport_backward(f, nodes, t, n, jacobian=False)
-            for t, n in zip(times, counts)
-        )
-        y, m = flow.transport_backward(f, sentinel, times[-1], counts[-1])
-    drift = flow.jacobian_det_drift(flow.frame_jacobian(m, sentinel, y))
-    data = {t: f.value(nodes, t) + g.value(x, t) for t, (x, _) in zip(times, inverse)}
+    inverse = flow.axial_flow(f, nodes, back)
+    drift = 0.0
+    if inverse is None:
+        sentinel = sphere.build_grid(6, 12).nodes
+        if f.autonomous:
+            inverse = (y for y, _ in flow.sweep(f, nodes, back, flow_steps, jacobian=False))
+            *_, (y, m) = flow.sweep(f, sentinel, back, flow_steps)
+        else:
+            counts = [flow.per_time_steps(flow_steps, t) for t in times]
+            inverse = (
+                flow.transport_backward(f, nodes, t, n, jacobian=False)[0]
+                for t, n in zip(times, counts)
+            )
+            y, m = flow.transport_backward(f, sentinel, times[-1], counts[-1])
+        drift = flow.jacobian_det_drift(flow.frame_jacobian(m, sentinel, y))
+    data = {t: f.value(nodes, t) + g.value(x, t) for t, x in zip(times, inverse)}
     return ChartSamples(grid, data, drift)
 
 
@@ -338,12 +338,13 @@ def check_holomorphic(h):
     every phi_t is holomorphic when each static polynomial of
     ``h.separable_terms()`` is affine on the sphere.  That is sufficient,
     not necessary: groups with dependent time functions may cancel.  A
-    degree-d term is projected exactly on ``build_grid(d + 2, 2d + 4)``.
+    degree-d term is projected on ``quantize._exact_grid(0, D, D)``, D = max(2d, 2),
+    exact for its products with the affine basis and its squared remainder.
     """
     worst = 0.0
     for _, poly in h.separable_terms():
-        d = max(sum(term.powers) for term in poly.terms)
-        grid = sphere.build_grid(d + 2, 2 * d + 4)
+        degree = max(2 * max(sum(term.powers) for term in poly.terms), 2)
+        grid = sphere.build_grid(*quantize._exact_grid(0, degree, degree))
         basis = np.column_stack([np.ones(grid.size), grid.nodes])
         values = poly.value(grid.nodes)
         # the basis is orthogonal, with Liouville norms 2 pi and 2 pi / 3

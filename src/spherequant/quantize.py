@@ -203,7 +203,10 @@ def kostant_souriau(space, values):
     K_mn = (m+n+2 - 2mn/k) C[g] - (mn/k) C[g/u] - ((k-m)(k-n)/k) C[g u].
     Each pole's factor meets only products bounded there, so no large terms
     cancel, and u is constant on each ring, so the three C share one FFT.
+    Complex ``values`` raise ``ValueError``: a symbol is real.
     """
+    if np.iscomplexobj(values):
+        raise ValueError("node values of a Kostant-Souriau symbol must be real")
     u = np.abs(space.z[:: space.grid.n_phi]) ** 2
     pairs, kappa, index = space._ring_pairs
     # (re, im) interleaved, so the ring sums are real matrix products

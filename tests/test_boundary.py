@@ -9,7 +9,7 @@ silent result fails.
 import numpy as np
 import pytest
 
-from spherequant import hamiltonians as ham, harness, invariants, propagate, quantize, sphere
+from spherequant import flow, hamiltonians as ham, harness, invariants, propagate, quantize, sphere
 from spherequant.unitary_metric import Unitary, UnitaryWithPhase, cover_distance
 
 NAN, INF = float("nan"), float("inf")
@@ -96,6 +96,18 @@ CASES = [
         "node values",
     ),
     ("compress-inf-value", lambda: _space().compress(_one_value(INF)), "node values"),
+    (
+        "kostant-souriau-complex-values",
+        lambda: quantize.kostant_souriau(_space(), np.full(_space().grid.size, 1j)),
+        "node values",
+    ),
+    # flow
+    (
+        "sweep-rate-str",
+        lambda: list(flow.sweep(ham.time_mixed(), GRID.nodes, [0.5], "8")),
+        "steps_per_unit_time",
+    ),
+    ("per-time-steps-rate-none", lambda: flow.per_time_steps(None, 0.5), "steps_per_unit_time"),
     # propagate
     (
         "toeplitz-steps-nan",
@@ -136,6 +148,11 @@ CASES = [
         "steps_per_unit_time",
     ),
     (
+        "product-flow-steps-complex",
+        lambda: propagate.product_samples(ham.time_mixed(), ham.coordinate(0), GRID, 2, 1j),
+        "steps_per_unit_time",
+    ),
+    (
         "product-steps-nan",
         lambda: propagate.product_samples(ham.height(), ham.coordinate(0), GRID, NAN),
         "steps",
@@ -161,6 +178,11 @@ CASES = [
     (
         "shelukhin-flow-steps-bool",
         lambda: invariants.shelukhin(ham.height(), GRID, 8, True),
+        "steps_per_unit_time",
+    ),
+    (
+        "shelukhin-flow-steps-str",
+        lambda: invariants.shelukhin(ham.height(), GRID, 8, "32"),
         "steps_per_unit_time",
     ),
     (
@@ -216,6 +238,21 @@ CASES = [
     ("fit-slope-floor-nan", lambda: harness.fit_slope(LEVELS, RESIDUALS, floor=NAN), "floor"),
     ("fit-slope-floor-inf", lambda: harness.fit_slope(LEVELS, RESIDUALS, floor=INF), "floor"),
     ("fit-slope-floor-below-0", lambda: harness.fit_slope(LEVELS, RESIDUALS, floor=-1.0), "floor"),
+    (
+        "fit-slope-residuals-short",
+        lambda: harness.fit_slope([8, 16, 32], [0.1, 0.2]),
+        "ks, residuals and scales must be 1-D",
+    ),
+    (
+        "fit-slope-scales-short",
+        lambda: harness.fit_slope(LEVELS, RESIDUALS, scales=[1.0, 1.0]),
+        "ks, residuals and scales must be 1-D",
+    ),
+    (
+        "fit-slope-2d",
+        lambda: harness.fit_slope([LEVELS, LEVELS], [RESIDUALS, RESIDUALS]),
+        "ks, residuals and scales must be 1-D",
+    ),
     ("config-ks-nan", lambda: _config(ks=(8, NAN)), "ks"),
     ("config-ks-bool", lambda: _config(ks=(True, 8)), "ks"),
     ("config-ks-zero", lambda: _config(ks=(0, 8)), "ks"),

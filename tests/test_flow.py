@@ -175,12 +175,9 @@ def test_axial_flow_matches_the_rk4_sweep():
     nodes = quantize.default_grid(64).nodes[::17]
     for name, h in AXIAL_PATHS.items():
         for t in (-0.97, 0.97):
-            ((y, m),) = flow.axial_flow(h, nodes, [t])
-            ((y_rk4, m_rk4),) = flow.sweep(h, nodes, [t], 1024)
+            (y,) = flow.axial_flow(h, nodes, [t])
+            ((y_rk4, _),) = flow.sweep(h, nodes, [t], 1024, jacobian=False)
             assert np.max(np.abs(y - y_rk4)) < 1e-9, name
-            assert np.max(np.abs(m - m_rk4)) < 1e-9, name
-            ((y_only, m_only),) = flow.axial_flow(h, nodes, [t], jacobian=False)
-            assert m_only is None and np.array_equal(y_only, y), name
 
 
 def test_axial_flow_is_none_for_paths_that_are_not_static_and_axial():

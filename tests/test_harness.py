@@ -181,6 +181,28 @@ def test_phase_sweeps_record_unitarity_and_det_lift():
         assert np.isfinite(health["det_lift"]) and health["det_lift"] < 1e-8
 
 
+def _without_runtime(rows):
+    return [{key: value for key, value in row.items() if key != "runtime"} for row in rows]
+
+
+def test_phase_sweeps_read_calabi_on_the_sweep_grid():
+    # grid_theta and grid_phi are validated but read by nothing: Cal is
+    # integrated on the sweep grid, which is exact for every preset, so a
+    # 1 x 2 grid, on which the integral of x3^2 reads 0, changes no bit
+    for sweep, config in (
+        (harness.run_prop53, _prop53_config()),
+        (harness.run_theorem1_holomorphic, _theorem1_config("tilted-height")),
+    ):
+        rows = {}
+        for n_theta, n_phi in ((1, 2), (24, 48)):
+            config.grid_theta, config.grid_phi = n_theta, n_phi
+            rows[n_theta] = _without_runtime(sweep(config).rows)
+        assert rows[1] == rows[24], config.experiment
+        if config.preset == "time-mixed":
+            # Cal = int_0^1 t dt * int x3^2 = (1 / 2)(2 pi / 3)
+            assert all(abs(row["cal"] - np.pi / 3) < 1e-13 for row in rows[1])
+
+
 def _defect_config(ks=(8, 16), flow_steps=8, preset="height-squared"):
     return harness.ExperimentConfig(
         experiment="defect",
@@ -249,8 +271,8 @@ def test_sweeps_report_classical_time_and_flow_health():
     assert holomorphy_defect <= propagate.HOLOMORPHY_TOL
     # recorded, not raised: the drift of 32 flow steps falls with the step
     # on a time-mixed first factor, and the closed-form flow of the static
-    # axial height-squared reads rounding
-    assert defect.summary["health"]["flow_det_drift"] <= 1e-13
+    # axial height-squared is a rotation, whose drift is 0 by identity
+    assert defect.summary["health"]["flow_det_drift"] == 0.0
     health = {
         n: harness.run_defect(_defect_config(flow_steps=n, preset="time-mixed")).summary["health"]
         for n in (32, 128)

@@ -224,6 +224,18 @@ def test_pushforward_unitary_requires_holomorphic_flow():
     assert issubclass(propagate.HolomorphyError, ValueError)
 
 
+def test_holomorphy_gate_reads_the_sphere_not_the_ambient_polynomial():
+    # x1^2 + x2^2 + x3^2 is the constant 1 on the sphere, which the exact
+    # grid of the gate sees; x3^2 alone is not affine there, and its
+    # remainder x3^2 - 1/3 has L2 norm sqrt(8 pi / 45), integrated exactly
+    squares = ham.Polynomial([ham.Monomial(p) for p in ((2, 0, 0), (0, 2, 0), (0, 0, 2))])
+    assert propagate.check_holomorphic(squares) <= 1e-15
+    with pytest.raises(propagate.HolomorphyError, match="remainder 7.47e-01"):
+        propagate.check_holomorphic(ham.Polynomial([ham.Monomial((0, 0, 2))]))
+    small = propagate.check_holomorphic(ham.Polynomial([ham.Monomial((0, 0, 2), 1e-7)]))
+    assert abs(small - 1e-7 * np.sqrt(8.0 * np.pi / 45.0)) <= 1e-20
+
+
 def _verdict(h):
     try:
         propagate.check_holomorphic(h)
