@@ -229,6 +229,8 @@ def _check_rate(steps_per_unit_time):
 
 
 def per_time_steps(steps_per_unit_time, t):
-    """RK4 steps of a stand-alone transport over [0, t]: at least 8."""
+    """RK4 steps of a stand-alone transport over [0, t], a finite real: at least 8."""
     _check_rate(steps_per_unit_time)
+    if not _is_finite_real(t):
+        raise ValueError(f"t must be a finite real number, got {t!r}")
     return max(8, int(round(steps_per_unit_time * abs(t))))

@@ -147,12 +147,16 @@ def fit_slope(ks, residuals, floor=NOISE_FLOOR, scales=None):
     ``scales`` gives the magnitude of the quantities whose difference is
     the residual; points below ``floor * scale`` are relative rounding
     noise, not signal, and are excluded as well.  Arrays that are not 1-D
-    of one length, a non-finite residual or scale (no noise floor) or level,
-    a level <= 0, or a ``floor`` that is not a finite number >= 0 (a NaN
-    floor would drop every point, which reads as exact) raise ``ValueError``.
+    of one length, complex ones, a non-finite residual or scale (no noise
+    floor) or level, a level <= 0, or a ``floor`` that is not a finite number
+    >= 0 (a NaN floor would drop every point, which reads as exact) raise
+    ``ValueError``.
     """
     if not (hamiltonians._is_finite_real(floor) and floor >= 0):
         raise ValueError(f"floor must be a finite number >= 0, got {floor!r}")
+    for name, values in (("ks", ks), ("residuals", residuals), ("scales", scales)):
+        if np.iscomplexobj(values):
+            raise ValueError(f"{name} must be real, got {values!r}")
     ks = np.asarray(ks, dtype=float)
     r = np.abs(np.asarray(residuals, dtype=float))
     s = np.zeros(ks.shape) if scales is None else np.abs(np.asarray(scales, dtype=float))

@@ -11,10 +11,10 @@ A path reaches the Magnus integrator as data: :class:`ChartSamples`, a symbol
 sampled at every Gauss time, or the separable groups (c_i, A_i) of a
 polynomial path A(t) = sum_i c_i(t) A_i.  Every step generator of the
 groups is a combination of the A_i and their commutators, which are formed
-once per propagation.  When that span is tridiagonal in the monomial basis
-(the rotations x1, x2 with functions of the height x3), each step is
-diagonalised by a real symmetric tridiagonal solver instead of a dense
-``eigh``; static groups take one exponential in all.
+once per propagation, and exponentiated by the band the powers certify:
+elementwise when diagonal (functions of the height x3), by a real symmetric
+tridiagonal solver when tridiagonal (the rotations x1, x2 with functions of
+x3), else by a dense ``eigh``; static groups take one exponential in all.
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ def _expi_tridiagonal(d, e, scale, u):
     scipy's default symmetric tridiagonal driver (divide and conquer,
     ``?stevd``, where scipy offers it; MRRR, ``?stemr``, before), and
     u <- D Q exp(i scale lam) Q^T D* u runs as two real matrix products on
-    the (re, im) interleaved u.
+    the (re, im) interleaved u.  :func:`_expi_steps` checks d and e finite.
     """
     delta = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(e)))))
-    vals, q = scipy.linalg.eigh_tridiagonal(d, np.abs(e))
+    vals, q = scipy.linalg.eigh_tridiagonal(d, np.abs(e), check_finite=False)
     v = (q.T @ (delta.conj()[:, None] * u).view(float)).view(complex)
     v *= np.exp(1j * scale * vals)[:, None]
     return delta[:, None] * (q @ v.view(float)).view(complex)
@@ -173,6 +173,29 @@ def _separable_steps(groups, gauss, k, dt, sign):
     return coef, np.stack(mats + tuple(commutators))
 
 
+def _expi_steps(coef, mats, band, scale):
+    """exp(i scale G_last) ... exp(i scale G_0) and scale * sum_n tr G_n for the Hermitian
+    step generators G_n = coef[n] @ mats, which vanish off |m - n| <= band.  Band 0 is
+    diagonal, so commuting: the elementwise exponential of the summed diagonals.  Band 1
+    takes :func:`_expi_tridiagonal` per step.  Both first check every step's diagonals
+    finite, once (``ValueError``); wider bands take the dense :func:`_expi`."""
+    diag = (coef @ np.diagonal(mats, axis1=1, axis2=2)).real
+    phase = scale * float(np.sum(diag))
+    u = np.eye(mats.shape[-1], dtype=complex)
+    if band >= 2:
+        for c in coef:
+            u = _expi(np.tensordot(c, mats, 1), scale) @ u
+        return u, phase
+    off = coef @ np.diagonal(mats, 1, axis1=1, axis2=2)
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise ValueError(f"the band-{band} step generators are not finite")
+    if band == 0:
+        return np.diag(np.exp(1j * scale * diag.sum(axis=0))), phase
+    for d, e in zip(diag, off):
+        u = _expi_tridiagonal(d, e, scale, u)
+    return u, phase
+
+
 def _magnus(space, path, steps, sign):
     """Fourth-order Magnus integration on [0, 1] of d/dt u = sign * i k A(t) u
     from u = I (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009), over
@@ -182,16 +205,16 @@ def _magnus(space, path, steps, sign):
     ``path`` is :class:`ChartSamples`, whose operators are read at the two
     :func:`_gauss_times` of every step and exponentiated by the dense
     :func:`_expi`, or the :func:`_groups` of a separable path, whose step
-    generators all come from :func:`_separable_steps`.  Groups whose
-    :func:`_step_band` is at most 1 take :func:`_expi_tridiagonal`, exact up to
-    rounding on the exact grids of :func:`_groups`, and others the dense :func:`_expi`.
+    generators all come from :func:`_separable_steps` and are exponentiated
+    by :func:`_expi_steps` at their :func:`_step_band`, exact up to rounding
+    on the exact grids of :func:`_groups`.
     """
     k = space.k
     gauss = _gauss_times(steps)
     dt = 1.0 / steps
     scale = sign * k * dt
-    u = np.eye(space.dim, dtype=complex)
     if isinstance(path, ChartSamples):
+        u = np.eye(space.dim, dtype=complex)
         phase = 0.0
         for t1, t2 in gauss:
             a1, a2 = path.operator(space, t1), path.operator(space, t2)
@@ -200,14 +223,7 @@ def _magnus(space, path, steps, sign):
             phase += scale * np.trace(h_eff).real
         return u, phase
     coef, mats = _separable_steps(path, gauss, k, dt, sign)
-    diag = (coef @ np.diagonal(mats, axis1=1, axis2=2)).real
-    if _step_band([degree for _, _, degree in path]) <= 1:
-        for d, e in zip(diag, coef @ np.diagonal(mats, 1, axis1=1, axis2=2)):
-            u = _expi_tridiagonal(d, e, scale, u)
-    else:
-        for c in coef:
-            u = _expi(np.tensordot(c, mats, 1), scale) @ u
-    return u, scale * float(np.sum(diag))
+    return _expi_steps(coef, mats, _step_band([degree for _, _, degree in path]), scale)
 
 
 def propagate_generic(space, path, steps):
@@ -216,14 +232,14 @@ def propagate_generic(space, path, steps):
 
     Groups that are all static make A constant in time, so both Gauss
     points see the same matrix, the commutator vanishes and the steps
-    multiply to exp(-i k A): one eigendecomposition replaces the loop.
+    multiply to exp(-i k A): one :func:`_expi_steps` at the groups' band does.
     """
-    k = space.k
     if not isinstance(path, ChartSamples) and all(fn is None for fn, _, _ in path):
         _check_steps(steps)
-        zero = np.zeros((space.dim, space.dim), dtype=complex)
-        a = sum((mat for _, mat, _ in path), zero)
-        return PropagationResult(unitary=_expi(a, -k), phase=-k * np.trace(a).real)
+        a = sum((mat for _, mat, _ in path), np.zeros((space.dim, space.dim), dtype=complex))
+        band = max((degree for _, _, degree in path), default=0)
+        u, phase = _expi_steps(np.ones((1, 1)), a[None], band, -space.k)
+        return PropagationResult(unitary=u, phase=phase)
     u, phase = _magnus(space, path, steps, -1.0)
     return PropagationResult(unitary=u, phase=phase)
 

@@ -19,12 +19,12 @@ on request.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import flow, sphere
 
@@ -34,11 +34,11 @@ ROUND_LAMBDA_PRIME = 1.0
 
 
 def _log_norms(k):
-    """log N_m = log(2 pi) + lgamma(m+1) + lgamma(k-m+1) - lgamma(k+2)."""
+    """log N_m = log(2 pi) + lgamma(m+1) + lgamma(k-m+1) - lgamma(k+2), from a
+    table t[j] = lgamma(j+1) of ``math.lgamma``, so no ``scipy.special`` import."""
+    t = np.array([math.lgamma(j) for j in range(1, k + 3)])
     m = np.arange(k + 1)
-    return (
-        np.log(2.0 * np.pi) + gammaln(m + 1.0) + gammaln(k - m + 1.0) - gammaln(k + 2.0)
-    )
+    return np.log(2.0 * np.pi) + t[m] + t[k - m] - t[k + 1]
 
 
 @dataclass(frozen=True)

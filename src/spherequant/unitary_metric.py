@@ -5,7 +5,7 @@ eigenvalues of u^{-1} v, with arg taken in (-pi, pi].  On the universal
 cover, realised as pairs (u, phi) with det u = e^{i phi}, the distance is
 the minimum of max_i |theta_i| over the affine lattice of angle vectors
 theta with e^{i theta_i} = lambda_i and sum theta_i = psi - phi.  The
-minimum takes a Schur form and one sort (:func:`solve_lattice`).
+minimum takes the eigenvalues and one sort (:func:`solve_lattice`).
 """
 
 from __future__ import annotations
@@ -136,20 +136,18 @@ def solve_lattice(problem: LatticeProblem):
     return float(np.max(np.abs(theta))), theta
 
 
-def _lattice_problem_between(a: UnitaryWithPhase, b: UnitaryWithPhase):
+def _relative(a: UnitaryWithPhase, b: UnitaryWithPhase):
+    """b.u a.u^H, whose eigenvalues the cover distance from a to b reads."""
     if a.dim != b.dim:
         raise DimensionMismatchError("elements of different sizes")
-    w = b.u.mat @ a.u.mat.conj().T
-    # Schur form of a normal matrix: diagonal with orthonormal eigenbasis
-    t, vecs = scipy.linalg.schur(w, output="complex")
-    args = principal_args(np.diag(t))
-    return LatticeProblem(args, b.phase - a.phase), vecs
+    return b.u.mat @ a.u.mat.conj().T
 
 
 def cover_distance(a: UnitaryWithPhase, b: UnitaryWithPhase) -> float:
-    """Operator-norm geodesic distance on the universal cover of U(N)."""
-    problem, _ = _lattice_problem_between(a, b)
-    radius, _ = solve_lattice(problem)
+    """Operator-norm geodesic distance on the universal cover of U(N), from the
+    eigenvalues of b.u a.u^H alone, read as :func:`distance` reads them."""
+    lam = np.linalg.eigvals(_relative(a, b))
+    radius, _ = solve_lattice(LatticeProblem(principal_args(lam), b.phase - a.phase))
     return radius
 
 
@@ -159,8 +157,10 @@ def minimizing_curve(a: UnitaryWithPhase, b: UnitaryWithPhase) -> np.ndarray:
     The curve t -> (e^{itH} a.u, a.phase + t tr H) is a minimizing geodesic
     from a to b.
     """
-    problem, vecs = _lattice_problem_between(a, b)
-    _, theta = solve_lattice(problem)
+    # Schur form of a normal matrix: diagonal with orthonormal eigenbasis,
+    # which only the curve needs
+    t, vecs = scipy.linalg.schur(_relative(a, b), output="complex")
+    _, theta = solve_lattice(LatticeProblem(principal_args(np.diag(t)), b.phase - a.phase))
     h = (vecs * theta) @ vecs.conj().T
     return 0.5 * (h + h.conj().T)
 

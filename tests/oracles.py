@@ -4,7 +4,14 @@ import numpy as np
 import scipy.linalg
 
 from spherequant import flow, propagate, siegel, sphere
-from spherequant.unitary_metric import TWO_PI, LatticeInvariantError, LatticeProblem
+from spherequant.unitary_metric import (
+    TWO_PI,
+    DimensionMismatchError,
+    LatticeInvariantError,
+    LatticeProblem,
+    principal_args,
+    solve_lattice,
+)
 
 
 def rk4_holomorphy(h):
@@ -356,3 +363,19 @@ def bisect_lattice(problem: LatticeProblem):
         deficit -= step
     theta = b + TWO_PI * offsets
     return radius, theta
+
+
+# ---------------------------------------------------------------------------
+# the cover distance read from a Schur form: the route
+# ``unitary_metric.cover_distance`` took before it read the eigenvalues alone
+
+
+def schur_cover_distance(a, b):
+    """Cover distance from a to b by the diagonal of the complex Schur form of
+    b.u a.u^H, a normal matrix, whose vectors the radius never reads."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError("elements of different sizes")
+    w = b.u.mat @ a.u.mat.conj().T
+    t, _ = scipy.linalg.schur(w, output="complex")
+    radius, _ = solve_lattice(LatticeProblem(principal_args(np.diag(t)), b.phase - a.phase))
+    return radius

@@ -108,6 +108,11 @@ CASES = [
         "steps_per_unit_time",
     ),
     ("per-time-steps-rate-none", lambda: flow.per_time_steps(None, 0.5), "steps_per_unit_time"),
+    ("per-time-steps-t-nan", lambda: flow.per_time_steps(8, NAN), "t must be a finite real"),
+    ("per-time-steps-t-inf", lambda: flow.per_time_steps(8, INF), "t must be a finite real"),
+    ("per-time-steps-t-minus-inf", lambda: flow.per_time_steps(8, -INF), "t must be a finite real"),
+    ("per-time-steps-t-str", lambda: flow.per_time_steps(8, "1"), "t must be a finite real"),
+    ("per-time-steps-t-bool", lambda: flow.per_time_steps(8, True), "t must be a finite real"),
     # propagate
     (
         "toeplitz-steps-nan",
@@ -235,6 +240,13 @@ CASES = [
         lambda: harness.fit_slope(LEVELS, RESIDUALS, scales=[INF] * 4),
         "scales",
     ),
+    ("fit-slope-residuals-complex", lambda: harness.fit_slope([8, 16], [1j, 2j]), "residuals"),
+    (
+        "fit-slope-scales-complex",
+        lambda: harness.fit_slope(LEVELS, RESIDUALS, scales=[1j] * 4),
+        "scales",
+    ),
+    ("fit-slope-ks-complex", lambda: harness.fit_slope([8j, 16j], [0.1, 0.05]), "ks"),
     ("fit-slope-floor-nan", lambda: harness.fit_slope(LEVELS, RESIDUALS, floor=NAN), "floor"),
     ("fit-slope-floor-inf", lambda: harness.fit_slope(LEVELS, RESIDUALS, floor=INF), "floor"),
     ("fit-slope-floor-below-0", lambda: harness.fit_slope(LEVELS, RESIDUALS, floor=-1.0), "floor"),

@@ -446,6 +446,90 @@ def test_band_two_paths_take_the_dense_route_and_coarse_grids_are_refused(monkey
                 assert abs(phase - phase_dense) <= 1e-12, k
 
 
+STATIC_PRESETS = ("constant", "height", "x1", "x2", "tilted-height", "height-squared")
+PROPAGATORS = {
+    "toeplitz": propagate.propagate_toeplitz,
+    "ks": propagate.propagate_ks,
+}
+
+
+def test_static_band_routes_match_the_dense_exponential():
+    # a static path has no commutators, so its band is its largest azimuthal
+    # degree: band 0 is exponentiated elementwise and band 1 by the
+    # tridiagonal solver, and both agree with the dense eigh of exp(-i k A)
+    for k in (*range(1, 34), 128):
+        space = quantize.build_space(k)
+        for name in STATIC_PRESETS:
+            h = ham.preset(name)
+            for builder_name, propagate_fn in PROPAGATORS.items():
+                res = propagate_fn(space, h, 4)
+                op = BUILDERS[builder_name](space, h)
+                assert np.max(np.abs(res.unitary - propagate._expi(op, -k))) <= 1e-12, (name, k)
+                # the phase sums k d_m, so its rounding is relative to k sum |d_m|
+                scale = max(1.0, k * np.sum(np.abs(np.diag(op))))
+                assert abs(res.phase + k * np.trace(op).real) <= 1e-12 * scale, (name, k)
+
+
+def test_static_paths_run_the_eigensolve_of_their_band(monkeypatch):
+    calls = _count_routes(monkeypatch)
+    space = quantize.build_space(16)
+    for propagate_fn in PROPAGATORS.values():
+        for name in ("constant", "height-squared", "tilted-height"):
+            propagate_fn(space, ham.preset(name), 8)
+        assert calls == {"dense": 0, "tridiagonal": 0}
+    for propagate_fn in PROPAGATORS.values():
+        before = calls["tridiagonal"]
+        propagate_fn(space, ham.preset("x1"), 8)
+        assert calls["tridiagonal"] - before == 1
+    assert calls["dense"] == 0
+
+
+def test_time_dependent_band_zero_path_matches_the_dense_oracle(monkeypatch):
+    # t x3^2 + sin(pi t) x3 / 2 + c: diagonal step generators commute, so the steps multiply
+    # elementwise and no step runs an eigensolve
+    calls = _count_routes(monkeypatch)
+    h = ham.Polynomial(
+        [
+            ham.Monomial((0, 0, 2), 1.0, time_fn=ham.identity_t),
+            ham.Monomial((0, 0, 1), 0.5, time_fn=ham.sin_pi_t),
+            ham.Monomial((0, 0, 0), 0.3),
+        ]
+    )
+    for k in (8, 64):
+        space = quantize.build_space(k)
+        for builder in BUILDERS.values():
+            groups = propagate._groups(space, h, builder)
+            assert propagate._step_band([degree for _, _, degree in groups]) == 0
+            for sign in (-1.0, 1.0):
+                before = dict(calls)
+                u, phase = propagate._magnus(space, groups, 16, sign)
+                assert calls == before
+                u_dense, phase_dense = oracles.dense_magnus(
+                    space, oracles.group_generator(groups), 16, sign
+                )
+                assert np.max(np.abs(u - u_dense)) <= 1e-12, k
+                assert abs(phase - phase_dense) <= 1e-12, k
+
+
+def test_non_finite_step_generators_are_refused_on_the_band_routes():
+    # the finiteness of every step is checked once per propagation, before
+    # the tridiagonal solver, which skips its own per-step check
+    space = quantize.build_space(4)
+    for powers, band in (((1, 0, 0), 1), ((0, 0, 1), 0)):
+        message = f"band-{band} step generators are not finite"
+        mats = np.stack([BUILDERS["ks"](space, ham.Polynomial([ham.Monomial(powers)]))])
+        mats[0, 2 - band, 2] = np.nan  # a diagonal or superdiagonal entry
+        with pytest.raises(ValueError, match=message):
+            propagate._expi_steps(np.ones((3, 1)), mats, band, -1.0)
+        # 0.5 (c(t1) + c(t2)) overflows to inf for c = 1e308
+        path = ham.Polynomial([ham.Monomial(powers, 1.0, time_fn=lambda t: 1e308)])
+        for propagate_fn in PROPAGATORS.values():
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match=message) as info:
+                    propagate_fn(space, path, 4)
+            assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
 def test_step_generator_from_once_formed_commutators():
     # three groups: sin(pi t) x1, t x3^2 and a static x2
     m = ham.Monomial

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,29 @@ def test_monomial_norms_against_direct_quadrature():
             gammaln(m + 1) + gammaln(k - m + 1) - gammaln(k + 2)
         )
         assert abs(2 * np.pi * val - 2 * np.pi * closed) < 1e-12
+
+
+def test_log_norms_from_the_lgamma_table_match_gammaln():
+    # quantize reads math.lgamma from a table; scipy's gammaln is the oracle.
+    # Terms up to lgamma(k + 2) cancel (log N_0 = log(2 pi / (k + 1))), so the
+    # rounding is relative to that largest term, not to the value
+    for k in range(1, 513):
+        m = np.arange(k + 1)
+        expected = np.log(2.0 * np.pi) + gammaln(m + 1.0) + gammaln(k - m + 1.0) - gammaln(k + 2.0)
+        error = np.abs(quantize._log_norms(k) - expected) / max(1.0, gammaln(k + 2.0))
+        assert np.max(error) <= 1e-13, k
+
+
+def test_cold_start_imports_no_scipy_special():
+    # a fresh interpreter: this test module's own scipy.special import does
+    # not count, only what importing the command line loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, spherequant.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_toeplitz_height_is_exact_diagonal():

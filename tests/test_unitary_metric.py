@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import unitary_group
 
 import oracles
-from spherequant import propagate, unitary_metric as um
+from spherequant import hamiltonians as ham, propagate, quantize, unitary_metric as um
 
 
 def random_pair(rng, n):
@@ -206,6 +206,30 @@ def test_cover_distance_collapses_to_base_distance_when_small():
             hits += 1
             assert abs(d_cover - um.distance(a.u, b.u)) < 1e-9
     assert hits > 50
+
+
+def test_cover_distance_from_eigenvalues_matches_the_schur_oracle():
+    # cover_distance reads eigvals alone; the Schur form it replaced is the
+    # oracle, at every size the sweeps make (N = k + 1 up to 129)
+    rng = np.random.default_rng(18)
+    for n in range(2, 130):
+        a = random_cover_element(rng, n)
+        b = random_cover_element(rng, n)
+        assert abs(um.cover_distance(a, b) - oracles.schur_cover_distance(a, b)) <= 1e-12, n
+    # the spectral benchmark's Toeplitz/KS pair: a rotated x1/x2 term and t x3^2
+    m = ham.Monomial
+    h = ham.Polynomial(
+        [
+            m((1, 0, 0), np.cos(0.7), time_fn=ham.sin_pi_t),
+            m((0, 1, 0), np.sin(0.7), time_fn=ham.sin_pi_t),
+            m((0, 0, 2), 1.0, time_fn=ham.identity_t),
+        ]
+    )
+    for k in (64, 128):
+        space = quantize.build_space(k)
+        a = propagate.propagate_toeplitz(space, h, 64).with_phase()
+        b = propagate.propagate_ks(space, h, 64).with_phase()
+        assert abs(um.cover_distance(a, b) - oracles.schur_cover_distance(a, b)) <= 1e-12, k
 
 
 def test_minimizing_curve_postconditions():
