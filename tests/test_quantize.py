@@ -50,7 +50,8 @@ def test_monomial_norms_against_direct_quadrature():
 def test_log_norms_from_the_lgamma_table_match_gammaln():
     # quantize reads math.lgamma from a table; scipy's gammaln is the oracle.
     # Terms up to lgamma(k + 2) cancel (log N_0 = log(2 pi / (k + 1))), so the
-    # rounding is relative to that largest term, not to the value
+    # rounding of either route is relative to that largest term, not to the
+    # value: at k = 231 gammaln's log N_0 is 4.8e-13 off, the table's 2.5e-14
     for k in range(1, 513):
         m = np.arange(k + 1)
         expected = np.log(2.0 * np.pi) + gammaln(m + 1.0) + gammaln(k - m + 1.0) - gammaln(k + 2.0)
