@@ -82,24 +82,8 @@ def frame_jacobian(m3, x_points, y_points, x_chart=None):
     return 0.5 * np.einsum("...ai,...ab,...bj->...ij", fy, m3, fx)
 
 
-def chart_one_form(vectors, points):
-    """dz(X) in the north chart for ambient tangent vectors X."""
-    points = np.asarray(points, dtype=float)
-    z = chart_coords(points, NORTH)
-    vectors = np.asarray(vectors, dtype=float)
-    return (vectors[..., 0] + 1j * vectors[..., 1] - z * vectors[..., 2]) / (
-        1.0 + points[..., 2]
-    )
-
-
 # ---------------------------------------------------------------------------
 # vector field and integrator
-
-
-def hamiltonian_vector_field(h, points, t):
-    """X = 2 x cross grad H; sign fixed by omega(X, .) + dH = 0."""
-    points = np.asarray(points, dtype=float)
-    return 2.0 * _cross(points, h.grad(points, t))
 
 
 def _cross(a, b):

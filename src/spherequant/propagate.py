@@ -42,8 +42,8 @@ class HolomorphyError(ValueError):
 @dataclass(frozen=True, eq=False)
 class ChartSamples:
     """The k-independent stage of a time-dependent Kostant-Souriau
-    propagation: a symbol at the Gauss times of every Magnus step, as node
-    values or as north-chart data (values, dz(X)), on the nodes of ``grid``.
+    propagation: a symbol's node values on ``grid`` at the Gauss times of
+    every Magnus step, which :func:`quantize.kostant_souriau` assembles.
 
     The samples depend on the grid and the steps but not on the level k,
     so one set, sampled once per sweep, stands in for its symbol at every
@@ -51,11 +51,12 @@ class ChartSamples:
     :func:`product_samples` of a product path and :func:`xi_path` the
     :func:`pull_back` of a path in place of the Hamiltonian.
     ``flow_det_drift`` is max |det J - 1| of the frame Jacobian of the flow
-    that produced the samples, at the last one.
+    that produced the samples, at the last one, read on a 6 x 12 sentinel
+    grid (0.0 when that flow is a rotation in closed form).
     """
 
     grid: sphere.SphereGrid
-    data: dict  # Gauss time -> values, or (values, a)
+    data: dict  # Gauss time -> (grid.size,) real node values
     flow_det_drift: float
 
     def operator(self, space, t):
@@ -69,8 +70,6 @@ class ChartSamples:
                 f"chart samples taken for {len(self.data) // 2} Magnus steps "
                 "cannot serve other Magnus steps"
             ) from None
-        if isinstance(sample, tuple):
-            return quantize.kostant_souriau_from_chart(space, *sample)
         return quantize.kostant_souriau(space, sample)
 
 
@@ -308,26 +307,23 @@ def product_samples(f, g, grid, steps, flow_steps=256):
 
 def pull_back(h, grid, steps):
     """:class:`ChartSamples` of the pulled-back symbol H_t o phi_t at the
-    Gauss times of :func:`xi_path`.
+    Gauss times of :func:`xi_path`: its node values h(phi_t(node), t).
 
-    The forward flow phi_t of h runs from the grid nodes in one
+    The forward flow phi_t of h runs from the grid nodes in one points-only
     :func:`flow.sweep`, which stops at each Gauss time and at the end of
-    every Magnus step but the last: one RK4 step to each stop.  Values are
-    taken at phi_t(node) and the vector field is mapped back by the
-    forward tangent map.
+    every Magnus step but the last: one RK4 step to each stop.  The nodes of
+    a 6 x 12 grid are swept with their Jacobians to the same stops, for
+    ``flow_det_drift``.
     """
     gauss = _gauss_times(steps)
     dt = 1.0 / steps
-    nodes = grid.nodes
     samples = {t for pair in gauss for t in pair}
     stops = [t for n, pair in enumerate(gauss) for t in (*pair, (n + 1) * dt)][:-1]
-    data = {}
-    for t, (y, m) in zip(stops, flow.sweep(h, nodes, stops, steps)):
-        if t in samples:
-            # dz of m^{-1} X_h(y), the Hamiltonian vector field of h_t o phi_t
-            x = np.linalg.solve(m, flow.hamiltonian_vector_field(h, y, t)[..., None])
-            data[t] = h.value(y, t), flow.chart_one_form(x[..., 0], nodes)
-    drift = flow.jacobian_det_drift(flow.frame_jacobian(m, nodes, y))
+    states = flow.sweep(h, grid.nodes, stops, steps, jacobian=False)
+    data = {t: h.value(y, t) for t, (y, _) in zip(stops, states) if t in samples}
+    sentinel = sphere.build_grid(6, 12).nodes
+    *_, (y, m) = flow.sweep(h, sentinel, stops, steps)
+    drift = flow.jacobian_det_drift(flow.frame_jacobian(m, sentinel, y))
     return ChartSamples(grid, data, drift)
 
 

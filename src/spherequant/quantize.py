@@ -48,13 +48,15 @@ class QuantumSpace:
     ``rings[i, m] = sqrt(w_i) |s_m|`` on ring i, with w_i the node weight
     of that ring and s_m = z^m (1+|z|^2)^{-k/2} / sqrt(N_m) the unit basis
     section (north chart), assembled in log space so high levels do not
-    overflow.  ``z``, ``basis`` and ``weighted_basis`` are node arrays,
-    built node by node on first access; no operator assembly uses them.
+    overflow, and ``radii[i]`` is |z| on ring i, computed once with them.
+    ``z``, ``basis`` and ``weighted_basis`` are node arrays, built node by
+    node on first access; no operator assembly uses them.
     """
 
     k: int
     grid: sphere.SphereGrid
     rings: np.ndarray  # (n_theta, k + 1), real
+    radii: np.ndarray  # (n_theta,) north-chart |z| of each ring
 
     @property
     def dim(self):
@@ -169,7 +171,7 @@ def build_space(k, grid=None):
         - 0.5 * _log_norms(k)[None, :]
         + 0.5 * np.log(weights)[:, None]
     )
-    return QuantumSpace(k=k, grid=grid, rings=np.exp(log_rings))
+    return QuantumSpace(k=k, grid=grid, rings=np.exp(log_rings), radii=radius)
 
 
 def toeplitz(space, h):
@@ -177,21 +179,6 @@ def toeplitz(space, h):
     closed-form Hamiltonian h at t = 0, on a grid exact for h (:func:`_certified_band`)."""
     _certified_band(space, h)
     return space.compress(h.value(space.grid.nodes, 0.0))
-
-
-def kostant_souriau_from_chart(space, values, a):
-    """Kostant-Souriau operator from north-chart data (f, dz(X_f)).
-
-    K = f + (1/ik) covariant derivative along X_f, compressed back to the
-    holomorphic space.  The derivative multiplies basis section n by
-    n a / z - k conj(z) a / (1 + |z|^2), so column n of K is the
-    compression of f - conj(z) a / ((1 + |z|^2) i) plus n times the
-    compression of a / (i k z).
-    """
-    z = space.z
-    k = space.k
-    drift = values - np.conj(z) * a / ((1.0 + np.abs(z) ** 2) * 1j)
-    return space.compress(drift) + space.compress(a / (1j * k * z)) * np.arange(k + 1)
 
 
 def kostant_souriau(space, values):
@@ -207,7 +194,7 @@ def kostant_souriau(space, values):
     """
     if np.iscomplexobj(values):
         raise ValueError("node values of a Kostant-Souriau symbol must be real")
-    u = np.abs(space.z[:: space.grid.n_phi]) ** 2
+    u = space.radii**2
     pairs, kappa, index = space._ring_pairs
     # (re, im) interleaved, so the ring sums are real matrix products
     modes = space._modes(values).view(float)

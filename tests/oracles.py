@@ -32,6 +32,57 @@ def rk4_holomorphy(h):
 
 
 # ---------------------------------------------------------------------------
+# Kostant-Souriau assembly from north-chart data (values, dz(X)): the route
+# ``propagate.pull_back``'s samples took before they became node values,
+# the oracle of the Green's-identity assembly ``quantize.kostant_souriau``
+
+
+def hamiltonian_vector_field(h, points, t):
+    """X = 2 x cross grad H; sign fixed by omega(X, .) + dH = 0."""
+    points = np.asarray(points, dtype=float)
+    return 2.0 * flow._cross(points, h.grad(points, t))
+
+
+def chart_one_form(vectors, points):
+    """dz(X) in the north chart for ambient tangent vectors X."""
+    points = np.asarray(points, dtype=float)
+    z = flow.chart_coords(points, flow.NORTH)
+    vectors = np.asarray(vectors, dtype=float)
+    return (vectors[..., 0] + 1j * vectors[..., 1] - z * vectors[..., 2]) / (
+        1.0 + points[..., 2]
+    )
+
+
+def kostant_souriau_from_chart(space, values, a):
+    """Kostant-Souriau operator from north-chart data (f, dz(X_f)).
+
+    K = f + (1/ik) covariant derivative along X_f, compressed back to the
+    holomorphic space.  The derivative multiplies basis section n by
+    n a / z - k conj(z) a / (1 + |z|^2), so column n of K is the
+    compression of f - conj(z) a / ((1 + |z|^2) i) plus n times the
+    compression of a / (i k z).
+    """
+    z = space.z
+    k = space.k
+    drift = values - np.conj(z) * a / ((1.0 + np.abs(z) ** 2) * 1j)
+    return space.compress(drift) + space.compress(a / (1j * k * z)) * np.arange(k + 1)
+
+
+def trace_sum_phase(k, samples):
+    """The det-phase of ``propagate.xi_path`` at level k on the
+    ``ChartSamples`` ``samples``, from the samples alone.
+
+    The round sphere's Bergman density is constant, so tr K_k(g) =
+    ((k + 1) / 2 pi) times the grid integral of g, and the commutator term
+    of a Magnus step is traceless: the phase is -k (k + 1) / (2 pi) (dt / 2)
+    times the sum over the Gauss times of ``sphere.integrate_values``.
+    """
+    dt = 2.0 / len(samples.data)
+    total = sum(sphere.integrate_values(samples.grid, g) for g in samples.data.values())
+    return -k * (k + 1) / (2.0 * np.pi) * (dt / 2.0) * total
+
+
+# ---------------------------------------------------------------------------
 # complex-structure fields: ``evaluate(points, chart)`` gives the 2x2 frame
 # matrices in the given charts (per-point hemisphere charts for None).  The
 # flow is read through the ``flow`` module, so a test that replaces

@@ -20,7 +20,7 @@ def test_vector_field_direction_at_equator():
     # H = x3: the field at (1,0,0) points along -y with speed 2
     h = ham.height()
     x = np.array([[1.0, 0.0, 0.0]])
-    v = flow.hamiltonian_vector_field(h, x, 0.0)
+    v = oracles.hamiltonian_vector_field(h, x, 0.0)
     assert np.max(np.abs(v - np.array([[0.0, -2.0, 0.0]]))) < 1e-14
 
 

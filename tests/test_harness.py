@@ -291,13 +291,13 @@ def test_sweep_reports_keep_their_layout():
         (
             harness.run_theorem1_holomorphic(_theorem1_config("x1")),
             phase_columns("sh_total"),
-            ["max_residual", "tolerance"],
+            ["max_residual", "tolerance", "max_relative_residual"],
             ["holomorphy_defect", *cover],
         ),
         (
             harness.run_prop53(_prop53_config()),
             phase_columns("curvature_pairing"),
-            ["residual_slope", "slope_bound"],
+            ["residual_slope", "slope_bound", "max_relative_residual"],
             ["flow_det_drift", *cover],
         ),
         (
@@ -312,6 +312,33 @@ def test_sweep_reports_keep_their_layout():
         assert list(report.summary) == [*verdict, "timings", "health"]
         assert list(report.summary["timings"]) == ["classical_s"]
         assert list(report.summary["health"]) == health
+
+
+def test_prop53_relative_residual_is_fourth_order_in_the_steps_and_flat_in_k():
+    # the residual is classical (time quadrature and RK4 area drift): its
+    # relative size does not depend on k, and falls 2^4 per doubling of the
+    # Magnus steps (1.4103e-7, 8.6097e-9, 5.3107e-10 at 16, 32, 64 steps)
+    figures = []
+    for steps in (16, 32, 64):
+        config = harness.ExperimentConfig(
+            experiment="prop53", preset="time-mixed", ks=(8, 16, 32), steps=steps
+        )
+        report = harness.run_prop53(config)
+        relative = [abs(r["residual"] / r["predicted"]) for r in report.rows]
+        assert max(relative) - min(relative) <= 1e-3 * max(relative), (steps, relative)
+        assert report.summary["max_relative_residual"] == max(relative)
+        figures.append(max(relative))
+    for coarse, fine in zip(figures, figures[1:]):
+        assert 14.0 <= coarse / fine <= 18.0, figures
+
+
+def test_relative_residual_is_none_at_a_prediction_on_the_noise_floor():
+    # Cal of x1 is rounding, so its predictions and their ratios are too
+    report = harness.run_theorem1_holomorphic(_theorem1_config("x1"))
+    assert all(abs(r["predicted"]) < 1e-12 for r in report.rows)
+    assert report.summary["max_relative_residual"] is None
+    tilted = harness.run_theorem1_holomorphic(_theorem1_config("tilted-height"))
+    assert 0.0 <= tilted.summary["max_relative_residual"] < 1e-12
 
 
 def _theorem1_config(preset, **params):

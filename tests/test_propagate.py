@@ -151,21 +151,69 @@ def test_generators_of_a_reparametrized_path():
         assert abs(toeplitz.phase - toeplitz_height.phase) < 1e-10
 
 
-def test_xi_path_advances_the_flow_three_steps_per_magnus_step(monkeypatch):
-    # one RK4 step to each Gauss point and one to the end of every step
-    # but the last, whose end no sample reads
+def _count_advances(monkeypatch):
+    """Record (steps, points, with a Jacobian) of every ``flow.advance_state`` call."""
     calls = []
     advance = flow.advance_state
 
     def counted(h, y, m, t0, t1, steps=1):
-        calls.append((steps, len(y)))
+        calls.append((steps, len(y), m is not None))
         return advance(h, y, m, t0, t1, steps)
 
     monkeypatch.setattr(flow, "advance_state", counted)
+    return calls
+
+
+def test_xi_path_advances_the_flow_three_steps_per_magnus_step(monkeypatch):
+    # one RK4 step to each Gauss point and one to the end of every step
+    # but the last, whose end no sample reads: the grid's points alone, then
+    # the 6 x 12 sentinel's with their Jacobians, for the det drift
+    calls = _count_advances(monkeypatch)
     space = quantize.build_space(8)
     propagate.xi_path(space, ham.time_mixed(), steps=4)
     assert space.grid.size == 288
-    assert calls == [(1, 288)] * 11
+    assert calls == [(1, 288, False)] * 11 + [(1, 72, True)] * 11
+
+
+def test_pull_back_on_the_claims_config_counts_its_rk4_point_steps(monkeypatch):
+    # prop53 as the claims workload runs it: ks <= 64 on default_grid(64),
+    # 32 Magnus steps, so 3 * 32 - 1 = 95 stops
+    calls = _count_advances(monkeypatch)
+    grid = quantize.default_grid(64)
+    propagate.pull_back(ham.time_mixed(), grid, steps=32)
+    assert grid.size == 3200
+    point_steps = {True: 0, False: 0}
+    for steps, points, jacobian in calls:
+        point_steps[jacobian] += steps * points
+    assert point_steps == {True: 95 * 72, False: 95 * 3200}
+
+
+def test_pull_back_samples_are_real_node_values():
+    grid = quantize.default_grid(8)
+    h = ham.time_mixed()
+    pulled = propagate.pull_back(h, grid, steps=4)
+    assert list(pulled.data) == [t for pair in propagate._gauss_times(4) for t in pair]
+    for sample in pulled.data.values():
+        assert isinstance(sample, np.ndarray)
+        assert sample.dtype == np.float64 and sample.shape == (grid.size,)
+    assert 0.0 < pulled.flow_det_drift < 1e-3
+
+
+def test_xi_path_phase_is_the_trace_sum_of_its_samples(monkeypatch):
+    # the phase is a trace sum of the samples, yet xi_path reads it from its
+    # propagator: it never integrates a sample on the grid
+    grid = quantize.default_grid(32)
+    pulled = propagate.pull_back(ham.time_mixed(), grid, steps=8)
+
+    def refuse(*args):
+        raise AssertionError("xi_path integrated a sample")
+
+    for k in (8, 16, 32):
+        expected = oracles.trace_sum_phase(k, pulled)
+        with monkeypatch.context() as patch:
+            patch.setattr(sphere, "integrate_values", refuse)
+            phase = propagate.xi_path(quantize.build_space(k, grid), pulled, steps=8).phase
+        assert abs(phase - expected) <= 1e-12 * abs(expected), (k, phase, expected)
 
 
 def test_xi_path_on_the_shared_grid_matches_each_levels_own_grid():
