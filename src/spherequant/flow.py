@@ -148,8 +148,7 @@ def sweep(h, points, times, steps_per_unit_time, jacobian=True):
     One :func:`advance_state` integration from the identity at t = 0
     serves every sample: each continues from the previous one with
     ceil(steps_per_unit_time * |gap|) RK4 steps, which keeps every step at
-    most 1/steps_per_unit_time.  For an autonomous h the states at -t are
-    the inverse flow maps at t, as :func:`transport_backward` gives them.
+    most 1/steps_per_unit_time.  Times may be negative.
     """
     _check_rate(steps_per_unit_time)
     y = np.asarray(points, dtype=float)

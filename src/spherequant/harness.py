@@ -276,10 +276,9 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
     The pulled-back symbol is sampled once, as node values on the sweep
     grid, and shared by every level, which assembles them by
     :func:`quantize.kostant_souriau`.  ``config.flow_steps`` is not read:
-    the forward flow of :func:`propagate.pull_back` takes one RK4 step to
-    each Gauss time and one to the end of every Magnus step but the last.
-    ``health`` records its det drift, read on the 6 x 12 sentinel grid, and
-    the largest cover-element residuals."""
+    :func:`propagate.pull_back` paces its own flow, and runs none for an
+    autonomous path such as the default preset.  ``health`` records its det
+    drift and the largest cover-element residuals."""
     t0 = time.perf_counter()
     h = config.hamiltonian()
     grid = quantize.default_grid(max(config.ks))

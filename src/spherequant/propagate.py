@@ -50,9 +50,8 @@ class ChartSamples:
     level built on ``grid``: :func:`propagate_ks` takes the
     :func:`product_samples` of a product path and :func:`xi_path` the
     :func:`pull_back` of a path in place of the Hamiltonian.
-    ``flow_det_drift`` is max |det J - 1| of the frame Jacobian of the flow
-    that produced the samples, at the last one, read on a 6 x 12 sentinel
-    grid (0.0 when that flow is a rotation in closed form).
+    ``flow_det_drift`` is max |det J - 1| of the samples' flow at the last one,
+    as :func:`_flow_samples` reads it: 0.0 on the closed-form and identity routes.
     """
 
     grid: sphere.SphereGrid
@@ -268,63 +267,65 @@ def propagate_ks(space, h, steps):
     return propagate_generic(space, h, steps)
 
 
+def _flow_samples(h, grid, stops, rate, times, value):
+    """:class:`ChartSamples` on ``grid`` of ``value(y, t)`` at the sample
+    ``times``, y the nodes flowed by h to the stop t, or by its inverse flow
+    at t to the stop -t, along monotone signed ``stops``.  The one route
+    choice: a static axial h rotates the nodes in closed form
+    (:func:`flow.axial_flow`), with ``flow_det_drift`` 0.0 because a
+    Hamiltonian flow preserves area; forward stops, or an autonomous h, whose
+    inverse flow at t is its flow at -t, take one points-only
+    :func:`flow.sweep` at ``rate`` steps per unit time; the inverse flow of a
+    time-dependent h takes one :func:`flow.transport_backward` per stop.  On
+    these RK4 routes a 6 x 12 sentinel grid reaches the last stop the same
+    way with its Jacobians, for the drift."""
+    flow._check_rate(rate)
+    one_sweep = stops[-1] > 0 or h.autonomous
+
+    def transport(points, to, jacobian):
+        if one_sweep:
+            return flow.sweep(h, points, to, rate, jacobian)
+        return (
+            flow.transport_backward(h, points, -s, flow.per_time_steps(rate, -s), jacobian)
+            for s in to
+        )
+
+    axial = flow.axial_flow(h, grid.nodes, stops)
+    maps = axial if axial is not None else (y for y, _ in transport(grid.nodes, stops, False))
+    data = {abs(s): value(y, abs(s)) for s, y in zip(stops, maps) if abs(s) in times}
+    if axial is not None:
+        return ChartSamples(grid, data, 0.0)
+    sentinel = sphere.build_grid(6, 12).nodes
+    *_, (y, m) = transport(sentinel, stops if one_sweep else stops[-1:], True)
+    return ChartSamples(grid, data, flow.jacobian_det_drift(flow.frame_jacobian(m, sentinel, y)))
+
+
 def product_samples(f, g, grid, steps, flow_steps=256):
     """:class:`ChartSamples` on ``grid`` of the values of f_t + g_t o
     alpha_t^{-1}, the generator of the product of the paths of f and g
-    (alpha the flow of f), at the Gauss times of :func:`propagate_generic`.
-
-    The inverse flow of an autonomous f is its flow at time -t.  For a
-    static axial f that flow is a rotation, which :func:`flow.axial_flow`
-    gives in closed form at every negative time, with no RK4 and without
-    reading ``flow_steps`` (which is still validated), and ``flow_det_drift``
-    is 0.0 because a Hamiltonian flow preserves area.  For another autonomous
-    f one :func:`flow.sweep` at negative times maps the nodes back for every
-    sample; a time-dependent f is transported backward afresh at each time.
-    On these RK4 routes a 6 x 12 grid's nodes carry the Jacobian, for the drift.
-    """
-    nodes = grid.nodes
+    (alpha the flow of f), at the Gauss times of :func:`propagate_generic`;
+    :func:`_flow_samples` reads alpha_t^{-1} at the stop -t."""
     times = [t for pair in _gauss_times(steps) for t in pair]
-    back = [-t for t in times]
-    flow._check_rate(flow_steps)
-    inverse = flow.axial_flow(f, nodes, back)
-    drift = 0.0
-    if inverse is None:
-        sentinel = sphere.build_grid(6, 12).nodes
-        if f.autonomous:
-            inverse = (y for y, _ in flow.sweep(f, nodes, back, flow_steps, jacobian=False))
-            *_, (y, m) = flow.sweep(f, sentinel, back, flow_steps)
-        else:
-            counts = [flow.per_time_steps(flow_steps, t) for t in times]
-            inverse = (
-                flow.transport_backward(f, nodes, t, n, jacobian=False)[0]
-                for t, n in zip(times, counts)
-            )
-            y, m = flow.transport_backward(f, sentinel, times[-1], counts[-1])
-        drift = flow.jacobian_det_drift(flow.frame_jacobian(m, sentinel, y))
-    data = {t: f.value(nodes, t) + g.value(x, t) for t, x in zip(times, inverse)}
-    return ChartSamples(grid, data, drift)
+    nodes, stops = grid.nodes, [-t for t in times]
+    return _flow_samples(
+        f, grid, stops, flow_steps, times, lambda x, t: f.value(nodes, t) + g.value(x, t)
+    )
 
 
 def pull_back(h, grid, steps):
     """:class:`ChartSamples` of the pulled-back symbol H_t o phi_t at the
-    Gauss times of :func:`xi_path`: its node values h(phi_t(node), t).
-
-    The forward flow phi_t of h runs from the grid nodes in one points-only
-    :func:`flow.sweep`, which stops at each Gauss time and at the end of
-    every Magnus step but the last: one RK4 step to each stop.  The nodes of
-    a 6 x 12 grid are swept with their Jacobians to the same stops, for
-    ``flow_det_drift``.
-    """
+    Gauss times of :func:`xi_path`, its node values h(phi_t(node), t).  An
+    autonomous h is conserved by its flow, dH(X_H) = omega(X_H, X_H) = 0, so
+    these are its own node values, with no flow and drift 0.0; a
+    time-dependent h flows forward in :func:`_flow_samples`, one RK4 step to
+    each Gauss time and to the end of every Magnus step but the last."""
     gauss = _gauss_times(steps)
+    times = [t for pair in gauss for t in pair]
+    if h.autonomous:
+        return ChartSamples(grid, dict.fromkeys(times, h.value(grid.nodes)), 0.0)
     dt = 1.0 / steps
-    samples = {t for pair in gauss for t in pair}
     stops = [t for n, pair in enumerate(gauss) for t in (*pair, (n + 1) * dt)][:-1]
-    states = flow.sweep(h, grid.nodes, stops, steps, jacobian=False)
-    data = {t: h.value(y, t) for t, (y, _) in zip(stops, states) if t in samples}
-    sentinel = sphere.build_grid(6, 12).nodes
-    *_, (y, m) = flow.sweep(h, sentinel, stops, steps)
-    drift = flow.jacobian_det_drift(flow.frame_jacobian(m, sentinel, y))
-    return ChartSamples(grid, data, drift)
+    return _flow_samples(h, grid, stops, steps, times, h.value)
 
 
 def xi_path(space, h, steps):

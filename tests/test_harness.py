@@ -280,6 +280,19 @@ def test_sweeps_report_classical_time_and_flow_health():
     assert health[128]["flow_det_drift"] <= health[32]["flow_det_drift"] / 10
 
 
+def test_prop53_on_a_static_path_runs_no_flow_and_passes():
+    # the RK4 error of the pulled-back height-squared grew with k and read
+    # as a residual slope of 1.848, failing the sweep; H o phi_t = H leaves
+    # only rounding, which the slope fit drops as noise
+    config = harness.ExperimentConfig(
+        experiment="prop53", preset="height-squared", ks=(4, 8), steps=4
+    )
+    report = harness.run_prop53(config)
+    assert report.checks_passed
+    assert report.summary["residual_slope"] is None
+    assert report.summary["health"]["flow_det_drift"] == 0.0
+
+
 def test_sweep_reports_keep_their_layout():
     # the CSV columns and the JSON summary follow these key orders, which
     # tools/workload_digest.py cannot see: it hashes dicts by sorted key

@@ -199,6 +199,52 @@ def test_pull_back_samples_are_real_node_values():
     assert 0.0 < pulled.flow_det_drift < 1e-3
 
 
+# the presets without a time function, whose pull-back is the identity route
+AUTONOMOUS_PRESETS = ("constant", "height", "x1", "x2", "tilted-height", "height-squared")
+
+
+def test_pull_back_of_an_autonomous_path_is_the_path_itself(monkeypatch):
+    # dH(X_H) = omega(X_H, X_H) = 0 conserves H along its own flow, so
+    # H o phi_t = H: the samples are the node values of h, and no flow runs
+    def fail(*args, **kwargs):
+        raise AssertionError("the pull-back of an autonomous path ran a flow")
+
+    monkeypatch.setattr(flow, "advance_state", fail)
+    assert AUTONOMOUS_PRESETS == tuple(n for n, f in ham.PRESETS.items() if f().autonomous)
+    grid = quantize.default_grid(8)
+    times = [t for pair in propagate._gauss_times(4) for t in pair]
+    for name in AUTONOMOUS_PRESETS:
+        h = ham.preset(name)
+        pulled = propagate.pull_back(h, grid, steps=4)
+        assert list(pulled.data) == times
+        for t, sample in pulled.data.items():
+            assert np.array_equal(sample, h.value(grid.nodes, t)), (name, t)
+        assert pulled.flow_det_drift == 0.0
+
+
+def test_xi_path_of_an_autonomous_path_is_its_direct_propagator():
+    # on the RK4 route height-squared was 4.05e-5 off in u and 1.76e-4 in
+    # phase at k = 16, 8 steps: the integrator's error, not the path's
+    for name in AUTONOMOUS_PRESETS:
+        h = ham.preset(name)
+        for k in (8, 16):
+            space = quantize.build_space(k)
+            direct = propagate.propagate_ks(space, h, steps=8)
+            inverse = propagate.xi_path(space, h, steps=8)
+            assert np.max(np.abs(direct.unitary - inverse.unitary)) <= 1e-12, (name, k)
+            assert abs(direct.phase - inverse.phase) <= 1e-12, (name, k)
+
+
+def test_product_samples_transport_a_time_dependent_factor_once_per_time(monkeypatch):
+    # 8 Gauss times, each transported back on its own in max(8, 8 t) = 8
+    # steps, and the 6 x 12 sentinel with its Jacobians to the last time only
+    calls = _count_advances(monkeypatch)
+    grid = quantize.default_grid(8)
+    propagate.product_samples(ham.time_mixed(), ham.coordinate(0), grid, 4, flow_steps=8)
+    assert grid.size == 288
+    assert sorted(calls) == sorted([(8, 288, False)] * 8 + [(8, 72, True)])
+
+
 def test_xi_path_phase_is_the_trace_sum_of_its_samples(monkeypatch):
     # the phase is a trace sum of the samples, yet xi_path reads it from its
     # propagator: it never integrates a sample on the grid
