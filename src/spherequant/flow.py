@@ -3,9 +3,12 @@
 The Hamiltonian vector field of H for omega = (1/2) dA is X = 2 x on grad H
 (cross product), which is tangent to every sphere around the origin, so
 trajectories stay on the unit sphere up to integrator error and are
-renormalized each step.  Jacobians are propagated through the variational
-equation in ambient coordinates and reduced to 2x2 matrices in symplectic
-chart frames when complex structures are involved.  The flow of a static
+renormalized each step.  RK4 holds the points as three coordinate rows, on
+which grad H is read term by term.  Jacobians are propagated through the
+variational equation in ambient coordinates, with the same steps, for the
+last rows of the points only (a few sentinel points stacked behind many),
+and reduced to 2x2 matrices in symplectic chart frames when complex
+structures are involved.  The flow of a static
 axial polynomial, a function of x3 alone or an affine function, is a
 rotation about a fixed axis by an angle constant on each trajectory;
 :func:`axial_flow` gives its points in closed form, and RK4 serves every
@@ -21,6 +24,7 @@ standard 2x2 rotation matrix in either frame.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -87,49 +91,65 @@ def frame_jacobian(m3, x_points, y_points, x_chart=None):
 
 
 def _cross(a, b):
-    """a x b over the last axis: the bits of np.cross at a lower cost."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    """a x b on coordinate rows, a[i] and b[i] the i-th components (rows or
+    floats): the bits of np.cross, stacked as rows."""
+    return np.array(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
 
 
-def _cross_matrix(v):
-    m = np.zeros(v.shape[:-1] + (3, 3))
-    m[..., 0, 1] = -v[..., 2]
-    m[..., 0, 2] = v[..., 1]
-    m[..., 1, 0] = v[..., 2]
-    m[..., 1, 2] = -v[..., 0]
-    m[..., 2, 0] = -v[..., 1]
-    m[..., 2, 1] = v[..., 0]
+def _cross_matrix(v, n):
+    """[v]_x at n points for coordinate rows v (rows of length n or floats)."""
+    m = np.zeros((n, 3, 3))
+    m[:, 0, 1] = -v[2]
+    m[:, 0, 2] = v[1]
+    m[:, 1, 0] = v[2]
+    m[:, 1, 2] = -v[0]
+    m[:, 2, 0] = -v[1]
+    m[:, 2, 1] = v[0]
     return m
 
 
 def advance_state(h, y, m, t0, t1, steps=1):
     """Classical RK4 on the trajectory and variational equations.
 
-    Continues an (points, Jacobian) integration from t0 to t1 (either
-    direction) in ``steps`` equal steps; points are renormalized to the
-    unit sphere after every step, and ``m=None`` skips the variational
-    equation, on which the points do not depend.  The package's one RK4 loop.
+    Continues an integration of the points ``y`` (n, 3) and of the ambient
+    Jacobians ``m`` (r, 3, 3) of its last r points from t0 to t1 (either
+    direction) in ``steps`` equal steps; ``m=None`` skips the variational
+    equation, on which the points do not depend.  The points are held as
+    three contiguous coordinate rows, on which grad H is read term by term
+    and the field 2 y x grad H formed; they are renormalized to the unit
+    sphere after every step.  Returns (y, m), y an (n, 3) view of the rows.
+    The package's one RK4 loop.
     """
+    _check_steps(steps)
+    _check_time(t0, "t0")
+    _check_time(t1, "t1")
+    rows = np.ascontiguousarray(np.asarray(y, dtype=float).T)
     dt = (t1 - t0) / steps
     for i in range(steps):
-        y, m = _rk4_step(h, y, m, t0 + i * dt, dt)
-        y = y / np.linalg.norm(y, axis=-1, keepdims=True)
-    return y, m
+        rows, m = _rk4_step(h, rows, m, t0 + i * dt, dt)
+        rows = rows / np.linalg.norm(rows, axis=0)
+    return rows.T, m
 
 
 def _rk4_step(h, y, m, t, dt):
-    """One RK4 step of the points and, unless m is None, of the Jacobian;
-    each stage reads grad H once for the field 2 p x grad H and for its
-    Jacobian 2(-[grad H]_x + [p]_x Hess H)."""
+    """One RK4 step of the coordinate rows y (3, n) and, unless m is None, of
+    the Jacobians of the last len(m) points; each stage reads grad H once for
+    the field 2 y x grad H and, on those points, for its Jacobian
+    2([y]_x Hess H - [grad H]_x)."""
     ks, js = [], []
     for c in (0.0, dt / 2, dt / 2, dt):
         yy = y + c * ks[-1] if ks else y
-        grad = h.grad(yy, t + c)
+        d = h._derivatives(yy, t + c, 1)
+        grad = [d.get((axis,), 0.0) for axis in range(3)]
         ks.append(2.0 * _cross(yy, grad))
         if m is not None:
-            jac = 2.0 * (_cross_matrix(yy) @ h.hess(yy, t + c) - _cross_matrix(grad))
+            r = len(m)
+            tail = yy[:, -r:]
+            tail_grad = [g[-r:] if isinstance(g, np.ndarray) else g for g in grad]
+            hess = h._tensor(tail, t + c, 2)
+            jac = 2.0 * (_cross_matrix(tail, r) @ hess - _cross_matrix(tail_grad, r))
             js.append(jac @ (m + c * js[-1] if js else m))
     m_new = None if m is None else m + dt / 6 * (js[0] + 2 * js[1] + 2 * js[2] + js[3])
     return y + dt / 6 * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3]), m_new
@@ -141,18 +161,35 @@ def jacobian_det_drift(jac):
     return float(np.max(np.abs(np.linalg.det(jac) - 1.0)))
 
 
-def sweep(h, points, times, steps_per_unit_time, jacobian=True):
+def _start(points, jacobian_rows):
+    """(y, m) at the start of a flow: the points (n, 3) and identity Jacobians
+    of the last ``jacobian_rows`` of them (every point for None; m is None
+    for 0)."""
+    y = np.asarray(points, dtype=float)
+    r = len(y) if jacobian_rows is None else jacobian_rows
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral) or not 0 <= r <= len(y):
+        raise ValueError(f"jacobian_rows must be an integer from 0 to {len(y)}, got {r!r}")
+    return y, (np.broadcast_to(np.eye(3), (r, 3, 3)) if r else None)
+
+
+def sweep(h, points, times, steps_per_unit_time, jacobian_rows=None):
     """Flow states (y, M) of h out of ``points`` at each time of the
-    monotone list ``times``; M is None when ``jacobian`` is false.
+    monotone list ``times``; M holds the Jacobians of the last
+    ``jacobian_rows`` points (all for None, M None for 0).
 
     One :func:`advance_state` integration from the identity at t = 0
     serves every sample: each continues from the previous one with
     ceil(steps_per_unit_time * |gap|) RK4 steps, which keeps every step at
-    most 1/steps_per_unit_time.  Times may be negative.
+    most 1/steps_per_unit_time.  Times may be negative.  Points flowed with
+    and without Jacobians in one sweep take the same steps, so a few points
+    with Jacobians stacked behind many without read their drift in the
+    many's integration.
     """
     _check_rate(steps_per_unit_time)
-    y = np.asarray(points, dtype=float)
-    m = np.broadcast_to(np.eye(3), y.shape[:-1] + (3, 3)) if jacobian else None
+    times = list(times)
+    for t in times:
+        _check_time(t, "each of times")
+    y, m = _start(points, jacobian_rows)
     t_prev = 0.0
     for t in times:
         if t != t_prev:
@@ -187,7 +224,7 @@ def axial_flow(h, points, times):
     a = h.grad(np.zeros(3))
     n = np.array([0.0, 0.0, 1.0]) if a[0] == a[1] == 0.0 else a / np.linalg.norm(a)
     rate = -2.0 * (h.grad(x) @ n)
-    curl = _cross(n, x)
+    curl = _cross(n, x.T).T
     along = (x @ n)[..., None] * n
     states = []
     for t in times:
@@ -196,12 +233,25 @@ def axial_flow(h, points, times):
     return states
 
 
-def transport_backward(h, points, t, steps, jacobian=True):
-    """Backward transport (y, M) with y = flow_t^{-1}(points) and M the
-    ambient Jacobian of the inverse flow there (None without ``jacobian``)."""
-    points = np.asarray(points, dtype=float)
-    m = np.broadcast_to(np.eye(3), points.shape[:-1] + (3, 3)) if jacobian else None
-    return advance_state(h, points, m, t, 0.0, steps)
+def transport_backward(h, points, t, steps, jacobian_rows=None):
+    """Backward transport (y, M) with y = flow_t^{-1}(points) in ``steps``
+    RK4 steps and M the ambient Jacobians of the inverse flow at the last
+    ``jacobian_rows`` points (all for None, M None for 0)."""
+    _check_time(t, "t")
+    _check_steps(steps)
+    y, m = _start(points, jacobian_rows)
+    return advance_state(h, y, m, t, 0.0, steps)
+
+
+def _check_steps(steps):
+    """Raise unless a step count (RK4 or Magnus) is a positive integer, not a bool."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+
+
+def _check_time(t, name):
+    if not _is_finite_real(t):
+        raise ValueError(f"{name} must be a finite real number, got {t!r}")
 
 
 def _check_rate(steps_per_unit_time):
@@ -214,6 +264,5 @@ def _check_rate(steps_per_unit_time):
 def per_time_steps(steps_per_unit_time, t):
     """RK4 steps of a stand-alone transport over [0, t], a finite real: at least 8."""
     _check_rate(steps_per_unit_time)
-    if not _is_finite_real(t):
-        raise ValueError(f"t must be a finite real number, got {t!r}")
+    _check_time(t, "t")
     return max(8, int(round(steps_per_unit_time * abs(t))))

@@ -7,6 +7,8 @@ flow integration and quantization never rely on interpolated symbols.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 
@@ -42,41 +44,51 @@ class Monomial:
             raise ValueError(f"the time function is {value!r} at t = {t}, not a finite real")
         return self.coefficient * value
 
-    def _derivative(self, x, axes=()):
-        """x1^p1 x2^p2 x3^p3 differentiated along ``axes``, each of which
-        multiplies the integer factor by its power and lowers that power by
-        one (the caller keeps every power non-negative); no axes give the monomial."""
-        powers = list(self.powers)
-        factor = 1
-        for axis in axes:
-            factor *= powers[axis]
-            powers[axis] -= 1
-        out = np.ones(x.shape[:-1])
-        for axis, p in enumerate(powers):
-            if p:
-                out = out * x[..., axis] ** p
-        return out if factor == 1 else factor * out  # 1 * out has the bits of out
-
+    # the public evaluations are those of the one-term polynomial
     def value(self, x, t=0.0):
-        x = np.asarray(x, dtype=float)
-        return self._c(t) * self._derivative(x)
+        return Polynomial([self]).value(x, t)
 
     def grad(self, x, t=0.0):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape)
-        for axis, p in enumerate(self.powers):
-            if p:
-                g[..., axis] = self._derivative(x, (axis,))
-        return self._c(t) * g
+        return Polynomial([self]).grad(x, t)
 
     def hess(self, x, t=0.0):
-        x = np.asarray(x, dtype=float)
-        h = np.zeros(x.shape[:-1] + (3, 3))
-        for i, p in enumerate(self.powers):
-            for j, q in enumerate(self.powers):
-                if p and (q > 1 if i == j else q):
-                    h[..., i, j] = self._derivative(x, (i, j))
-        return self._c(t) * h
+        return Polynomial([self]).hess(x, t)
+
+
+@functools.lru_cache(maxsize=None)
+def _partials(powers, order):
+    """(axes, factor, powers) of every nonzero partial derivative of
+    x1^p1 x2^p2 x3^p3 of ``order`` 0 (the monomial), 1 or 2: each axis
+    multiplies the integer factor by its power and lowers that power by one."""
+    out = []
+    for axes in itertools.product(range(3), repeat=order):
+        lowered, factor = list(powers), 1
+        for axis in axes:
+            factor *= lowered[axis]
+            lowered[axis] -= 1
+        if factor:
+            out.append((axes, factor, tuple(lowered)))
+    return tuple(out)
+
+
+def _monomial(rows, factor, powers):
+    """factor * x1^p1 x2^p2 x3^p3 at the points whose coordinates are the rows
+    ``rows[0]``, ``rows[1]``, ``rows[2]``.  With no power the float factor,
+    allocating no row; a first power may be the row itself, which every
+    caller scales by c(t)."""
+    out = None
+    for axis, p in enumerate(powers):
+        if p:
+            power = rows[axis] if p == 1 else rows[axis] ** p  # x ** 1 is x
+            out = power if out is None else out * power
+    if out is None:
+        return float(factor)
+    return out if factor == 1 else factor * out
+
+
+def _rows(x):
+    """The coordinate rows (3, ...) of points (..., 3), a view."""
+    return np.moveaxis(np.asarray(x, dtype=float), -1, 0)
 
 
 class Polynomial:
@@ -90,22 +102,38 @@ class Polynomial:
         """True when no term carries a time dependence."""
         return all(term.time_fn is None for term in self.terms)
 
-    def _sum(self, derivative, x, t, shape):
-        """Sum over the terms of one Monomial method, of entry shape ``shape``."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + shape)
+    def _derivatives(self, rows, t, order):
+        """The partial derivatives of H of ``order`` 0 (H itself), 1 (grad)
+        or 2 (Hess) at the points whose coordinates are ``rows``, as
+        {axes: entry} over the axes some term's powers reach.  Each entry
+        sums, over the terms in order, c(t) times the term's
+        factor * prod x^p; a term adds nothing to the entries its powers do
+        not reach.  The module's one evaluator, which :func:`flow.advance_state`
+        reads on its coordinate rows."""
+        out = {}
         for term in self.terms:
-            out += derivative(term, x, t)
+            c = term._c(t)
+            for axes, factor, powers in _partials(term.powers, order):
+                d = c * _monomial(rows, factor, powers)
+                out[axes] = out[axes] + d if axes in out else d
+        return out
+
+    def _tensor(self, rows, t, order):
+        """:meth:`_derivatives` at coordinate rows (3, ...) as one (...),
+        (..., 3) or (..., 3, 3) array, 0 where no term reaches."""
+        out = np.zeros(rows.shape[1:] + (3,) * order)
+        for axes, d in self._derivatives(rows, t, order).items():
+            out[(Ellipsis, *axes)] = d
         return out
 
     def value(self, x, t=0.0):
-        return self._sum(Monomial.value, x, t, ())
+        return self._tensor(_rows(x), t, 0)
 
     def grad(self, x, t=0.0):
-        return self._sum(Monomial.grad, x, t, (3,))
+        return self._tensor(_rows(x), t, 1)
 
     def hess(self, x, t=0.0):
-        return self._sum(Monomial.hess, x, t, (3, 3))
+        return self._tensor(_rows(x), t, 2)
 
     def separable_terms(self):
         """(time_fn, static Polynomial) pairs, for operator precomputation.

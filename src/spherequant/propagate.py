@@ -20,7 +20,6 @@ x3), else by a dense ``eigh``; static groups take one exponential in all.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +51,14 @@ class ChartSamples:
     :func:`pull_back` of a path in place of the Hamiltonian.
     ``flow_det_drift`` is max |det J - 1| of the samples' flow at the last one,
     as :func:`_flow_samples` reads it: 0.0 on the closed-form and identity routes.
+    ``static`` samples are one symbol at every time, as :func:`pull_back`
+    gives them for an autonomous path; :func:`_magnus` takes them in one step.
     """
 
     grid: sphere.SphereGrid
     data: dict  # Gauss time -> (grid.size,) real node values
     flow_det_drift: float
+    static: bool = False
 
     def operator(self, space, t):
         """Kostant-Souriau operator on ``space`` of the sample at time t."""
@@ -112,16 +114,10 @@ _GAUSS_LO = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_HI = 0.5 + np.sqrt(3.0) / 6.0
 
 
-def _check_steps(steps):
-    """Raise unless the Magnus step count is a positive integer, not a bool."""
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
-
-
 def _gauss_times(steps):
     """The two Gauss times of each of ``steps`` equal Magnus steps on
     [0, 1]; :class:`ChartSamples` are keyed by these floats."""
-    _check_steps(steps)
+    flow._check_steps(steps)
     dt = 1.0 / steps
     return [((n + _GAUSS_LO) * dt, (n + _GAUSS_HI) * dt) for n in range(steps)]
 
@@ -202,7 +198,9 @@ def _magnus(space, path, steps, sign):
 
     ``path`` is :class:`ChartSamples`, whose operators are read at the two
     :func:`_gauss_times` of every step and exponentiated by the dense
-    :func:`_expi`, or the :func:`_groups` of a separable path, whose step
+    :func:`_expi` (static samples are one operator A, whose commutators
+    vanish, so the steps multiply to the one exponential of A), or the
+    :func:`_groups` of a separable path, whose step
     generators all come from :func:`_separable_steps` and are exponentiated
     by :func:`_expi_steps` at their :func:`_step_band`, exact up to rounding
     on the exact grids of :func:`_groups`.
@@ -211,6 +209,9 @@ def _magnus(space, path, steps, sign):
     gauss = _gauss_times(steps)
     dt = 1.0 / steps
     scale = sign * k * dt
+    if isinstance(path, ChartSamples) and path.static:
+        a = path.operator(space, gauss[0][0])
+        return _expi(a, sign * k), sign * k * np.trace(a).real
     if isinstance(path, ChartSamples):
         u = np.eye(space.dim, dtype=complex)
         phase = 0.0
@@ -233,7 +234,7 @@ def propagate_generic(space, path, steps):
     multiply to exp(-i k A): one :func:`_expi_steps` at the groups' band does.
     """
     if not isinstance(path, ChartSamples) and all(fn is None for fn, _, _ in path):
-        _check_steps(steps)
+        flow._check_steps(steps)
         a = sum((mat for _, mat, _ in path), np.zeros((space.dim, space.dim), dtype=complex))
         band = max((degree for _, _, degree in path), default=0)
         u, phase = _expi_steps(np.ones((1, 1)), a[None], band, -space.k)
@@ -274,30 +275,38 @@ def _flow_samples(h, grid, stops, rate, times, value):
     choice: a static axial h rotates the nodes in closed form
     (:func:`flow.axial_flow`), with ``flow_det_drift`` 0.0 because a
     Hamiltonian flow preserves area; forward stops, or an autonomous h, whose
-    inverse flow at t is its flow at -t, take one points-only
-    :func:`flow.sweep` at ``rate`` steps per unit time; the inverse flow of a
-    time-dependent h takes one :func:`flow.transport_backward` per stop.  On
-    these RK4 routes a 6 x 12 sentinel grid reaches the last stop the same
-    way with its Jacobians, for the drift."""
+    inverse flow at t is its flow at -t, take one :func:`flow.sweep` at
+    ``rate`` steps per unit time; the inverse flow of a time-dependent h
+    takes one :func:`flow.transport_backward` per stop.  On these RK4 routes
+    a 6 x 12 sentinel grid, stacked behind the nodes, reaches the last stop
+    in the same integration with its Jacobians, for the drift."""
     flow._check_rate(rate)
-    one_sweep = stops[-1] > 0 or h.autonomous
-
-    def transport(points, to, jacobian):
-        if one_sweep:
-            return flow.sweep(h, points, to, rate, jacobian)
-        return (
-            flow.transport_backward(h, points, -s, flow.per_time_steps(rate, -s), jacobian)
-            for s in to
-        )
-
     axial = flow.axial_flow(h, grid.nodes, stops)
-    maps = axial if axial is not None else (y for y, _ in transport(grid.nodes, stops, False))
-    data = {abs(s): value(y, abs(s)) for s, y in zip(stops, maps) if abs(s) in times}
     if axial is not None:
+        data = {abs(s): value(y, abs(s)) for s, y in zip(stops, axial) if abs(s) in times}
         return ChartSamples(grid, data, 0.0)
     sentinel = sphere.build_grid(6, 12).nodes
-    *_, (y, m) = transport(sentinel, stops if one_sweep else stops[-1:], True)
-    return ChartSamples(grid, data, flow.jacobian_det_drift(flow.frame_jacobian(m, sentinel, y)))
+    stacked, n = np.concatenate([grid.nodes, sentinel]), grid.size
+    if stops[-1] > 0 or h.autonomous:
+        states = flow.sweep(h, stacked, stops, rate, len(sentinel))
+    else:
+        last = len(stops) - 1
+        states = (
+            flow.transport_backward(
+                h,
+                stacked if i == last else grid.nodes,
+                -s,
+                flow.per_time_steps(rate, -s),
+                len(sentinel) if i == last else 0,
+            )
+            for i, s in enumerate(stops)
+        )
+    data = {}
+    for s, (y, m) in zip(stops, states):
+        if abs(s) in times:
+            data[abs(s)] = value(y[:n], abs(s))
+    drift = flow.jacobian_det_drift(flow.frame_jacobian(m, sentinel, y[n:]))
+    return ChartSamples(grid, data, drift)
 
 
 def product_samples(f, g, grid, steps, flow_steps=256):
@@ -316,13 +325,13 @@ def pull_back(h, grid, steps):
     """:class:`ChartSamples` of the pulled-back symbol H_t o phi_t at the
     Gauss times of :func:`xi_path`, its node values h(phi_t(node), t).  An
     autonomous h is conserved by its flow, dH(X_H) = omega(X_H, X_H) = 0, so
-    these are its own node values, with no flow and drift 0.0; a
+    these are its own node values, static samples with no flow and drift 0.0; a
     time-dependent h flows forward in :func:`_flow_samples`, one RK4 step to
     each Gauss time and to the end of every Magnus step but the last."""
     gauss = _gauss_times(steps)
     times = [t for pair in gauss for t in pair]
     if h.autonomous:
-        return ChartSamples(grid, dict.fromkeys(times, h.value(grid.nodes)), 0.0)
+        return ChartSamples(grid, dict.fromkeys(times, h.value(grid.nodes)), 0.0, static=True)
     dt = 1.0 / steps
     stops = [t for n, pair in enumerate(gauss) for t in (*pair, (n + 1) * dt)][:-1]
     return _flow_samples(h, grid, stops, steps, times, h.value)

@@ -107,6 +107,58 @@ CASES = [
         lambda: list(flow.sweep(ham.time_mixed(), GRID.nodes, [0.5], "8")),
         "steps_per_unit_time",
     ),
+    ("sweep-time-inf", lambda: list(flow.sweep(ham.time_mixed(), GRID.nodes, [INF], 8)), "times"),
+    ("sweep-time-nan", lambda: list(flow.sweep(ham.time_mixed(), GRID.nodes, [NAN], 8)), "times"),
+    (
+        "sweep-time-complex",
+        lambda: list(flow.sweep(ham.time_mixed(), GRID.nodes, [0.5, 1j], 8)),
+        "times",
+    ),
+    (
+        "sweep-time-bool",
+        lambda: list(flow.sweep(ham.time_mixed(), GRID.nodes, [True], 8)),
+        "times",
+    ),
+    (
+        "sweep-jacobian-rows-too-many",
+        lambda: list(flow.sweep(ham.time_mixed(), GRID.nodes, [0.5], 8, GRID.size + 1)),
+        "jacobian_rows",
+    ),
+    (
+        "transport-steps-negative",
+        lambda: flow.transport_backward(ham.time_mixed(), GRID.nodes, 0.5, steps=-3),
+        "steps must be a positive integer",
+    ),
+    (
+        "transport-steps-zero",
+        lambda: flow.transport_backward(ham.time_mixed(), GRID.nodes, 0.5, steps=0),
+        "steps must be a positive integer",
+    ),
+    (
+        "transport-steps-bool",
+        lambda: flow.transport_backward(ham.time_mixed(), GRID.nodes, 0.5, steps=True),
+        "steps must be a positive integer",
+    ),
+    (
+        "transport-t-nan",
+        lambda: flow.transport_backward(ham.time_mixed(), GRID.nodes, NAN, steps=8),
+        "t must be a finite real",
+    ),
+    (
+        "advance-steps-float",
+        lambda: flow.advance_state(ham.time_mixed(), GRID.nodes, None, 0.0, 0.5, 2.5),
+        "steps must be a positive integer",
+    ),
+    (
+        "advance-t1-inf",
+        lambda: flow.advance_state(ham.time_mixed(), GRID.nodes, None, 0.0, INF, 4),
+        "t1 must be a finite real",
+    ),
+    (
+        "advance-t0-complex",
+        lambda: flow.advance_state(ham.time_mixed(), GRID.nodes, None, 1j, 0.5, 4),
+        "t0 must be a finite real",
+    ),
     ("per-time-steps-rate-none", lambda: flow.per_time_steps(None, 0.5), "steps_per_unit_time"),
     ("per-time-steps-t-nan", lambda: flow.per_time_steps(8, NAN), "t must be a finite real"),
     ("per-time-steps-t-inf", lambda: flow.per_time_steps(8, INF), "t must be a finite real"),

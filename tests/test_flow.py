@@ -27,12 +27,12 @@ def test_vector_field_direction_at_equator():
 def test_cross_gives_the_bits_of_numpy_cross():
     rng = np.random.default_rng(11)
     a, b = rng.normal(size=(2, 50, 3))
-    assert np.array_equal(flow._cross(a, b), np.cross(a, b))
+    assert np.array_equal(flow._cross(a.T, b.T).T, np.cross(a, b))
     # the 3200 nodes of the sweep grid of levels 8 to 64, with gradients
     nodes = quantize.default_grid(64).nodes
     grad = ham.time_mixed().grad(nodes, 0.3)
     assert nodes.shape == (3200, 3)
-    assert np.array_equal(flow._cross(nodes, grad), np.cross(nodes, grad))
+    assert np.array_equal(flow._cross(nodes.T, grad.T).T, np.cross(nodes, grad))
 
 
 def test_height_flow_is_clockwise_rotation():
@@ -145,14 +145,52 @@ def test_points_only_sweep_gives_the_same_points():
         (ham.time_mixed(), [0.2, 0.5, 0.91]),
     ):
         full = flow.sweep(h, pts, times, 32)
-        points_only = flow.sweep(h, pts, times, 32, jacobian=False)
+        points_only = flow.sweep(h, pts, times, 32, jacobian_rows=0)
         for (y, m), (y_only, m_only) in zip(full, points_only):
             assert m.shape == (40, 3, 3) and m_only is None
             assert np.array_equal(y, y_only)
     h = ham.time_mixed()
     y, m = flow.transport_backward(h, pts, 0.7, 16)
-    y_only, m_only = flow.transport_backward(h, pts, 0.7, 16, jacobian=False)
+    y_only, m_only = flow.transport_backward(h, pts, 0.7, 16, jacobian_rows=0)
     assert m_only is None and np.array_equal(y, y_only)
+
+
+# a time-dependent path, a static one that is not axial, and a degree-3
+# monomial whose Hessian has diagonal and off-diagonal entries
+BIT_PATHS = {
+    "time-mixed": ham.time_mixed(),
+    "2 x1 + 2 x3^2": ham.Polynomial([ham.Monomial((1, 0, 0), 2.0), ham.Monomial((0, 0, 2), 2.0)]),
+    "-1.3 x1^2 x3": ham.Polynomial([ham.Monomial((2, 0, 1), -1.3)]),
+}
+
+
+def test_rk4_on_coordinate_rows_keeps_the_bits_of_the_point_loop():
+    # flow.advance_state holds the points as coordinate rows and reads grad H
+    # term by term; the (n, 3) loop through the public grad and hess must
+    # give the same bits, with Jacobians on every point, on the last 8 only
+    # and on none, forward and backward; the per-time transport stacks 8
+    # points with Jacobians behind 22 that the oracle integrates apart
+    pts = _random_points(29, 30)
+    eye = np.broadcast_to(np.eye(3), (30, 3, 3))
+    for name, h in BIT_PATHS.items():
+        for times in ([0.25, 0.5], [-0.25, -0.5]):
+            # 32 steps per unit time take 8 steps to each time
+            y_ref, m_ref, states = pts, eye, []
+            for t0, t1 in zip([0.0] + times, times):
+                y_ref, m_ref = oracles.advance_state(h, y_ref, m_ref, t0, t1, 8)
+                states.append((y_ref, m_ref))
+            for rows in (None, 8, 0):
+                for (y_ref, m_ref), (y, m) in zip(states, flow.sweep(h, pts, times, 32, rows)):
+                    assert np.array_equal(y, y_ref), (name, times, rows)
+                    if rows == 0:
+                        assert m is None
+                    else:
+                        assert np.array_equal(m, m_ref[-(rows or 30):]), (name, times, rows)
+        y_ref, m_ref = oracles.advance_state(h, pts[22:], eye[22:], 0.6, 0.0, 7)
+        head, _ = oracles.advance_state(h, pts[:22], None, 0.6, 0.0, 7)
+        y, m = flow.transport_backward(h, pts, 0.6, 7, jacobian_rows=8)
+        assert np.array_equal(y, np.concatenate([head, y_ref])), name
+        assert np.array_equal(m, m_ref), name
 
 
 AXIAL_PATHS = {
@@ -176,7 +214,7 @@ def test_axial_flow_matches_the_rk4_sweep():
     for name, h in AXIAL_PATHS.items():
         for t in (-0.97, 0.97):
             (y,) = flow.axial_flow(h, nodes, [t])
-            ((y_rk4, _),) = flow.sweep(h, nodes, [t], 1024, jacobian=False)
+            ((y_rk4, _),) = flow.sweep(h, nodes, [t], 1024, jacobian_rows=0)
             assert np.max(np.abs(y - y_rk4)) < 1e-9, name
 
 

@@ -231,11 +231,13 @@ def test_sweeps_integrate_the_classical_flow_once_per_sweep(monkeypatch):
     # the lower levels add no flow work.  The defect sweep's first factor is
     # time-mixed, which RK4 integrates; a static axial one such as
     # height-squared has a closed-form flow and runs no RK4 at all
+    # point-steps without and with the variational equation
     point_steps = []
     advance = flow.advance_state
 
     def counted(h, y, m, t0, t1, steps=1):
-        point_steps.append(steps * len(y))
+        with_jacobian = 0 if m is None else len(m)
+        point_steps.append((steps * (len(y) - with_jacobian), steps * with_jacobian))
         return advance(h, y, m, t0, t1, steps)
 
     monkeypatch.setattr(flow, "advance_state", counted)
@@ -247,8 +249,8 @@ def test_sweeps_integrate_the_classical_flow_once_per_sweep(monkeypatch):
         for ks in ((8, 16), (16,)):
             point_steps.clear()
             sweep(ks)
-            totals.append(sum(point_steps))
-        assert totals[0] == totals[1] > 0
+            totals.append(tuple(map(sum, zip(*point_steps))))
+        assert totals[0] == totals[1] and min(totals[0]) > 0
     point_steps.clear()
     harness.run_defect(_defect_config())
     assert point_steps == []

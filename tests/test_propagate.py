@@ -152,12 +152,14 @@ def test_generators_of_a_reparametrized_path():
 
 
 def _count_advances(monkeypatch):
-    """Record (steps, points, with a Jacobian) of every ``flow.advance_state`` call."""
+    """Record (steps, points without, points with a Jacobian) of every
+    ``flow.advance_state`` call."""
     calls = []
     advance = flow.advance_state
 
     def counted(h, y, m, t0, t1, steps=1):
-        calls.append((steps, len(y), m is not None))
+        with_jacobian = 0 if m is None else len(m)
+        calls.append((steps, len(y) - with_jacobian, with_jacobian))
         return advance(h, y, m, t0, t1, steps)
 
     monkeypatch.setattr(flow, "advance_state", counted)
@@ -166,13 +168,14 @@ def _count_advances(monkeypatch):
 
 def test_xi_path_advances_the_flow_three_steps_per_magnus_step(monkeypatch):
     # one RK4 step to each Gauss point and one to the end of every step
-    # but the last, whose end no sample reads: the grid's points alone, then
-    # the 6 x 12 sentinel's with their Jacobians, for the det drift
+    # but the last, whose end no sample reads: the grid's points, and
+    # stacked behind them the 6 x 12 sentinel's with their Jacobians, for
+    # the det drift
     calls = _count_advances(monkeypatch)
     space = quantize.build_space(8)
     propagate.xi_path(space, ham.time_mixed(), steps=4)
     assert space.grid.size == 288
-    assert calls == [(1, 288, False)] * 11 + [(1, 72, True)] * 11
+    assert calls == [(1, 288, 72)] * 11
 
 
 def test_pull_back_on_the_claims_config_counts_its_rk4_point_steps(monkeypatch):
@@ -183,8 +186,9 @@ def test_pull_back_on_the_claims_config_counts_its_rk4_point_steps(monkeypatch):
     propagate.pull_back(ham.time_mixed(), grid, steps=32)
     assert grid.size == 3200
     point_steps = {True: 0, False: 0}
-    for steps, points, jacobian in calls:
-        point_steps[jacobian] += steps * points
+    for steps, without, with_jacobian in calls:
+        point_steps[False] += steps * without
+        point_steps[True] += steps * with_jacobian
     assert point_steps == {True: 95 * 72, False: 95 * 3200}
 
 
@@ -235,14 +239,41 @@ def test_xi_path_of_an_autonomous_path_is_its_direct_propagator():
             assert abs(direct.phase - inverse.phase) <= 1e-12, (name, k)
 
 
+def test_xi_path_of_an_autonomous_path_takes_one_exponential(monkeypatch):
+    # the pull-back of an autonomous path is one symbol at every Gauss time,
+    # so the Magnus steps multiply to one exponential: per level one
+    # assembly and one eigh, where the step loop took 32 of each at 16 steps
+    calls = {"assemblies": 0, "eigh": 0}
+    assemble, eigh = quantize.kostant_souriau, np.linalg.eigh
+
+    def counted_assembly(*args):
+        calls["assemblies"] += 1
+        return assemble(*args)
+
+    def counted_eigh(*args):
+        calls["eigh"] += 1
+        return eigh(*args)
+
+    monkeypatch.setattr(quantize, "kostant_souriau", counted_assembly)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    grid = quantize.default_grid(16)
+    for name in AUTONOMOUS_PRESETS:
+        pulled = propagate.pull_back(ham.preset(name), grid, steps=16)
+        for k in (8, 16):
+            calls.update(assemblies=0, eigh=0)
+            propagate.xi_path(quantize.build_space(k, grid), pulled, steps=16)
+            assert calls["assemblies"] == 1 and calls["eigh"] <= 1, (name, k, calls)
+
+
 def test_product_samples_transport_a_time_dependent_factor_once_per_time(monkeypatch):
     # 8 Gauss times, each transported back on its own in max(8, 8 t) = 8
-    # steps, and the 6 x 12 sentinel with its Jacobians to the last time only
+    # steps, and the 6 x 12 sentinel with its Jacobians, stacked behind the
+    # nodes, to the last time only
     calls = _count_advances(monkeypatch)
     grid = quantize.default_grid(8)
     propagate.product_samples(ham.time_mixed(), ham.coordinate(0), grid, 4, flow_steps=8)
     assert grid.size == 288
-    assert sorted(calls) == sorted([(8, 288, False)] * 8 + [(8, 72, True)])
+    assert calls == [(8, 288, 0)] * 7 + [(8, 288, 72)]
 
 
 def test_xi_path_phase_is_the_trace_sum_of_its_samples(monkeypatch):

@@ -150,14 +150,17 @@ def test_star_product_propagation_shares_one_backward_sweep(monkeypatch):
     # 32 flow steps per unit time the gaps between samples (0.0264 first,
     # then 0.0722 within and 0.0528 between Magnus steps) take 1, 3 and 2
     # RK4 steps: 1 + 8 * 3 + 7 * 2 = 39 steps per node.  The grid's nodes
-    # go without the variational equation; the 72 sentinel nodes carry it.
+    # go without the variational equation; the 72 sentinel nodes stacked
+    # behind them carry it.
     # 2 x1 + 2 x3^2 is static but not axial, so RK4 integrates it; the
     # static axial 2 x3^2 has a closed-form flow and runs no RK4
     point_steps = {False: 0, True: 0}
     advance = flow.advance_state
 
     def counted(h, y, m, t0, t1, steps=1):
-        point_steps[m is not None] += steps * len(y)
+        with_jacobian = 0 if m is None else len(m)
+        point_steps[False] += steps * (len(y) - with_jacobian)
+        point_steps[True] += steps * with_jacobian
         return advance(h, y, m, t0, t1, steps)
 
     def per_time(*args, **kwargs):
