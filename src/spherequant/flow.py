@@ -183,13 +183,20 @@ def sweep(h, points, times, steps_per_unit_time, jacobian_rows=None):
     most 1/steps_per_unit_time.  Times may be negative.  Points flowed with
     and without Jacobians in one sweep take the same steps, so a few points
     with Jacobians stacked behind many without read their drift in the
-    many's integration.
+    many's integration.  The rate, the times and ``jacobian_rows`` are
+    checked on the call (``ValueError``); the states come from the returned
+    iterator, which integrates lazily.
     """
     _check_rate(steps_per_unit_time)
     times = list(times)
     for t in times:
         _check_time(t, "each of times")
     y, m = _start(points, jacobian_rows)
+    return _sweep_states(h, y, m, times, steps_per_unit_time)
+
+
+def _sweep_states(h, y, m, times, steps_per_unit_time):
+    """The states of :func:`sweep`, integrated one gap at a time."""
     t_prev = 0.0
     for t in times:
         if t != t_prev:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -42,13 +43,16 @@ class HolomorphyError(ValueError):
 class ChartSamples:
     """The k-independent stage of a time-dependent Kostant-Souriau
     propagation: a symbol's node values on ``grid`` at the Gauss times of
-    every Magnus step, which :func:`quantize.kostant_souriau` assembles.
+    every Magnus step, which :func:`quantize.kostant_souriau_modes` assembles.
 
     The samples depend on the grid and the steps but not on the level k,
     so one set, sampled once per sweep, stands in for its symbol at every
     level built on ``grid``: :func:`propagate_ks` takes the
     :func:`product_samples` of a product path and :func:`xi_path` the
-    :func:`pull_back` of a path in place of the Hamiltonian.
+    :func:`pull_back` of a path in place of the Hamiltonian.  Their
+    azimuthal modes are k-independent too: the first level that needs them
+    takes those of every sample in one :func:`quantize.azimuthal_modes`,
+    with one finiteness check, and every later level reads them.
     ``flow_det_drift`` is max |det J - 1| of the samples' flow at the last one,
     as :func:`_flow_samples` reads it: 0.0 on the closed-form and identity routes.
     ``static`` samples are one symbol at every time, as :func:`pull_back`
@@ -60,18 +64,25 @@ class ChartSamples:
     flow_det_drift: float
     static: bool = False
 
+    @cached_property
+    def _modes(self):
+        """Gauss time -> the :func:`quantize.azimuthal_modes` of its sample, from
+        one FFT of every sample (of the one sample when ``static``)."""
+        times = list(self.data)[:1] if self.static else list(self.data)
+        blocks = quantize.azimuthal_modes(self.grid, np.stack([self.data[t] for t in times]))
+        modes = {t: tuple(b[i] for b in blocks) for i, t in enumerate(times)}
+        return dict.fromkeys(self.data, modes[times[0]]) if self.static else modes
+
     def operator(self, space, t):
         """Kostant-Souriau operator on ``space`` of the sample at time t."""
         if space.grid != self.grid:
             raise ValueError("chart samples serve only the nodes of their own grid")
-        try:
-            sample = self.data[t]
-        except KeyError:
+        if t not in self.data:
             raise ValueError(
                 f"chart samples taken for {len(self.data) // 2} Magnus steps "
                 "cannot serve other Magnus steps"
-            ) from None
-        return quantize.kostant_souriau(space, sample)
+            )
+        return quantize.kostant_souriau_modes(space, self._modes[t])
 
 
 @dataclass(frozen=True)

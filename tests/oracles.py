@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.linalg
 
-from spherequant import flow, propagate, siegel, sphere
+from spherequant import flow, propagate, quantize, siegel, sphere
 from spherequant.unitary_metric import (
     TWO_PI,
     DimensionMismatchError,
@@ -135,6 +135,71 @@ def trace_sum_phase(k, samples):
     dt = 2.0 / len(samples.data)
     total = sum(sphere.integrate_values(samples.grid, g) for g in samples.data.values())
     return -k * (k + 1) / (2.0 * np.pi) * (dt / 2.0) * total
+
+
+# ---------------------------------------------------------------------------
+# operator assembly as it ran before the per-level assembly plan: the full
+# (2k + 1) x n_phi ring product of every stack and one FFT per assembly, the
+# oracle of ``QuantumSpace.compress`` and ``quantize.kostant_souriau``
+
+
+def ring_pairs(space):
+    """Ring products regrouped by s = m + n.
+
+    rings[i, m] rings[i, n] = kappa[m, n] * pairs[s, i] with pairs[s, i]
+    = rings[i, s//2] rings[i, s - s//2] and the ring-independent kappa =
+    sqrt(N_{s//2} N_{s-s//2} / (N_m N_n)), which is at most 1 because
+    log N_m is convex in m.  Returns (pairs, kappa, index) with index the
+    flat position of (s, (m - n) mod n_phi) in an (2k+1, n_phi) array.
+    """
+    k, n_phi = space.k, space.grid.n_phi
+    s = np.arange(2 * k + 1)
+    pairs = space.rings[:, s // 2].T * space.rings[:, s - s // 2].T
+    log_n = quantize._log_norms(k)
+    m = np.arange(k + 1)
+    total = m[:, None] + m[None, :]
+    kappa = np.exp(
+        0.5 * (log_n[total // 2] + log_n[total - total // 2])
+        - 0.5 * (log_n[:, None] + log_n[None, :])
+    )
+    index = total * n_phi + (m[:, None] - m[None, :]) % n_phi
+    return pairs, kappa, index
+
+
+def ring_modes(space, g):
+    """Azimuthal modes of node values g: one FFT along phi per ring."""
+    if not np.all(np.isfinite(g)):
+        raise ValueError("node values must be finite")
+    return np.fft.fft(np.reshape(g, (space.grid.n_theta, space.grid.n_phi)), axis=1)
+
+
+def compress(space, g):
+    """Matrix [sum_nodes w conj(s_m) g s_n]_{mn} of node values g.
+
+    One FFT along phi per ring gives the azimuthal modes of g; entry
+    (m, n) sums rings[i, m] rings[i, n] modes[i, (m - n) mod n_phi]
+    over the rings, done as one product over s = m + n (see
+    ``ring_pairs``).
+    """
+    pairs, kappa, index = ring_pairs(space)
+    return kappa * np.take(pairs @ ring_modes(space, g), index)
+
+
+def kostant_souriau(space, values):
+    """Kostant-Souriau operator of the symbol g with the given node values,
+    K_mn = (m+n+2 - 2mn/k) C[g] - (mn/k) C[g/u] - ((k-m)(k-n)/k) C[g u]
+    with u = |z|^2 and C the compression, from three full ring products."""
+    if np.iscomplexobj(values):
+        raise ValueError("node values of a Kostant-Souriau symbol must be real")
+    u = space.radii**2
+    pairs, kappa, index = ring_pairs(space)
+    # (re, im) interleaved, so the ring sums are real matrix products
+    modes = ring_modes(space, values).view(float)
+    stack = (pairs, pairs / u, pairs * u)
+    c, c_u, cu = (kappa * np.take((p @ modes).view(complex), index) for p in stack)
+    k, m = space.k, np.arange(space.dim)[:, None]
+    mn, rest = m * m.T / k, (k - m) * (k - m.T) / k
+    return (m + m.T + 2.0 - 2.0 * mn) * c - mn * c_u - rest * cu
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,15 @@ def _one_value(value):
     return values
 
 
+def _samples_with_one_nan():
+    """ChartSamples of x3 on the grid of ``_space()`` at the Gauss times of 2
+    Magnus steps, one node of the last sample set to NaN."""
+    times = [t for pair in propagate._gauss_times(2) for t in pair]
+    data = {t: _one_value(t) for t in times}
+    data[times[-1]] = _one_value(NAN)
+    return propagate.ChartSamples(_space().grid, data, 0.0)
+
+
 def _cover(phase=0.0, n=2):
     return UnitaryWithPhase(Unitary(np.eye(n)), phase)
 
@@ -97,6 +106,16 @@ CASES = [
     ),
     ("compress-inf-value", lambda: _space().compress(_one_value(INF)), "node values"),
     (
+        "propagate-ks-nan-sample",
+        lambda: propagate.propagate_ks(_space(), _samples_with_one_nan(), 2),
+        "node values must be finite",
+    ),
+    (
+        "xi-path-nan-sample",
+        lambda: propagate.xi_path(_space(), _samples_with_one_nan(), 2),
+        "node values must be finite",
+    ),
+    (
         "kostant-souriau-complex-values",
         lambda: quantize.kostant_souriau(_space(), np.full(_space().grid.size, 1j)),
         "node values",
@@ -122,6 +141,21 @@ CASES = [
     (
         "sweep-jacobian-rows-too-many",
         lambda: list(flow.sweep(ham.time_mixed(), GRID.nodes, [0.5], 8, GRID.size + 1)),
+        "jacobian_rows",
+    ),
+    # sweep checks its inputs on the call, before the first state is read
+    (
+        "sweep-call-rate-str",
+        lambda: flow.sweep(ham.time_mixed(), GRID.nodes, [0.5], "8"),
+        "steps_per_unit_time",
+    ),
+    ("sweep-call-time-inf", lambda: flow.sweep(ham.time_mixed(), GRID.nodes, [INF], 8), "times"),
+    ("sweep-call-time-nan", lambda: flow.sweep(ham.time_mixed(), GRID.nodes, [NAN], 8), "times"),
+    ("sweep-call-time-complex", lambda: flow.sweep(ham.time_mixed(), GRID.nodes, [1j], 8), "times"),
+    ("sweep-call-time-bool", lambda: flow.sweep(ham.time_mixed(), GRID.nodes, [True], 8), "times"),
+    (
+        "sweep-call-jacobian-rows-too-many",
+        lambda: flow.sweep(ham.time_mixed(), GRID.nodes, [0.5], 8, GRID.size + 1),
         "jacobian_rows",
     ),
     (

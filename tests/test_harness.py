@@ -256,6 +256,48 @@ def test_sweeps_integrate_the_classical_flow_once_per_sweep(monkeypatch):
     assert point_steps == []
 
 
+def test_sweeps_take_the_modes_of_their_samples_once(monkeypatch):
+    # the benchmark's claims prop53 and defect configurations: every level
+    # reads the modes the first level took from the shared samples in one FFT
+    # (prop53 took 64 Gauss times x 4 levels = 256); defect adds one per
+    # polynomial group per level, 1 + 2 x 4 = 9 (72)
+    calls = []
+    fft = np.fft.fft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    ks = (8, 16, 32, 64)
+    harness.run_prop53(
+        harness.ExperimentConfig(
+            experiment="prop53",
+            preset="time-mixed",
+            ks=ks,
+            steps=32,
+            flow_steps=32,
+            grid_theta=12,
+            grid_phi=24,
+        )
+    )
+    assert len(calls) == 1
+    calls.clear()
+    harness.run_defect(
+        harness.ExperimentConfig(
+            experiment="defect",
+            preset="height-squared",
+            preset_params={"scale": 2.0},
+            preset_b="x1",
+            preset_b_params={"scale": 2.0},
+            ks=ks,
+            steps=8,
+            flow_steps=32,
+        )
+    )
+    assert len(calls) == 9
+
+
 def test_sweeps_report_classical_time_and_flow_health():
     theorem1 = harness.run_theorem1_holomorphic(_theorem1_config("x1"))
     prop53 = harness.run_prop53(_prop53_config())

@@ -244,7 +244,7 @@ def test_xi_path_of_an_autonomous_path_takes_one_exponential(monkeypatch):
     # so the Magnus steps multiply to one exponential: per level one
     # assembly and one eigh, where the step loop took 32 of each at 16 steps
     calls = {"assemblies": 0, "eigh": 0}
-    assemble, eigh = quantize.kostant_souriau, np.linalg.eigh
+    assemble, eigh = quantize.kostant_souriau_modes, np.linalg.eigh
 
     def counted_assembly(*args):
         calls["assemblies"] += 1
@@ -254,7 +254,7 @@ def test_xi_path_of_an_autonomous_path_takes_one_exponential(monkeypatch):
         calls["eigh"] += 1
         return eigh(*args)
 
-    monkeypatch.setattr(quantize, "kostant_souriau", counted_assembly)
+    monkeypatch.setattr(quantize, "kostant_souriau_modes", counted_assembly)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     grid = quantize.default_grid(16)
     for name in AUTONOMOUS_PRESETS:

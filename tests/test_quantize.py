@@ -292,6 +292,55 @@ def test_compress_matches_dense_quadrature(k, n_theta, n_phi, seed):
     assert np.max(np.abs(sp.compress(g) - dense)) <= 1e-13 * np.max(np.abs(g))
 
 
+def _assembly_symbols(grid, rng):
+    """(name, real node values): time-mixed at t = 0.3, x3^2 and a random
+    smooth field, exp(a . x) for a random a."""
+    nodes = grid.nodes
+    a = rng.normal(size=3)
+    return [
+        ("time-mixed", ham.time_mixed().value(nodes, 0.3)),
+        ("x3^2", ham.Monomial((0, 0, 2)).value(nodes)),
+        ("smooth", np.exp(nodes @ a)),
+    ]
+
+
+@pytest.mark.parametrize("grid_level, levels", [(64, (1, 2, 8, 9, 64)), (9, (1, 2, 8, 9))])
+def test_plan_assembly_matches_the_full_ring_product(grid_level, levels):
+    # default_grid(64) is 40 x 80 (even n_phi: one parity's columns per
+    # product), default_grid(9) 13 x 25 (odd n_phi: every column); both are
+    # exact at these levels.  Bit-equal where the BLAS kernel sums in the
+    # oracle's order; the bound admits another kernel's rounding
+    grid = quantize.default_grid(grid_level)
+    rng = np.random.default_rng(grid_level)
+    symbols = _assembly_symbols(grid, rng)
+    complex_field = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    for k in levels:
+        sp = quantize.build_space(k, grid)
+        for name, values in symbols + [("complex", complex_field)]:
+            pairs = [(sp.compress(values), oracles.compress(sp, values))]
+            if name != "complex":
+                ks = quantize.kostant_souriau(sp, values)
+                pairs.append((ks, oracles.kostant_souriau(sp, values)))
+            for got, expected in pairs:
+                bound = 4 * np.finfo(float).eps * np.max(np.abs(expected))
+                assert np.max(np.abs(got - expected)) <= bound, (grid_level, k, name)
+
+
+def test_chart_samples_assemble_each_sample_as_kostant_souriau():
+    # the modes taken once for every sample give the operator of each sample
+    grid = quantize.default_grid(9)
+    steps = 3
+    pulled = propagate.pull_back(ham.time_mixed(), grid, steps)
+    static = propagate.pull_back(ham.height_squared(), grid, steps)
+    for k in (2, 9):
+        sp = quantize.build_space(k, grid)
+        for samples in (pulled, static):
+            for t, values in samples.data.items():
+                assert np.array_equal(
+                    samples.operator(sp, t), quantize.kostant_souriau(sp, values)
+                ), (k, t)
+
+
 def _degree_combinations(nodes, rng, max_degree=15):
     """(max_degree + 1, nodes) node values: row d is a fixed random unit-scale
     combination of the monomials of degree exactly d, from power tables."""

@@ -4,6 +4,7 @@
 Usage (from the repository root):
 
     python3 tools/workload_digest.py
+    python3 tools/workload_digest.py --against REV
 
 Runs one untraced sweep of every ``perfbench`` workload at seeds 3 and 57
 (the two symmetric variants each workload draws) and prints one line per
@@ -18,17 +19,31 @@ SHA-256 covers the sweep's output without its wall times (the rows'
 error, and the bytes and phase of every captured propagator.  Two
 checkouts that print the same lines computed the same numbers to the
 last bit.
+
+With ``--against REV`` the tool compares two checkouts itself: it extracts
+REV's ``src/`` and ``perfbench/`` with ``git archive`` into a temporary
+directory, which leaves the working tree and ``.git`` as they are, runs the
+digest there and here, each in its own interpreter, prints both sets of
+lines and exits 1 if any line differs.  ``--against HEAD`` compares the tree
+with itself, so it also fails on any nondeterminism in a sweep.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
+import io
 import os
+import shutil
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402  (perfbench/run.py)
 
@@ -78,7 +93,60 @@ def digest(workload):
     return len(results), float(max(uses, default=0.0)), h.hexdigest()
 
 
+def _digest_lines(root):
+    """The digest lines of the checkout at ``root``, from a fresh interpreter
+    that runs this script there."""
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / Path(__file__).name)],
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"the digest at {root} exited with {proc.returncode}")
+    return proc.stdout.splitlines()
+
+
+def against(rev):
+    """Print the digest lines of REV and of this checkout; 1 if any differs,
+    2 if git cannot archive REV."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src", "perfbench"],
+        capture_output=True,
+    )
+    if archive.returncode != 0:
+        sys.stderr.write(archive.stderr.decode())
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        other = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            # the "data" filter where this Python has it (3.10.12, 3.11.4 on)
+            safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+            tar.extractall(other, **safe)
+        (other / "tools").mkdir()
+        shutil.copy(Path(__file__), other / "tools")
+        theirs = _digest_lines(other)
+    ours = _digest_lines(ROOT)
+    for label, lines in ((rev, theirs), ("working tree", ours)):
+        print(f"{label}:")
+        print("\n".join(f"  {line}" for line in lines))
+    if theirs != ours:
+        print(f"the digest lines differ from {rev}", file=sys.stderr)
+        return 1
+    print(f"all {len(ours)} lines equal")
+    return 0
+
+
 def main():
+    parser = argparse.ArgumentParser(description="Bit-identity digest of the benchmark workloads.")
+    parser.add_argument(
+        "--against",
+        metavar="REV",
+        help="also digest REV's src/ and perfbench/ and exit 1 if any line differs",
+    )
+    args = parser.parse_args()
+    if args.against is not None:
+        return against(args.against)
     for var in run.BLAS_THREAD_VARS:
         os.environ[var] = str(run.BLAS_THREADS)
     if run.import_program() is None:
