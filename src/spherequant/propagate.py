@@ -15,6 +15,8 @@ once per propagation, and exponentiated by the band the powers certify:
 elementwise when diagonal (functions of the height x3), by a real symmetric
 tridiagonal solver when tridiagonal (the rotations x1, x2 with functions of
 x3), else by a dense ``eigh``; static groups take one exponential in all.
+When the powers also certify every group even in x3, each tridiagonal step
+is centrosymmetric and takes two half-size solves on its parity rows.
 """
 
 from __future__ import annotations
@@ -101,23 +103,54 @@ def _expi(a, scale):
     return (vecs * np.exp(1j * scale * vals)[None, :]) @ vecs.conj().T
 
 
-def _expi_tridiagonal(d, e, scale, u):
-    """exp(1j * scale * H) @ u for the Hermitian tridiagonal H with real
-    diagonal d and superdiagonal e.
+def _expi_tridiagonal(d, e, scale, v):
+    """exp(1j * scale * T) @ v for the real symmetric tridiagonal T with
+    diagonal d and off-diagonal e, written into v; exp(1j * scale * T) itself,
+    a new array, when v is None.
 
-    With D = diag(delta), delta_0 = 1 and delta_{j+1} = delta_j conj(e_j) /
-    |e_j| (1 where e_j = 0), H = D T D* for the real symmetric T with
-    diagonal d and off-diagonal |e|.  T = Q diag(lam) Q^T is found by
-    scipy's default symmetric tridiagonal driver (divide and conquer,
-    ``?stevd``, where scipy offers it; MRRR, ``?stemr``, before), and
-    u <- D Q exp(i scale lam) Q^T D* u runs as two real matrix products on
-    the (re, im) interleaved u.  :func:`_expi_steps` checks d and e finite.
+    T = Q diag(lam) Q^T is found by scipy's default symmetric tridiagonal
+    driver (divide and conquer, ``?stevd``, where scipy offers it; MRRR,
+    ``?stemr``, before).  The product runs as two real matrix products on the
+    (re, im) interleaved rows of v, or as one, Q (exp(i scale lam) Q^T), from
+    the identity.  :func:`_expi_steps` checks d and e finite.
     """
-    delta = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(e)))))
-    vals, q = scipy.linalg.eigh_tridiagonal(d, np.abs(e), check_finite=False)
-    v = (q.T @ (delta.conj()[:, None] * u).view(float)).view(complex)
-    v *= np.exp(1j * scale * vals)[:, None]
-    return delta[:, None] * (q @ v.view(float)).view(complex)
+    vals, q = scipy.linalg.eigh_tridiagonal(d, e, check_finite=False)
+    phases = np.exp(1j * scale * vals)[:, None]
+    if v is None:
+        return (q @ (phases * q.T).view(float)).view(complex)
+    x = (q.T @ v.view(float)).view(complex)
+    x *= phases
+    np.matmul(q, x.view(float), out=v.view(float))
+    return v
+
+
+def _parity_blocks(d, e):
+    """The two real symmetric tridiagonal blocks, (diagonals, off-diagonals) of
+    sizes ceil(N/2) and floor(N/2) for every step, of the centrosymmetric
+    tridiagonal steps with diagonals d (steps, N) and off-diagonals e (steps,
+    N - 1), on the parity rows (u_j +- u_{N-1-j}) / sqrt(2), j < N // 2, and,
+    for odd N, the middle row u_{N//2}, which joins the symmetric block.
+
+    Centrosymmetry pairs entry j with N - 1 - j of d and N - 2 - j of e; the
+    blocks are built from the centrosymmetric parts (d + reversed d) / 2 and
+    (e + reversed e) / 2.  For even N the centre coupling e_{N/2-1} adds to
+    the last diagonal entry of the symmetric block and subtracts from the
+    antisymmetric one; for odd N it couples the middle row to the symmetric
+    block as sqrt(2) e_{N//2-1} (Cantoni & Butler, Linear Algebra Appl. 13,
+    1976).
+    """
+    n = d.shape[1]
+    h = n // 2
+    d = 0.5 * (d[:, : n - h] + d[:, ::-1][:, : n - h])
+    e = 0.5 * (e[:, :h] + e[:, ::-1][:, :h])
+    if n % 2:
+        anti = (d[:, :h], e[:, : h - 1])
+        e[:, -1] *= np.sqrt(2.0)
+        return [(d, e), anti]
+    sym = d.copy()
+    sym[:, -1] += e[:, -1]
+    d[:, -1] -= e[:, -1]
+    return [(sym, e[:, : h - 1]), (d, e[:, : h - 1])]
 
 
 # Gauss points of the fourth-order Magnus scheme
@@ -159,7 +192,7 @@ def _separable_steps(groups, gauss, k, dt, sign):
     that sum.  Returns (coef, mats); raises ``ValueError`` naming the group
     whose time function is not a finite real number at a Gauss time.
     """
-    fns, mats, _ = zip(*groups)
+    fns, mats, *_ = zip(*groups)
     # c[n, s, i] = c_i at Gauss time s of step n
     c = np.array(
         [[[1.0 if fn is None else fn(t) for fn in fns] for t in pair] for pair in gauss]
@@ -178,16 +211,28 @@ def _separable_steps(groups, gauss, k, dt, sign):
     return coef, np.stack(mats + tuple(commutators))
 
 
-def _expi_steps(coef, mats, band, scale):
+def _expi_steps(coef, mats, band, scale, even=False):
     """exp(i scale G_last) ... exp(i scale G_0) and scale * sum_n tr G_n for the Hermitian
     step generators G_n = coef[n] @ mats, which vanish off |m - n| <= band.  Band 0 is
-    diagonal, so commuting: the elementwise exponential of the summed diagonals.  Band 1
-    takes :func:`_expi_tridiagonal` per step.  Both first check every step's diagonals
-    finite, once (``ValueError``); wider bands take the dense :func:`_expi`."""
+    diagonal, so commuting: the elementwise exponential of the summed diagonals.  Both
+    band routes first check every step's diagonals finite, once (``ValueError``); wider
+    bands take the dense :func:`_expi`.
+
+    Band 1: G_n = D_n T_n D_n* for the real symmetric tridiagonal T_n with the diagonal
+    of G_n and off-diagonal |e| (e the superdiagonal of G_n), and D_n = diag(delta),
+    delta_0 = 1, delta_{j+1} = delta_j conj(e_j) / |e_j| (1 where e_j = 0); the gauges
+    of all steps are taken at once.  T_n splits into blocks by the orthogonal P, and
+    the state is x_n = P D_n* u_n D_0 P^T: x_0 is the blocks of exp(i scale T_0), made
+    from the identity, every later step turns x by P D_n* D_{n-1} P^T and takes one
+    :func:`_expi_tridiagonal` per block, and u = D_last P^T x P D_0*.  When ``even``
+    certifies every group even in x3 (:func:`_groups`), T_n is centrosymmetric, and P
+    takes it to the two parity blocks of :func:`_parity_blocks`; else P = I and T_n is
+    one block.
+    """
     diag = (coef @ np.diagonal(mats, axis1=1, axis2=2)).real
     phase = scale * float(np.sum(diag))
-    u = np.eye(mats.shape[-1], dtype=complex)
     if band >= 2:
+        u = np.eye(mats.shape[-1], dtype=complex)
         for c in coef:
             u = _expi(np.tensordot(c, mats, 1), scale) @ u
         return u, phase
@@ -196,9 +241,48 @@ def _expi_steps(coef, mats, band, scale):
         raise ValueError(f"the band-{band} step generators are not finite")
     if band == 0:
         return np.diag(np.exp(1j * scale * diag.sum(axis=0))), phase
-    for d, e in zip(diag, off):
-        u = _expi_tridiagonal(d, e, scale, u)
-    return u, phase
+    gauge = np.ones(diag.shape, dtype=complex)
+    gauge[:, 1:] = np.exp(-1j * np.cumsum(np.angle(off), axis=1))
+    blocks = _parity_blocks(diag, np.abs(off)) if even else [(diag, np.abs(off))]
+    # the turn D_n* D_{n-1} takes each pair of parity rows (s, a) to sqrt(2)
+    # times its site rows, s + a and s - a, turns them by t_j / 2 and
+    # t_{N-1-j} / 2 and takes them back; an unpaired row turns by its own t_j
+    n = diag.shape[1]
+    pairs = n // 2 if even else 0
+    turn = gauge[1:].conj() * gauge[:-1]
+    halves = 0.5 * np.concatenate([turn[:, :pairs], turn[:, ::-1][:, :pairs]], axis=1)
+    x = np.zeros((n, n), dtype=complex)
+    rows = [x[: n - pairs], x[n - pairs :]] if even else [x]
+    for (d, e), v, lo in zip(blocks, rows, (0, n - pairs)):
+        v[:, lo : lo + len(v)] = _expi_tridiagonal(d[0], e[0], scale, None)
+    s, a, unpaired = x[:pairs], x[n - pairs :], x[pairs : n - pairs]
+    site = np.empty((2 * pairs, n), dtype=complex)
+    top, bottom = site[:pairs], site[pairs:]
+    for step, (half, t) in enumerate(zip(halves[:, :, None], turn[:, pairs : n - pairs, None]), 1):
+        np.add(s, a, out=top)
+        np.subtract(s, a, out=bottom)
+        site *= half
+        np.add(top, bottom, out=s)
+        np.subtract(top, bottom, out=a)
+        unpaired *= t
+        for (d, e), v in zip(blocks, rows):
+            _expi_tridiagonal(d[step], e[step], scale, v)
+    # P^T x P from sqrt(2) times the site rows and columns of each pair
+    _unfold_pairs(x, pairs)
+    _unfold_pairs(x.T, pairs)
+    norm = np.full(n, np.sqrt(0.5))
+    norm[pairs : n - pairs] = 1.0
+    return (gauge[-1] * norm)[:, None] * x * (gauge[0].conj() * norm), phase
+
+
+def _unfold_pairs(x, pairs):
+    """Overwrite the parity rows s_j at j and a_j at N - pairs + j, j < ``pairs``,
+    of x with s_j + a_j at j and s_j - a_j at N - 1 - j: sqrt(2) times the rows
+    u_j and u_{N-1-j} that (u_j +- u_{N-1-j}) / sqrt(2) were taken from."""
+    s, a = x[:pairs], x[len(x) - pairs :]
+    total = s + a
+    a[:] = (s - a)[::-1]
+    s[:] = total
 
 
 def _magnus(space, path, steps, sign):
@@ -233,7 +317,8 @@ def _magnus(space, path, steps, sign):
             phase += scale * np.trace(h_eff).real
         return u, phase
     coef, mats = _separable_steps(path, gauss, k, dt, sign)
-    return _expi_steps(coef, mats, _step_band([degree for _, _, degree in path]), scale)
+    band = _step_band([degree for _, _, degree, _ in path])
+    return _expi_steps(coef, mats, band, scale, all(even for *_, even in path))
 
 
 def propagate_generic(space, path, steps):
@@ -244,23 +329,33 @@ def propagate_generic(space, path, steps):
     points see the same matrix, the commutator vanishes and the steps
     multiply to exp(-i k A): one :func:`_expi_steps` at the groups' band does.
     """
-    if not isinstance(path, ChartSamples) and all(fn is None for fn, _, _ in path):
+    if not isinstance(path, ChartSamples) and all(fn is None for fn, *_ in path):
         flow._check_steps(steps)
-        a = sum((mat for _, mat, _ in path), np.zeros((space.dim, space.dim), dtype=complex))
-        band = max((degree for _, _, degree in path), default=0)
-        u, phase = _expi_steps(np.ones((1, 1)), a[None], band, -space.k)
+        a = sum((mat for _, mat, *_ in path), np.zeros((space.dim, space.dim), dtype=complex))
+        band = max((degree for _, _, degree, _ in path), default=0)
+        even = all(even for *_, even in path)
+        u, phase = _expi_steps(np.ones((1, 1)), a[None], band, -space.k, even)
         return PropagationResult(unitary=u, phase=phase)
     u, phase = _magnus(space, path, steps, -1.0)
     return PropagationResult(unitary=u, phase=phase)
 
 
 def _groups(space, h, builder):
-    """The path A(t) = sum_i c_i(t) A_i as data: (c_i, A_i, b_i) over the groups c_i(t) poly_i
-    of ``h.separable_terms()``, c_i None when static, A_i = builder(space, poly_i) on a grid
-    exact for poly_i, and b_i its azimuthal degree: A_i vanishes off |m - n| <= b_i."""
+    """The path A(t) = sum_i c_i(t) A_i as data: (c_i, A_i, b_i, e_i) over the groups
+    c_i(t) poly_i of ``h.separable_terms()``, c_i None when static, A_i = builder(space,
+    poly_i) on a grid exact for poly_i, b_i its azimuthal degree: A_i vanishes off
+    |m - n| <= b_i, and e_i whether every power of x3 in poly_i is even, read from the
+    powers, never tested numerically.  Quantization is equivariant under the half turn
+    z -> 1/z about the x1 axis, which maps z^m to z^{k-m}, x2 to -x2 and x3 to -x3, so
+    under e_i the diagonal of A_i and the moduli of its first off-diagonal are
+    palindromic; :func:`_expi_steps` splits the band-1 steps of a path whose groups all
+    have e_i in two."""
     terms = h.separable_terms()
     bands = [quantize._certified_band(space, poly) for _, poly in terms]
-    return [(fn, builder(space, poly), b) for (fn, poly), b in zip(terms, bands)]
+    return [
+        (fn, builder(space, poly), b, all(term.powers[2] % 2 == 0 for term in poly.terms))
+        for (fn, poly), b in zip(terms, bands)
+    ]
 
 
 def propagate_toeplitz(space, h, steps):
@@ -374,7 +469,7 @@ def check_holomorphic(h):
     degree-d term is projected on ``quantize._exact_grid(0, D, D)``, D = max(2d, 2),
     exact for its products with the affine basis and its squared remainder.
     """
-    worst = 0.0
+    norms = [0.0]
     for _, poly in h.separable_terms():
         degree = max(2 * max(sum(term.powers) for term in poly.terms), 2)
         grid = sphere.build_grid(*quantize._exact_grid(0, degree, degree))
@@ -383,8 +478,9 @@ def check_holomorphic(h):
         # the basis is orthogonal, with Liouville norms 2 pi and 2 pi / 3
         coeffs = (grid.weights * values) @ basis * [1, 3, 3, 3] / sphere.TOTAL_VOLUME
         remainder = values - basis @ coeffs
-        worst = max(worst, float(np.sqrt(sphere.integrate_values(grid, remainder**2))))
-    if worst > HOLOMORPHY_TOL:
+        norms.append(float(np.sqrt(sphere.integrate_values(grid, remainder**2))))
+    worst = float(np.max(norms))  # NaN propagates, where max() would drop it
+    if not worst <= HOLOMORPHY_TOL:
         raise HolomorphyError(
             "flow does not preserve the round complex structure "
             f"(non-affine remainder {worst:.2e})"

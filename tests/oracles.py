@@ -453,7 +453,7 @@ def group_generator(groups):
 
     def generator(t):
         a = np.zeros(groups[0][1].shape, dtype=complex)
-        for fn, mat, _ in groups:
+        for fn, mat, *_ in groups:
             a += (1.0 if fn is None else fn(t)) * mat
         return a
 

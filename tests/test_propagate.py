@@ -361,6 +361,13 @@ def test_holomorphy_gate_reads_the_sphere_not_the_ambient_polynomial():
     assert abs(small - 1e-7 * np.sqrt(8.0 * np.pi / 45.0)) <= 1e-20
 
 
+def test_holomorphy_gate_refuses_a_nan_remainder(monkeypatch):
+    # NaN passes a gate written as `worst > tol`, and max() drops it
+    monkeypatch.setattr(propagate.sphere, "integrate_values", lambda grid, values: np.nan)
+    with pytest.raises(propagate.HolomorphyError, match="remainder nan"):
+        propagate.check_holomorphic(ham.coordinate(0))
+
+
 def _verdict(h):
     try:
         propagate.check_holomorphic(h)
@@ -465,6 +472,15 @@ BUILDERS = {
     "ks": lambda sp, p: quantize.kostant_souriau(sp, p.value(sp.grid.nodes)),
 }
 
+# tridiagonal blocks per Magnus step: two half-size parity blocks when every
+# power of x3 is even, one full-size block otherwise (the static 0.5 x3)
+TRIDIAGONAL_BLOCKS = {
+    "time-mixed": 2,
+    "rotated x1/x2 + x3^2": 2,
+    "static height": 1,
+    "reparametrized time-mixed": 2,
+}
+
 
 def _count_routes(monkeypatch):
     calls = {"dense": 0, "tridiagonal": 0}
@@ -489,7 +505,8 @@ def test_tridiagonal_route_matches_the_dense_oracle(monkeypatch):
     calls = _count_routes(monkeypatch)
     steps = 32
     grid = quantize.default_grid(64)
-    for k in (8, 64):
+    # N = k + 1 is odd at k = 8 and 64 and even at k = 9: both centre rules
+    for k in (8, 9, 64):
         space = quantize.build_space(k, grid)
         for name, h in TRIDIAGONAL_PATHS.items():
             for builder in BUILDERS.values():
@@ -497,7 +514,8 @@ def test_tridiagonal_route_matches_the_dense_oracle(monkeypatch):
                 for sign in (-1.0, 1.0):
                     before = dict(calls)
                     u, phase = propagate._magnus(space, groups, steps, sign)
-                    assert calls["tridiagonal"] - before["tridiagonal"] == steps, name
+                    blocks = TRIDIAGONAL_BLOCKS[name]
+                    assert calls["tridiagonal"] - before["tridiagonal"] == blocks * steps, name
                     assert calls["dense"] == before["dense"], name
                     u_dense, phase_dense = oracles.dense_magnus(
                         space, oracles.group_generator(groups), steps, sign
@@ -512,7 +530,8 @@ def test_public_propagators_take_the_tridiagonal_route(monkeypatch):
     h = ham.time_mixed()
     toeplitz = propagate.propagate_toeplitz(space, h, steps=8)
     ks = propagate.propagate_ks(space, h, steps=8)
-    assert calls == {"dense": 0, "tridiagonal": 16}
+    # time-mixed is even in x3: two parity blocks per step
+    assert calls == {"dense": 0, "tridiagonal": 32}
     for res in (toeplitz, ks):
         res.with_phase()
 
@@ -526,7 +545,7 @@ def test_discarded_off_band_entries_are_rounding():
         for name, h in TRIDIAGONAL_PATHS.items():
             for builder in BUILDERS.values():
                 groups = propagate._groups(space, h, builder)
-                degrees = [degree for _, _, degree in groups]
+                degrees = [degree for _, _, degree, _ in groups]
                 assert propagate._step_band(degrees) <= 1, name
                 coef, mats = propagate._separable_steps(
                     groups, gauss, k, 1.0 / steps, -1.0
@@ -535,6 +554,78 @@ def test_discarded_off_band_entries_are_rounding():
                     step = np.tensordot(c, mats, 1)
                     norm = np.linalg.norm(step, 2)
                     assert np.max(np.abs(step[off_band])) <= 1e-14 * norm, (name, k)
+
+
+def test_x3_even_step_generators_are_centrosymmetric():
+    # the half turn z -> 1/z maps z^m to z^{k-m}, x2 to -x2 and x3 to -x3, so
+    # on a path whose groups are all even in x3 every step generator, gauged
+    # real as D* G D, is unchanged when its rows and columns are reversed: the
+    # antisymmetric part that the parity split drops is rounding
+    steps = 16
+    gauss = propagate._gauss_times(steps)
+    m = ham.Monomial
+    paths = {name: h for name, h in TRIDIAGONAL_PATHS.items() if TRIDIAGONAL_BLOCKS[name] == 2}
+    paths["sin(pi t) (x1 x3^2 + 0.7 x2) + t x3^2"] = ham.Polynomial(
+        [
+            m((1, 0, 2), time_fn=ham.sin_pi_t),
+            m((0, 1, 0), 0.7, time_fn=ham.sin_pi_t),
+            m((0, 0, 2), 1.0, time_fn=ham.identity_t),
+        ]
+    )
+    for k in (8, 9, 64, 128):
+        space = quantize.build_space(k)
+        for name, h in paths.items():
+            for builder in BUILDERS.values():
+                groups = propagate._groups(space, h, builder)
+                assert all(even for *_, even in groups), name
+                coef, mats = propagate._separable_steps(groups, gauss, k, 1.0 / steps, -1.0)
+                for c in coef:
+                    step = np.tensordot(c, mats, 1)
+                    angles = np.concatenate(([0.0], np.cumsum(np.angle(np.diagonal(step, 1)))))
+                    gauge = np.exp(-1j * angles)
+                    real = gauge.conj()[:, None] * step * gauge[None, :]
+                    norm = np.linalg.norm(step, 2)
+                    assert np.max(np.abs(real - real[::-1, ::-1])) <= 1e-13 * norm, (name, k)
+
+
+def test_a_group_odd_in_x3_takes_one_full_size_block(monkeypatch):
+    # the certificate is read from the powers: one group with x3 or x1 x3
+    # makes it false, and every step is one block of size N = k + 1; an
+    # x3-even path takes the two parity blocks, of sizes ceil(N/2) and floor(N/2)
+    sizes = []
+    solve = propagate._expi_tridiagonal
+
+    def recorded(d, e, scale, v):
+        sizes.append(len(d))
+        return solve(d, e, scale, v)
+
+    monkeypatch.setattr(propagate, "_expi_tridiagonal", recorded)
+    m = ham.Monomial
+    odd = {
+        "sin(pi t) x1 + 0.5 x3": TRIDIAGONAL_PATHS["static height"],
+        "sin(pi t) x1 x3 + t x3^2": ham.Polynomial(
+            [m((1, 0, 1), time_fn=ham.sin_pi_t), m((0, 0, 2), 1.0, time_fn=ham.identity_t)]
+        ),
+    }
+    steps = 8
+    for k in (8, 9):
+        space = quantize.build_space(k)
+        for builder in BUILDERS.values():
+            for name, h in odd.items():
+                groups = propagate._groups(space, h, builder)
+                assert [even for *_, even in groups].count(False) == 1, name
+                sizes.clear()
+                u, phase = propagate._magnus(space, groups, steps, -1.0)
+                assert sizes == [k + 1] * steps, (name, k)
+                u_dense, phase_dense = oracles.dense_magnus(
+                    space, oracles.group_generator(groups), steps, -1.0
+                )
+                assert np.max(np.abs(u - u_dense)) <= 1e-12, (name, k)
+                assert abs(phase - phase_dense) <= 1e-12, (name, k)
+            sizes.clear()
+            even = propagate._groups(space, ham.time_mixed(), builder)
+            propagate._magnus(space, even, steps, -1.0)
+            assert sizes == [(k + 2) // 2, (k + 1) // 2] * steps, k
 
 
 def test_band_two_paths_take_the_dense_route_and_coarse_grids_are_refused(monkeypatch):
@@ -555,7 +646,7 @@ def test_band_two_paths_take_the_dense_route_and_coarse_grids_are_refused(monkey
     assert calls == {"dense": 8, "tridiagonal": 0}
     finer = quantize.build_space(22, sphere.build_grid(20, 24))
     propagate.propagate_toeplitz(finer, ham.time_mixed(), steps=4)
-    assert calls == {"dense": 8, "tridiagonal": 4}
+    assert calls == {"dense": 8, "tridiagonal": 8}
     # the dense route of a band-two path exponentiates the step generators
     # of the once-formed commutators: the per-step oracle agrees
     for k in (8, 64):
@@ -605,7 +696,8 @@ def test_static_paths_run_the_eigensolve_of_their_band(monkeypatch):
     for propagate_fn in PROPAGATORS.values():
         before = calls["tridiagonal"]
         propagate_fn(space, ham.preset("x1"), 8)
-        assert calls["tridiagonal"] - before == 1
+        # one step, split into its two parity blocks
+        assert calls["tridiagonal"] - before == 2
     assert calls["dense"] == 0
 
 
@@ -624,7 +716,7 @@ def test_time_dependent_band_zero_path_matches_the_dense_oracle(monkeypatch):
         space = quantize.build_space(k)
         for builder in BUILDERS.values():
             groups = propagate._groups(space, h, builder)
-            assert propagate._step_band([degree for _, _, degree in groups]) == 0
+            assert propagate._step_band([degree for _, _, degree, _ in groups]) == 0
             for sign in (-1.0, 1.0):
                 before = dict(calls)
                 u, phase = propagate._magnus(space, groups, 16, sign)
@@ -673,7 +765,7 @@ def test_step_generator_from_once_formed_commutators():
         groups = propagate._groups(space, h, builder)
         generator = oracles.group_generator(groups)
         assert len(groups) == 3
-        assert propagate._step_band([degree for _, _, degree in groups]) == 2
+        assert propagate._step_band([degree for _, _, degree, _ in groups]) == 2
         for sign in (-1.0, 1.0):
             coef, mats = propagate._separable_steps(groups, gauss, k, dt, sign)
             for c, (t1, t2) in zip(coef, gauss):

@@ -395,7 +395,7 @@ def test_a_grid_one_ring_or_one_azimuth_below_the_rule_is_refused():
             h = ham.Polynomial([ham.Monomial(powers)])
             at_rule = quantize.build_space(k, sphere.build_grid(n_theta, n_phi))
             quantize.toeplitz(at_rule, h)
-            assert [band for _, _, band in _ks_groups(at_rule, h)] == [b]
+            assert [band for _, _, band, _ in _ks_groups(at_rule, h)] == [b]
             below = [(n_theta, n_phi - 1)] + ([(n_theta - 1, n_phi)] if n_theta > 1 else [])
             for grid in (sphere.build_grid(*counts) for counts in below):
                 space = quantize.build_space(k, grid)
