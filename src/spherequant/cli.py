@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
+from pathlib import Path
 
 from . import hamiltonians, harness, propagate
 
@@ -53,8 +55,15 @@ def main(argv=None):
         return _refuse(args.command, exc)
     except OSError as exc:  # a missing file, a directory, no read permission
         return _refuse(args.command, f"cannot read config {args.config}: {exc.strerror}")
-    # one directory for the report and the toeplitz-dump matrices
+    # one directory for the report and the toeplitz-dump matrices, made
+    # before the sweep, so that a path that cannot be one refuses the run
     out_dir = config.out or args.out
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryFile(dir=out_dir):
+            pass
+    except OSError as exc:  # a file at or on the path, no permission, a read-only system
+        return _refuse(args.command, f"cannot write reports to {out_dir}: {exc.strerror}")
     if args.command == "theorem1":
         try:
             report = harness.run_theorem1_holomorphic(config)

@@ -4,12 +4,11 @@ The Hamiltonian vector field of H for omega = (1/2) dA is X = 2 x on grad H
 (cross product), which is tangent to every sphere around the origin, so
 trajectories stay on the unit sphere up to integrator error and are
 renormalized each step.  RK4 holds the points as three coordinate rows, on
-which grad H is read term by term.  Jacobians are propagated through the
-variational equation in ambient coordinates, with the same steps, for the
-last rows of the points only (a few sentinel points stacked behind many),
-and reduced to 2x2 matrices in symplectic chart frames when complex
-structures are involved.  The flow of a static
-axial polynomial, a function of x3 alone or an affine function, is a
+which grad H is read term by term.  Jacobians, of every point or of none,
+are propagated through the variational equation in ambient coordinates,
+with the same steps, and reduced to 2x2 matrices in symplectic chart frames
+when complex structures are involved.  The flow of a static axial
+polynomial, a function of x3 alone or an affine function, is a
 rotation about a fixed axis by an angle constant on each trajectory;
 :func:`axial_flow` gives its points in closed form, and RK4 serves every
 other path.
@@ -113,19 +112,22 @@ def _cross_matrix(v, n):
 def advance_state(h, y, m, t0, t1, steps=1):
     """Classical RK4 on the trajectory and variational equations.
 
-    Continues an integration of the points ``y`` (n, 3) and of the ambient
-    Jacobians ``m`` (r, 3, 3) of its last r points from t0 to t1 (either
-    direction) in ``steps`` equal steps; ``m=None`` skips the variational
-    equation, on which the points do not depend.  The points are held as
-    three contiguous coordinate rows, on which grad H is read term by term
-    and the field 2 y x grad H formed; they are renormalized to the unit
-    sphere after every step.  Returns (y, m), y an (n, 3) view of the rows.
-    The package's one RK4 loop.
+    Continues an integration of the points ``y`` (n, 3) and of their
+    ambient Jacobians ``m`` (n, 3, 3) from t0 to t1 (either direction) in
+    ``steps`` equal steps; ``m=None`` skips the variational equation, on
+    which the points do not depend, and an ``m`` of another shape raises
+    ``ValueError``.  The points are held as three contiguous coordinate
+    rows, on which grad H is read term by term and the field 2 y x grad H
+    formed; they are renormalized to the unit sphere after every step.
+    Returns (y, m), y an (n, 3) view of the rows.  The package's one RK4
+    loop.
     """
     _check_steps(steps)
     _check_time(t0, "t0")
     _check_time(t1, "t1")
     rows = np.ascontiguousarray(np.asarray(y, dtype=float).T)
+    if m is not None and np.shape(m) != (rows.shape[1], 3, 3):
+        raise ValueError(f"m must be one 3 x 3 Jacobian per point, got shape {np.shape(m)}")
     dt = (t1 - t0) / steps
     for i in range(steps):
         rows, m = _rk4_step(h, rows, m, t0 + i * dt, dt)
@@ -135,9 +137,8 @@ def advance_state(h, y, m, t0, t1, steps=1):
 
 def _rk4_step(h, y, m, t, dt):
     """One RK4 step of the coordinate rows y (3, n) and, unless m is None, of
-    the Jacobians of the last len(m) points; each stage reads grad H once for
-    the field 2 y x grad H and, on those points, for its Jacobian
-    2([y]_x Hess H - [grad H]_x)."""
+    their Jacobians; each stage reads grad H once for the field 2 y x grad H
+    and for its Jacobian 2([y]_x Hess H - [grad H]_x)."""
     ks, js = [], []
     for c in (0.0, dt / 2, dt / 2, dt):
         yy = y + c * ks[-1] if ks else y
@@ -145,53 +146,35 @@ def _rk4_step(h, y, m, t, dt):
         grad = [d.get((axis,), 0.0) for axis in range(3)]
         ks.append(2.0 * _cross(yy, grad))
         if m is not None:
-            r = len(m)
-            tail = yy[:, -r:]
-            tail_grad = [g[-r:] if isinstance(g, np.ndarray) else g for g in grad]
-            hess = h._tensor(tail, t + c, 2)
-            jac = 2.0 * (_cross_matrix(tail, r) @ hess - _cross_matrix(tail_grad, r))
+            n = len(m)
+            jac = 2.0 * (_cross_matrix(yy, n) @ h._tensor(yy, t + c, 2) - _cross_matrix(grad, n))
             js.append(jac @ (m + c * js[-1] if js else m))
     m_new = None if m is None else m + dt / 6 * (js[0] + 2 * js[1] + 2 * js[2] + js[3])
     return y + dt / 6 * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3]), m_new
 
 
-def jacobian_det_drift(jac):
-    """max |det J - 1| over frame Jacobians J; 0 for an exactly symplectic
-    map, so it measures how far an integrated flow has drifted."""
-    return float(np.max(np.abs(np.linalg.det(jac) - 1.0)))
-
-
-def _start(points, jacobian_rows):
-    """(y, m) at the start of a flow: the points (n, 3) and identity Jacobians
-    of the last ``jacobian_rows`` of them (every point for None; m is None
-    for 0)."""
-    y = np.asarray(points, dtype=float)
-    r = len(y) if jacobian_rows is None else jacobian_rows
-    if isinstance(r, bool) or not isinstance(r, numbers.Integral) or not 0 <= r <= len(y):
-        raise ValueError(f"jacobian_rows must be an integer from 0 to {len(y)}, got {r!r}")
-    return y, (np.broadcast_to(np.eye(3), (r, 3, 3)) if r else None)
-
-
-def sweep(h, points, times, steps_per_unit_time, jacobian_rows=None):
+def sweep(h, points, times, steps_per_unit_time, jacobians=True):
     """Flow states (y, M) of h out of ``points`` at each time of the
-    monotone list ``times``; M holds the Jacobians of the last
-    ``jacobian_rows`` points (all for None, M None for 0).
+    monotone list ``times``; M holds the Jacobians of every point when
+    ``jacobians`` is True, and is None when it is False.
 
     One :func:`advance_state` integration from the identity at t = 0
     serves every sample: each continues from the previous one with
     ceil(steps_per_unit_time * |gap|) RK4 steps, which keeps every step at
-    most 1/steps_per_unit_time.  Times may be negative.  Points flowed with
-    and without Jacobians in one sweep take the same steps, so a few points
-    with Jacobians stacked behind many without read their drift in the
-    many's integration.  The rate, the times and ``jacobian_rows`` are
-    checked on the call (``ValueError``); the states come from the returned
-    iterator, which integrates lazily.
+    most 1/steps_per_unit_time.  Times may be negative.  The points do not
+    read the Jacobians, so both settings give them bit for bit.  The rate,
+    the times and ``jacobians`` (a bool) are checked on the call
+    (``ValueError``); the states come from the returned iterator, which
+    integrates lazily.
     """
     _check_rate(steps_per_unit_time)
     times = list(times)
     for t in times:
         _check_time(t, "each of times")
-    y, m = _start(points, jacobian_rows)
+    if not isinstance(jacobians, bool):
+        raise ValueError(f"jacobians must be True or False, got {jacobians!r}")
+    y = np.asarray(points, dtype=float)
+    m = np.broadcast_to(np.eye(3), (len(y), 3, 3)) if jacobians else None
     return _sweep_states(h, y, m, times, steps_per_unit_time)
 
 
@@ -240,14 +223,12 @@ def axial_flow(h, points, times):
     return states
 
 
-def transport_backward(h, points, t, steps, jacobian_rows=None):
-    """Backward transport (y, M) with y = flow_t^{-1}(points) in ``steps``
-    RK4 steps and M the ambient Jacobians of the inverse flow at the last
-    ``jacobian_rows`` points (all for None, M None for 0)."""
+def transport_backward(h, points, t, steps):
+    """flow_t^{-1}(points), the points transported back from t to 0 in
+    ``steps`` RK4 steps, without the variational equation."""
     _check_time(t, "t")
     _check_steps(steps)
-    y, m = _start(points, jacobian_rows)
-    return advance_state(h, y, m, t, 0.0, steps)
+    return advance_state(h, points, None, t, 0.0, steps)[0]
 
 
 def _check_steps(steps):

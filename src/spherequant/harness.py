@@ -277,8 +277,9 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
     grid, and shared by every level, which assembles them by
     :func:`quantize.kostant_souriau`.  ``config.flow_steps`` is not read:
     :func:`propagate.pull_back` paces its own flow, and runs none for an
-    autonomous path such as the default preset.  ``health`` records its det
-    drift and the largest cover-element residuals."""
+    autonomous path such as the default preset.  ``health`` records its area
+    drift, the largest change in int H_t o phi_t dmu over the Gauss times
+    (0.0 with no flow), and the largest cover-element residuals."""
     t0 = time.perf_counter()
     h = config.hamiltonian()
     grid = quantize.default_grid(max(config.ks))
@@ -296,7 +297,7 @@ def run_prop53(config: ExperimentConfig) -> SweepReport:
         "max_relative_residual": _max_relative_residual(rows),
     }
     passed = slope is None or slope <= 0.2
-    health = {"flow_det_drift": pulled.flow_det_drift, **cover_health}
+    health = {"flow_area_drift": pulled.flow_area_drift, **cover_health}
     return _sweep_report("prop53", config, rows, verdict, passed, classical_s, health)
 
 
@@ -305,7 +306,10 @@ def run_defect(config: ExperimentConfig) -> SweepReport:
 
     The product path's symbol is sampled once, on the sweep grid, before
     the levels; each level's cover elements are those
-    :func:`invariants.level_defect` measured the defect from."""
+    :func:`invariants.level_defect` measured the defect from.  ``health``
+    records the area drift of the first factor's inverse flow, the largest
+    change in int g_t o alpha_t^{-1} dmu over the Gauss times (0.0 for a
+    closed-form flow), and the largest cover-element residuals."""
     t0 = time.perf_counter()
     h_a = config.hamiltonian()
     h_b = config.hamiltonian_b()
@@ -322,7 +326,7 @@ def run_defect(config: ExperimentConfig) -> SweepReport:
     slope = fit_slope(config.ks, values, floor=1e-6)
     verdict = {"max_defect": float(np.max(values)), "defect_slope": slope, "slope_bound": 0.2}
     passed = slope is None or slope <= 0.2
-    health = {"flow_det_drift": product.flow_det_drift, **cover_health}
+    health = {"flow_area_drift": product.flow_area_drift, **cover_health}
     return _sweep_report("defect", config, rows, verdict, passed, classical_s, health)
 
 

@@ -70,7 +70,7 @@ def _disc_flux(h, nodes, time_samples, flow_steps):
     chart = flow.chart_of(nodes)
     taus = np.empty((len(nodes), time_samples + 1), dtype=complex)
     times = np.linspace(0.0, 1.0, time_samples + 1)
-    for i, (y, m) in enumerate(flow.sweep(h, nodes, times, flow_steps)):
+    for i, (y, m) in enumerate(flow.sweep(h, nodes, times, flow_steps, jacobians=True)):
         jac = flow.frame_jacobian(m, nodes, y, x_chart=chart)
         taus[:, i] = siegel.to_upper_half_plane(
             np.linalg.solve(jac, flow.J_STANDARD @ jac)

@@ -55,15 +55,16 @@ class ChartSamples:
     azimuthal modes are k-independent too: the first level that needs them
     takes those of every sample in one :func:`quantize.azimuthal_modes`,
     with one finiteness check, and every later level reads them.
-    ``flow_det_drift`` is max |det J - 1| of the samples' flow at the last one,
-    as :func:`_flow_samples` reads it: 0.0 on the closed-form and identity routes.
+    ``flow_area_drift`` is the largest change in a sample's Liouville integral
+    that the samples' flow made, as :func:`_flow_samples` reads it: 0.0 on the
+    closed-form and identity routes, whose flows preserve the measure exactly.
     ``static`` samples are one symbol at every time, as :func:`pull_back`
     gives them for an autonomous path; :func:`_magnus` takes them in one step.
     """
 
     grid: sphere.SphereGrid
     data: dict  # Gauss time -> (grid.size,) real node values
-    flow_det_drift: float
+    flow_area_drift: float
     static: bool = False
 
     @cached_property
@@ -379,39 +380,33 @@ def _flow_samples(h, grid, stops, rate, times, value):
     ``times``, y the nodes flowed by h to the stop t, or by its inverse flow
     at t to the stop -t, along monotone signed ``stops``.  The one route
     choice: a static axial h rotates the nodes in closed form
-    (:func:`flow.axial_flow`), with ``flow_det_drift`` 0.0 because a
-    Hamiltonian flow preserves area; forward stops, or an autonomous h, whose
-    inverse flow at t is its flow at -t, take one :func:`flow.sweep` at
-    ``rate`` steps per unit time; the inverse flow of a time-dependent h
-    takes one :func:`flow.transport_backward` per stop.  On these RK4 routes
-    a 6 x 12 sentinel grid, stacked behind the nodes, reaches the last stop
-    in the same integration with its Jacobians, for the drift."""
+    (:func:`flow.axial_flow`); forward stops, or an autonomous h, whose
+    inverse flow at t is its flow at -t, take one points-only
+    :func:`flow.sweep` at ``rate`` steps per unit time; the inverse flow of
+    a time-dependent h takes one :func:`flow.transport_backward` per stop.
+
+    A Hamiltonian flow preserves the Liouville measure, so each sample
+    integrates as ``value(nodes, t)`` does; ``flow_area_drift`` is the
+    largest gap between the two integrals over the sample times, RK4's
+    area error on its routes, and 0.0 by that identity on the closed-form
+    one."""
     flow._check_rate(rate)
-    axial = flow.axial_flow(h, grid.nodes, stops)
-    if axial is not None:
-        data = {abs(s): value(y, abs(s)) for s, y in zip(stops, axial) if abs(s) in times}
-        return ChartSamples(grid, data, 0.0)
-    sentinel = sphere.build_grid(6, 12).nodes
-    stacked, n = np.concatenate([grid.nodes, sentinel]), grid.size
-    if stops[-1] > 0 or h.autonomous:
-        states = flow.sweep(h, stacked, stops, rate, len(sentinel))
-    else:
-        last = len(stops) - 1
-        states = (
-            flow.transport_backward(
-                h,
-                stacked if i == last else grid.nodes,
-                -s,
-                flow.per_time_steps(rate, -s),
-                len(sentinel) if i == last else 0,
-            )
-            for i, s in enumerate(stops)
+    nodes = grid.nodes
+    points = flow.axial_flow(h, nodes, stops)
+    rk4 = points is None
+    if rk4 and (stops[-1] > 0 or h.autonomous):
+        points = (y for y, _ in flow.sweep(h, nodes, stops, rate, jacobians=False))
+    elif rk4:
+        points = (
+            flow.transport_backward(h, nodes, -s, flow.per_time_steps(rate, -s)) for s in stops
         )
-    data = {}
-    for s, (y, m) in zip(stops, states):
-        if abs(s) in times:
-            data[abs(s)] = value(y[:n], abs(s))
-    drift = flow.jacobian_det_drift(flow.frame_jacobian(m, sentinel, y[n:]))
+    data = {abs(s): value(y, abs(s)) for s, y in zip(stops, points) if abs(s) in times}
+    drift = 0.0
+    if rk4:
+        drift = max(
+            abs(sphere.integrate_values(grid, v) - sphere.integrate_values(grid, value(nodes, t)))
+            for t, v in data.items()
+        )
     return ChartSamples(grid, data, drift)
 
 
@@ -419,7 +414,8 @@ def product_samples(f, g, grid, steps, flow_steps=256):
     """:class:`ChartSamples` on ``grid`` of the values of f_t + g_t o
     alpha_t^{-1}, the generator of the product of the paths of f and g
     (alpha the flow of f), at the Gauss times of :func:`propagate_generic`;
-    :func:`_flow_samples` reads alpha_t^{-1} at the stop -t."""
+    :func:`_flow_samples` reads alpha_t^{-1} at the stop -t, and its area
+    drift from int g_t o alpha_t^{-1} dmu = int g_t dmu."""
     times = [t for pair in _gauss_times(steps) for t in pair]
     nodes, stops = grid.nodes, [-t for t in times]
     return _flow_samples(
@@ -433,7 +429,8 @@ def pull_back(h, grid, steps):
     autonomous h is conserved by its flow, dH(X_H) = omega(X_H, X_H) = 0, so
     these are its own node values, static samples with no flow and drift 0.0; a
     time-dependent h flows forward in :func:`_flow_samples`, one RK4 step to
-    each Gauss time and to the end of every Magnus step but the last."""
+    each Gauss time and to the end of every Magnus step but the last, and its
+    area drift reads int H_t o phi_t dmu against int H_t dmu."""
     gauss = _gauss_times(steps)
     times = [t for pair in gauss for t in pair]
     if h.autonomous:

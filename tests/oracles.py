@@ -28,7 +28,30 @@ def rk4_holomorphy(h):
     ((y, m),) = flow.sweep(h, nodes, [1.0], 256)
     jac = flow.frame_jacobian(m, nodes, y)
     mats = np.linalg.solve(jac, flow.J_STANDARD @ jac)
-    return flow.jacobian_det_drift(jac), float(np.max(np.abs(mats - flow.J_STANDARD)))
+    return jacobian_det_drift(jac), float(np.max(np.abs(mats - flow.J_STANDARD)))
+
+
+def jacobian_det_drift(jac):
+    """max |det J - 1| over frame Jacobians J; 0 for an exactly symplectic
+    map, so it measures how far an integrated flow has drifted."""
+    return float(np.max(np.abs(np.linalg.det(jac) - 1.0)))
+
+
+def sentinel_det_drift(h, stops, rate):
+    """The det drift that ``propagate._flow_samples`` recorded before it read
+    the area identity: :func:`jacobian_det_drift` of a 6 x 12 sentinel grid
+    at the last of the signed ``stops``, flowed with its Jacobians as the
+    samples' nodes are, by one sweep at ``rate`` along every stop when the
+    stops run forward or h is autonomous, else by one backward transport
+    from the last stop's time."""
+    nodes = sphere.build_grid(6, 12).nodes
+    if stops[-1] > 0 or h.autonomous:
+        *_, (y, m) = flow.sweep(h, nodes, stops, rate)
+    else:
+        t = -stops[-1]
+        eye = np.broadcast_to(np.eye(3), (len(nodes), 3, 3))
+        y, m = flow.advance_state(h, nodes, eye, t, 0.0, flow.per_time_steps(rate, t))
+    return jacobian_det_drift(flow.frame_jacobian(m, nodes, y))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +229,7 @@ def kostant_souriau(space, values):
 # complex-structure fields: ``evaluate(points, chart)`` gives the 2x2 frame
 # matrices in the given charts (per-point hemisphere charts for None).  The
 # flow is read through the ``flow`` module, so a test that replaces
-# ``flow.transport_backward`` sees every call.
+# ``flow.advance_state`` sees every call.
 
 
 def chart_points(z, chart):
@@ -245,7 +268,8 @@ class PushforwardStructure:
         if self.t == 0.0:
             return self.inner.evaluate(points, chart)
         steps = flow.per_time_steps(self.steps_per_unit_time, self.t)
-        y, m3 = flow.transport_backward(self.h, points, self.t, steps)
+        eye = np.broadcast_to(np.eye(3), (len(points), 3, 3))
+        y, m3 = flow.advance_state(self.h, points, eye, self.t, 0.0, steps)
         b = flow.frame_jacobian(m3, points, y, x_chart=chart)
         return np.linalg.solve(b, self.inner.evaluate(y) @ b)
 

@@ -242,7 +242,7 @@ def test_criterion_12_scalar_curvature():
     inner = oracles.PushforwardStructure(oracles.RoundStructure(), ham.coordinate(0, 0.8), 0.5)
     outer = oracles.PushforwardStructure(inner, ham.height_squared(), 0.4)
     s_outer = oracles.scalar_curvature_at(outer, grid.nodes)
-    y, _ = flow.transport_backward(ham.height_squared(), grid.nodes, 0.4, steps=256)
+    y = flow.transport_backward(ham.height_squared(), grid.nodes, 0.4, steps=256)
     ok &= np.max(np.abs(s_outer - oracles.scalar_curvature_at(inner, y))) <= 1e-4
     assert _report(12, "scalar curvature value, integral, equivariance", ok)
 

@@ -139,9 +139,9 @@ CASES = [
         "times",
     ),
     (
-        "sweep-jacobian-rows-too-many",
-        lambda: list(flow.sweep(ham.time_mixed(), GRID.nodes, [0.5], 8, GRID.size + 1)),
-        "jacobian_rows",
+        "sweep-jacobians-int",
+        lambda: list(flow.sweep(ham.time_mixed(), GRID.nodes, [0.5], 8, 1)),
+        "jacobians must be True or False",
     ),
     # sweep checks its inputs on the call, before the first state is read
     (
@@ -154,9 +154,9 @@ CASES = [
     ("sweep-call-time-complex", lambda: flow.sweep(ham.time_mixed(), GRID.nodes, [1j], 8), "times"),
     ("sweep-call-time-bool", lambda: flow.sweep(ham.time_mixed(), GRID.nodes, [True], 8), "times"),
     (
-        "sweep-call-jacobian-rows-too-many",
-        lambda: flow.sweep(ham.time_mixed(), GRID.nodes, [0.5], 8, GRID.size + 1),
-        "jacobian_rows",
+        "sweep-call-jacobians",
+        lambda: flow.sweep(ham.time_mixed(), GRID.nodes, [0.5], 8, None),
+        "jacobians must be True or False",
     ),
     (
         "transport-steps-negative",
@@ -187,6 +187,11 @@ CASES = [
         "advance-t1-inf",
         lambda: flow.advance_state(ham.time_mixed(), GRID.nodes, None, 0.0, INF, 4),
         "t1 must be a finite real",
+    ),
+    (
+        "advance-m-one-row",
+        lambda: flow.advance_state(ham.time_mixed(), GRID.nodes, np.eye(3)[None], 0.0, 0.5, 4),
+        "m must be one 3 x 3 Jacobian per point",
     ),
     (
         "advance-t0-complex",

@@ -85,9 +85,12 @@ def test_transport_backward_inverts_flow():
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     t = 0.8
     forward, forward_m = _flow_at(h, pts, t, steps=400)
-    y, m = flow.transport_backward(h, forward, t, steps=400)
+    y = flow.transport_backward(h, forward, t, steps=400)
     assert np.max(np.abs(y - pts)) < 1e-10
     # backward Jacobian inverts the forward one on tangent vectors
+    eye = np.broadcast_to(np.eye(3), (25, 3, 3))
+    y_with_m, m = flow.advance_state(h, forward, eye, t, 0.0, steps=400)
+    assert np.array_equal(y_with_m, y)
     prod = m @ forward_m
     tangent = np.cross(pts, np.cross(pts, rng.normal(size=(25, 3))))
     applied = (prod @ tangent[..., None])[..., 0]
@@ -124,13 +127,14 @@ def test_backward_sweep_matches_closed_form_flow():
 
 def test_backward_sweep_matches_per_time_transport():
     # at whole multiples of the step the shared sweep takes the same steps
-    # as a stand-alone transport
+    # as a stand-alone backward integration
     pts = _random_points(26, 30)
     h = ham.height_squared()
     multiples = (8, 13, 40, 64)
+    eye = np.broadcast_to(np.eye(3), (30, 3, 3))
     states = flow.sweep(h, pts, [-i / 64 for i in multiples], 64)
     for i, (y, m) in zip(multiples, states):
-        y_ref, m_ref = flow.transport_backward(h, pts, i / 64, steps=i)
+        y_ref, m_ref = flow.advance_state(h, pts, eye, i / 64, 0.0, steps=i)
         assert np.max(np.abs(y - y_ref)) < 1e-13
         assert np.max(np.abs(m - m_ref)) < 1e-13
 
@@ -144,15 +148,16 @@ def test_points_only_sweep_gives_the_same_points():
         (ham.height_squared(2.0), [-0.1, -0.35, -1.0]),
         (ham.time_mixed(), [0.2, 0.5, 0.91]),
     ):
-        full = flow.sweep(h, pts, times, 32)
-        points_only = flow.sweep(h, pts, times, 32, jacobian_rows=0)
+        full = flow.sweep(h, pts, times, 32, jacobians=True)
+        points_only = flow.sweep(h, pts, times, 32, jacobians=False)
         for (y, m), (y_only, m_only) in zip(full, points_only):
             assert m.shape == (40, 3, 3) and m_only is None
             assert np.array_equal(y, y_only)
     h = ham.time_mixed()
-    y, m = flow.transport_backward(h, pts, 0.7, 16)
-    y_only, m_only = flow.transport_backward(h, pts, 0.7, 16, jacobian_rows=0)
-    assert m_only is None and np.array_equal(y, y_only)
+    eye = np.broadcast_to(np.eye(3), (40, 3, 3))
+    y, m = flow.advance_state(h, pts, eye, 0.7, 0.0, 16)
+    assert m.shape == (40, 3, 3)
+    assert np.array_equal(y, flow.transport_backward(h, pts, 0.7, 16))
 
 
 # a time-dependent path, a static one that is not axial, and a degree-3
@@ -167,9 +172,8 @@ BIT_PATHS = {
 def test_rk4_on_coordinate_rows_keeps_the_bits_of_the_point_loop():
     # flow.advance_state holds the points as coordinate rows and reads grad H
     # term by term; the (n, 3) loop through the public grad and hess must
-    # give the same bits, with Jacobians on every point, on the last 8 only
-    # and on none, forward and backward; the per-time transport stacks 8
-    # points with Jacobians behind 22 that the oracle integrates apart
+    # give the same bits, with Jacobians on every point and on none, forward
+    # and backward, and the points-only per-time transport those of the loop
     pts = _random_points(29, 30)
     eye = np.broadcast_to(np.eye(3), (30, 3, 3))
     for name, h in BIT_PATHS.items():
@@ -179,18 +183,16 @@ def test_rk4_on_coordinate_rows_keeps_the_bits_of_the_point_loop():
             for t0, t1 in zip([0.0] + times, times):
                 y_ref, m_ref = oracles.advance_state(h, y_ref, m_ref, t0, t1, 8)
                 states.append((y_ref, m_ref))
-            for rows in (None, 8, 0):
-                for (y_ref, m_ref), (y, m) in zip(states, flow.sweep(h, pts, times, 32, rows)):
-                    assert np.array_equal(y, y_ref), (name, times, rows)
-                    if rows == 0:
-                        assert m is None
+            for jacobians in (True, False):
+                sweep = flow.sweep(h, pts, times, 32, jacobians)
+                for (y_ref, m_ref), (y, m) in zip(states, sweep):
+                    assert np.array_equal(y, y_ref), (name, times, jacobians)
+                    if jacobians:
+                        assert np.array_equal(m, m_ref), (name, times)
                     else:
-                        assert np.array_equal(m, m_ref[-(rows or 30):]), (name, times, rows)
-        y_ref, m_ref = oracles.advance_state(h, pts[22:], eye[22:], 0.6, 0.0, 7)
-        head, _ = oracles.advance_state(h, pts[:22], None, 0.6, 0.0, 7)
-        y, m = flow.transport_backward(h, pts, 0.6, 7, jacobian_rows=8)
-        assert np.array_equal(y, np.concatenate([head, y_ref])), name
-        assert np.array_equal(m, m_ref), name
+                        assert m is None
+        y_ref, _ = oracles.advance_state(h, pts, None, 0.6, 0.0, 7)
+        assert np.array_equal(flow.transport_backward(h, pts, 0.6, 7), y_ref), name
 
 
 AXIAL_PATHS = {
@@ -214,7 +216,7 @@ def test_axial_flow_matches_the_rk4_sweep():
     for name, h in AXIAL_PATHS.items():
         for t in (-0.97, 0.97):
             (y,) = flow.axial_flow(h, nodes, [t])
-            ((y_rk4, _),) = flow.sweep(h, nodes, [t], 1024, jacobian_rows=0)
+            ((y_rk4, _),) = flow.sweep(h, nodes, [t], 1024, jacobians=False)
             assert np.max(np.abs(y - y_rk4)) < 1e-9, name
 
 

@@ -161,7 +161,7 @@ def test_run_defect_with_a_time_dependent_first_factor():
     report = harness.run_defect(cfg)
     assert [r["k"] for r in report.rows] == [4, 8]
     assert all(np.isfinite(r["defect"]) for r in report.rows)
-    assert np.isfinite(report.summary["health"]["flow_det_drift"])
+    assert np.isfinite(report.summary["health"]["flow_area_drift"])
 
 
 def test_run_defect_records_unitarity_and_det_lift():
@@ -231,13 +231,11 @@ def test_sweeps_integrate_the_classical_flow_once_per_sweep(monkeypatch):
     # the lower levels add no flow work.  The defect sweep's first factor is
     # time-mixed, which RK4 integrates; a static axial one such as
     # height-squared has a closed-form flow and runs no RK4 at all
-    # point-steps without and with the variational equation
     point_steps = []
     advance = flow.advance_state
 
     def counted(h, y, m, t0, t1, steps=1):
-        with_jacobian = 0 if m is None else len(m)
-        point_steps.append((steps * (len(y) - with_jacobian), steps * with_jacobian))
+        point_steps.append(steps * len(y))
         return advance(h, y, m, t0, t1, steps)
 
     monkeypatch.setattr(flow, "advance_state", counted)
@@ -249,11 +247,37 @@ def test_sweeps_integrate_the_classical_flow_once_per_sweep(monkeypatch):
         for ks in ((8, 16), (16,)):
             point_steps.clear()
             sweep(ks)
-            totals.append(tuple(map(sum, zip(*point_steps))))
-        assert totals[0] == totals[1] and min(totals[0]) > 0
+            totals.append(sum(point_steps))
+        assert totals[0] == totals[1] and totals[0] > 0
     point_steps.clear()
     harness.run_defect(_defect_config())
     assert point_steps == []
+
+
+def test_sweeps_run_no_variational_equation(monkeypatch):
+    # the flow's health is read from the area identity on the samples, so no
+    # sweep asks the flow for Jacobians: prop53 as the claims workload runs
+    # it (time-mixed, 32 Magnus and flow steps) at small ks, and the defect
+    # with an RK4 (time-mixed) and a closed-form (height-squared) first factor
+    calls = {None: 0, "jacobians": 0}
+    advance = flow.advance_state
+
+    def counted(h, y, m, t0, t1, steps=1):
+        calls[None if m is None else "jacobians"] += 1
+        return advance(h, y, m, t0, t1, steps)
+
+    monkeypatch.setattr(flow, "advance_state", counted)
+    claims = harness.ExperimentConfig(
+        experiment="prop53", preset="time-mixed", ks=(4, 8), steps=32, flow_steps=32
+    )
+    reports = [
+        harness.run_prop53(claims),
+        harness.run_defect(_defect_config(preset="time-mixed", flow_steps=32)),
+        harness.run_defect(_defect_config(flow_steps=32)),
+    ]
+    assert calls == {None: 3 * 32 - 1 + 8, "jacobians": 0}
+    drifts = [report.summary["health"]["flow_area_drift"] for report in reports]
+    assert 0.0 < drifts[0] < 1e-3 and 0.0 < drifts[1] < 1e-3 and drifts[2] == 0.0
 
 
 def test_sweeps_take_the_modes_of_their_samples_once(monkeypatch):
@@ -306,7 +330,7 @@ def test_sweeps_report_classical_time_and_flow_health():
         classical_s = report.summary["timings"]["classical_s"]
         assert np.isfinite(classical_s) and classical_s > 0
     for report in (prop53, defect):
-        assert np.isfinite(report.summary["health"]["flow_det_drift"])
+        assert np.isfinite(report.summary["health"]["flow_area_drift"])
     # theorem 1 integrates no flow, so its health is the gate's remainder
     # and the cover-element residuals, without a flow drift
     assert list(theorem1.summary["health"]) == ["holomorphy_defect", "unitarity", "det_lift"]
@@ -316,12 +340,12 @@ def test_sweeps_report_classical_time_and_flow_health():
     # recorded, not raised: the drift of 32 flow steps falls with the step
     # on a time-mixed first factor, and the closed-form flow of the static
     # axial height-squared is a rotation, whose drift is 0 by identity
-    assert defect.summary["health"]["flow_det_drift"] == 0.0
+    assert defect.summary["health"]["flow_area_drift"] == 0.0
     health = {
         n: harness.run_defect(_defect_config(flow_steps=n, preset="time-mixed")).summary["health"]
         for n in (32, 128)
     }
-    assert health[128]["flow_det_drift"] <= health[32]["flow_det_drift"] / 10
+    assert health[128]["flow_area_drift"] <= health[32]["flow_area_drift"] / 10
 
 
 def test_prop53_on_a_static_path_runs_no_flow_and_passes():
@@ -334,7 +358,7 @@ def test_prop53_on_a_static_path_runs_no_flow_and_passes():
     report = harness.run_prop53(config)
     assert report.checks_passed
     assert report.summary["residual_slope"] is None
-    assert report.summary["health"]["flow_det_drift"] == 0.0
+    assert report.summary["health"]["flow_area_drift"] == 0.0
 
 
 def test_sweep_reports_keep_their_layout():
@@ -355,13 +379,13 @@ def test_sweep_reports_keep_their_layout():
             harness.run_prop53(_prop53_config()),
             phase_columns("curvature_pairing"),
             ["residual_slope", "slope_bound", "max_relative_residual"],
-            ["flow_det_drift", *cover],
+            ["flow_area_drift", *cover],
         ),
         (
             harness.run_defect(_defect_config()),
             ["k", "defect", "runtime"],
             ["max_defect", "defect_slope", "slope_bound"],
-            ["flow_det_drift", *cover],
+            ["flow_area_drift", *cover],
         ),
     ]
     for report, columns, verdict, health in layouts:
@@ -587,6 +611,26 @@ def test_cli_refuses_a_non_string_out_before_the_sweep(tmp_path, capsys, monkeyp
     assert cli_main(["distance", "--config", str(cfg), "--out", str(out_dir)]) == 2
     assert "out must be a directory path or null, got 5" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_cli_refuses_an_out_it_cannot_write_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # the sweep used to run in full and die in SweepReport.write with a
+    # FileExistsError or NotADirectoryError traceback
+    def sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(harness, "run_prop53", sweep)
+    monkeypatch.setattr(harness, "run_toeplitz_dump", sweep)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for command, out, reason in (
+        ("prop53", taken, "File exists"),
+        ("toeplitz-dump", taken / "dump", "Not a directory"),
+    ):
+        assert cli_main([command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"spherequant {command}: cannot write reports to {out}: {reason}\n"
+    assert taken.read_text() == ""
 
 
 def test_cli_config_file_may_leave_the_experiment_to_the_subcommand(tmp_path):

@@ -37,7 +37,7 @@ def test_curvature_equivariance():
     inner = oracles.PushforwardStructure(oracles.RoundStructure(), h1, 0.5)
     outer = oracles.PushforwardStructure(inner, h2, 0.4)
     s_outer = oracles.scalar_curvature_at(outer, GRID.nodes)
-    y, _ = flow.transport_backward(h2, GRID.nodes, 0.4, steps=256)
+    y = flow.transport_backward(h2, GRID.nodes, 0.4, steps=256)
     s_inner_pulled = oracles.scalar_curvature_at(inner, y)
     assert np.max(np.abs(s_outer - s_inner_pulled)) < 1e-4
 

@@ -168,19 +168,19 @@ def _count_advances(monkeypatch):
 
 def test_xi_path_advances_the_flow_three_steps_per_magnus_step(monkeypatch):
     # one RK4 step to each Gauss point and one to the end of every step
-    # but the last, whose end no sample reads: the grid's points, and
-    # stacked behind them the 6 x 12 sentinel's with their Jacobians, for
-    # the det drift
+    # but the last, whose end no sample reads: the grid's points alone,
+    # without the variational equation, since the area drift is read from
+    # the samples
     calls = _count_advances(monkeypatch)
     space = quantize.build_space(8)
     propagate.xi_path(space, ham.time_mixed(), steps=4)
     assert space.grid.size == 288
-    assert calls == [(1, 288, 72)] * 11
+    assert calls == [(1, 288, 0)] * 11
 
 
 def test_pull_back_on_the_claims_config_counts_its_rk4_point_steps(monkeypatch):
     # prop53 as the claims workload runs it: ks <= 64 on default_grid(64),
-    # 32 Magnus steps, so 3 * 32 - 1 = 95 stops
+    # 32 Magnus steps, so 3 * 32 - 1 = 95 stops, and no point with a Jacobian
     calls = _count_advances(monkeypatch)
     grid = quantize.default_grid(64)
     propagate.pull_back(ham.time_mixed(), grid, steps=32)
@@ -189,7 +189,7 @@ def test_pull_back_on_the_claims_config_counts_its_rk4_point_steps(monkeypatch):
     for steps, without, with_jacobian in calls:
         point_steps[False] += steps * without
         point_steps[True] += steps * with_jacobian
-    assert point_steps == {True: 95 * 72, False: 95 * 3200}
+    assert point_steps == {True: 0, False: 95 * 3200}
 
 
 def test_pull_back_samples_are_real_node_values():
@@ -200,7 +200,42 @@ def test_pull_back_samples_are_real_node_values():
     for sample in pulled.data.values():
         assert isinstance(sample, np.ndarray)
         assert sample.dtype == np.float64 and sample.shape == (grid.size,)
-    assert 0.0 < pulled.flow_det_drift < 1e-3
+    assert 0.0 < pulled.flow_area_drift < 1e-3
+
+
+def _fourth_order_and_close(area, det):
+    # each halving of the step divides a fourth-order error by about 16
+    for drifts in (area, det):
+        for coarse, fine in zip(drifts, drifts[1:]):
+            assert 12.0 < coarse / fine < 20.0, drifts
+    for a, d in zip(area, det):
+        assert 0.1 < a / d < 10.0, (a, d)
+
+
+def test_area_drift_and_the_sentinel_det_drift_are_fourth_order_and_close():
+    # a Hamiltonian flow preserves mu, so the samples' integrals read RK4's
+    # area error as the sentinel's Jacobian determinants did; on time-mixed
+    # on default_grid(64) at 16, 32, 64 steps they read 4.41e-7, 2.68e-8,
+    # 1.64e-9 against 1.06e-6, 6.59e-8, 4.11e-9
+    h, grid = ham.time_mixed(), quantize.default_grid(64)
+    area, det = [], []
+    for steps in (16, 32, 64):
+        # pull_back's stops: both Gauss times and the end of every step but the last
+        gauss, dt = propagate._gauss_times(steps), 1.0 / steps
+        stops = [t for n, pair in enumerate(gauss) for t in (*pair, (n + 1) * dt)][:-1]
+        area.append(propagate.pull_back(h, grid, steps).flow_area_drift)
+        det.append(oracles.sentinel_det_drift(h, stops, steps))
+    _fourth_order_and_close(area, det)
+    # the backward route of the product time-mixed x 2 x1 at 8 Magnus steps
+    # and 16, 32, 64 flow steps: 1.86e-5, 1.30e-6, 8.04e-8 against 1.43e-5,
+    # 1.01e-6, 6.29e-8
+    stops = [-t for pair in propagate._gauss_times(8) for t in pair]
+    area, det = [], []
+    for flow_steps in (16, 32, 64):
+        samples = propagate.product_samples(h, ham.coordinate(0, 2.0), grid, 8, flow_steps)
+        area.append(samples.flow_area_drift)
+        det.append(oracles.sentinel_det_drift(h, stops, flow_steps))
+    _fourth_order_and_close(area, det)
 
 
 # the presets without a time function, whose pull-back is the identity route
@@ -223,7 +258,7 @@ def test_pull_back_of_an_autonomous_path_is_the_path_itself(monkeypatch):
         assert list(pulled.data) == times
         for t, sample in pulled.data.items():
             assert np.array_equal(sample, h.value(grid.nodes, t)), (name, t)
-        assert pulled.flow_det_drift == 0.0
+        assert pulled.flow_area_drift == 0.0
 
 
 def test_xi_path_of_an_autonomous_path_is_its_direct_propagator():
@@ -267,13 +302,12 @@ def test_xi_path_of_an_autonomous_path_takes_one_exponential(monkeypatch):
 
 def test_product_samples_transport_a_time_dependent_factor_once_per_time(monkeypatch):
     # 8 Gauss times, each transported back on its own in max(8, 8 t) = 8
-    # steps, and the 6 x 12 sentinel with its Jacobians, stacked behind the
-    # nodes, to the last time only
+    # steps, the nodes alone and without the variational equation
     calls = _count_advances(monkeypatch)
     grid = quantize.default_grid(8)
     propagate.product_samples(ham.time_mixed(), ham.coordinate(0), grid, 4, flow_steps=8)
     assert grid.size == 288
-    assert calls == [(8, 288, 0)] * 7 + [(8, 288, 72)]
+    assert calls == [(8, 288, 0)] * 8
 
 
 def test_xi_path_phase_is_the_trace_sum_of_its_samples(monkeypatch):
@@ -868,7 +902,7 @@ def test_a_non_finite_time_function_value_names_its_group():
 
 def test_a_non_finite_time_function_value_is_refused_on_the_flow_routes():
     # xi_path used to die in eigh with LinAlgError after RuntimeWarnings, and
-    # product_samples returned NaN samples with a NaN flow_det_drift
+    # product_samples returned NaN samples with a NaN det drift
     def nan_after_half(t):
         return np.nan if t > 0.5 else t
 

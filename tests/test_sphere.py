@@ -149,9 +149,8 @@ def test_star_product_propagation_shares_one_backward_sweep(monkeypatch):
     # 8 Magnus steps sample the generator at (n + 1/2 -+ sqrt(3)/6) / 8; at
     # 32 flow steps per unit time the gaps between samples (0.0264 first,
     # then 0.0722 within and 0.0528 between Magnus steps) take 1, 3 and 2
-    # RK4 steps: 1 + 8 * 3 + 7 * 2 = 39 steps per node.  The grid's nodes
-    # go without the variational equation; the 72 sentinel nodes stacked
-    # behind them carry it.
+    # RK4 steps: 1 + 8 * 3 + 7 * 2 = 39 steps per node, all without the
+    # variational equation.
     # 2 x1 + 2 x3^2 is static but not axial, so RK4 integrates it; the
     # static axial 2 x3^2 has a closed-form flow and runs no RK4
     point_steps = {False: 0, True: 0}
@@ -171,7 +170,7 @@ def test_star_product_propagation_shares_one_backward_sweep(monkeypatch):
     grid = quantize.default_grid(8)
     first = ham.Polynomial([ham.Monomial((1, 0, 0), 2.0), ham.Monomial((0, 0, 2), 2.0)])
     propagate.product_samples(first, ham.coordinate(0, 2.0), grid, steps=8, flow_steps=32)
-    assert point_steps == {False: 39 * grid.size, True: 39 * 72}
+    assert point_steps == {False: 39 * grid.size, True: 0}
     point_steps.update({False: 0, True: 0})
     propagate.product_samples(
         ham.height_squared(2.0), ham.coordinate(0, 2.0), grid, steps=8, flow_steps=32
