@@ -58,6 +58,7 @@ def main(argv=None):
     # one directory for the report and the toeplitz-dump matrices, made
     # before the sweep, so that a path that cannot be one refuses the run
     out_dir = config.out or args.out
+    made = [p for p in (Path(out_dir), *Path(out_dir).parents) if not p.exists()]
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryFile(dir=out_dir):
@@ -68,6 +69,8 @@ def main(argv=None):
         try:
             report = harness.run_theorem1_holomorphic(config)
         except propagate.HolomorphyError as exc:
+            for path in made:  # deepest first, each still empty
+                path.rmdir()
             return _refuse(args.command, exc)
     elif args.command == "prop53":
         report = harness.run_prop53(config)

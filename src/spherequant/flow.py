@@ -23,11 +23,10 @@ standard 2x2 rotation matrix in either frame.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .hamiltonians import _is_finite_real
+from .hamiltonians import _is_count, _is_finite_real
 
 # flow does not call geodesic_matrices; perfbench/selftest.py asserts that
 # tracing rebinds this imported copy
@@ -233,7 +232,7 @@ def transport_backward(h, points, t, steps):
 
 def _check_steps(steps):
     """Raise unless a step count (RK4 or Magnus) is a positive integer, not a bool."""
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+    if not _is_count(steps):
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
 
 

@@ -20,15 +20,17 @@ def _is_finite_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _is_count(value, least=1):
+    """Whether a value is an integer, not a bool, of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 class Monomial:
     """c(t) * x1^p1 * x2^p2 * x3^p3 with a smooth time coefficient."""
 
     def __init__(self, powers, coefficient=1.0, time_fn=None):
         powers = tuple(powers)
-        if len(powers) != 3 or not all(
-            isinstance(p, numbers.Integral) and not isinstance(p, bool) and p >= 0
-            for p in powers
-        ):
+        if len(powers) != 3 or not all(_is_count(p, least=0) for p in powers):
             raise ValueError("powers must be three non-negative integers")
         self.powers = tuple(int(p) for p in powers)
         if not _is_finite_real(coefficient):
@@ -164,7 +166,7 @@ def height(scale=1.0):
 
 
 def coordinate(axis, scale=1.0):
-    if isinstance(axis, bool) or not isinstance(axis, numbers.Integral) or not 0 <= axis <= 2:
+    if not (_is_count(axis, least=0) and axis <= 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
     powers = [0, 0, 0]
     powers[axis] = 1

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -17,15 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import hamiltonians, invariants, propagate, quantize, sphere
+from .hamiltonians import _is_count
 from .unitary_metric import Unitary, UnitaryWithPhase, cover_distance, distance
 
 ODE_TOLERANCE = 1e-8
 NOISE_FLOOR = 10.0 * ODE_TOLERANCE
-
-
-def _is_count(value, least=1):
-    """Whether a config value is an integer, not a bool, of at least ``least``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass

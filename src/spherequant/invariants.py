@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, propagate, siegel, sphere
+from .hamiltonians import _is_count
 from .unitary_metric import Unitary, UnitaryWithPhase, cover_distance
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,7 @@ def shelukhin(h, grid, time_samples=32, flow_steps=256) -> ShelukhinValue:
     The disc term only depends on the underlying path of diffeomorphisms,
     not on the normalization of its generating Hamiltonian.
     """
-    if not isinstance(time_samples, (int, np.integer)) or time_samples < 4 or time_samples % 4:
+    if not _is_count(time_samples, least=4) or time_samples % 4:
         raise ValueError(
             f"time_samples must be a positive multiple of 4, got {time_samples!r}"
         )

@@ -7,16 +7,16 @@ Hermitian eigendecomposition, so every partial product is exactly
 unitary, and the determinant of each step factor is exp(-i k dt tr A),
 which accumulates the lifted phase without any angle unwrapping.
 
-A path reaches the Magnus integrator as data: :class:`ChartSamples`, a symbol
-sampled at every Gauss time, or the separable groups (c_i, A_i) of a
-polynomial path A(t) = sum_i c_i(t) A_i.  Every step generator of the
-groups is a combination of the A_i and their commutators, which are formed
-once per propagation, and exponentiated by the band the powers certify:
-elementwise when diagonal (functions of the height x3), by a real symmetric
-tridiagonal solver when tridiagonal (the rotations x1, x2 with functions of
-x3), else by a dense ``eigh``; static groups take one exponential in all.
-When the powers also certify every group even in x3, each tridiagonal step
-is centrosymmetric and takes two half-size solves on its parity rows.
+A path reaches :func:`_magnus`, the one driver, as data: :class:`ChartSamples`,
+a symbol sampled at every Gauss time, or the separable groups (c_i, A_i) of a
+polynomial path A(t) = sum_i c_i(t) A_i; a static path takes one step of
+length 1.  Every step generator of the groups is a combination of the A_i and
+their commutators, formed once per propagation, and exponentiated by the band
+the powers certify: elementwise when diagonal (functions of the height x3), by
+a real symmetric tridiagonal solver when tridiagonal (the rotations x1, x2 with
+functions of x3), else, like every sampled step, in the dense loop
+:func:`_dense_steps`.  When the powers also certify every group even in x3, each
+tridiagonal step is centrosymmetric and takes two half-size solves.
 """
 
 from __future__ import annotations
@@ -195,21 +195,40 @@ def _separable_steps(groups, gauss, k, dt, sign):
     """
     fns, mats, *_ = zip(*groups)
     # c[n, s, i] = c_i at Gauss time s of step n
-    c = np.array(
-        [[[1.0 if fn is None else fn(t) for fn in fns] for t in pair] for pair in gauss]
-    )
-    bad = np.argwhere(~np.isfinite(c) | (c.imag != 0))
-    if len(bad):
-        n, s, i = bad[0]
+    c = np.array([[[1.0 if fn is None else fn(t) for fn in fns] for t in pair] for pair in gauss])
+    bad = ~np.isfinite(c) | (c.imag != 0)
+    if bad.any():
+        n, s, i = np.argwhere(bad)[0]
         raise ValueError(f"the time function of group {i} is {c[n, s, i]} at t = {gauss[n][s]}")
-    i, j = np.triu_indices(len(mats), 1)
-    cross = c[:, 0, i] * c[:, 1, j] - c[:, 0, j] * c[:, 1, i]
+    i, j = np.array([*itertools.combinations(range(len(mats)), 2)], dtype=int).reshape(-1, 2).T
+    # outer[n, i, j] = c_i(t1) c_j(t2), so the cross terms are its antisymmetric part
+    outer = c[:, 0, :, None] * c[:, 1, None, :]
+    cross = (outer - outer.transpose(0, 2, 1))[:, i, j]
     coef = np.concatenate(
-        [0.5 * (c[:, 0] + c[:, 1]), -sign * 1j * (np.sqrt(3.0) * k * dt / 12.0) * cross],
-        axis=1,
+        [0.5 * c.sum(axis=1), -sign * 1j * (np.sqrt(3.0) * k * dt / 12.0) * cross], axis=1
     )
     commutators = [mats[a] @ mats[b] - mats[b] @ mats[a] for a, b in zip(i, j)]
-    return coef, np.stack(mats + tuple(commutators))
+    return coef, np.array(mats + tuple(commutators))
+
+
+def _dense_steps(generators, scale):
+    """exp(i scale G_last) ... exp(i scale G_0) and scale * sum_n tr G_n for the Hermitian
+    step generators G_n, in order, each exponentiated by the dense :func:`_expi`; u
+    starts from the first step's exponential."""
+    u, phase = None, 0.0
+    for g in generators:
+        step = _expi(g, scale)
+        u = step if u is None else step @ u
+        phase += scale * np.trace(g).real
+    return u, phase
+
+
+def _sample_steps(space, samples, gauss, k, dt, sign):
+    """The Magnus step generators of :class:`ChartSamples`: :func:`_magnus_effective` of
+    the operators at each step's two Gauss times, or the one operator when both are one."""
+    for t1, t2 in gauss:
+        a = samples.operator(space, t1)
+        yield a if t1 == t2 else _magnus_effective(a, samples.operator(space, t2), k, dt, sign)
 
 
 def _expi_steps(coef, mats, band, scale, even=False):
@@ -217,7 +236,7 @@ def _expi_steps(coef, mats, band, scale, even=False):
     step generators G_n = coef[n] @ mats, which vanish off |m - n| <= band.  Band 0 is
     diagonal, so commuting: the elementwise exponential of the summed diagonals.  Both
     band routes first check every step's diagonals finite, once (``ValueError``); wider
-    bands take the dense :func:`_expi`.
+    bands take :func:`_dense_steps`.
 
     Band 1: G_n = D_n T_n D_n* for the real symmetric tridiagonal T_n with the diagonal
     of G_n and off-diagonal |e| (e the superdiagonal of G_n), and D_n = diag(delta),
@@ -230,13 +249,10 @@ def _expi_steps(coef, mats, band, scale, even=False):
     takes it to the two parity blocks of :func:`_parity_blocks`; else P = I and T_n is
     one block.
     """
+    if band >= 2:
+        return _dense_steps((np.tensordot(c, mats, 1) for c in coef), scale)
     diag = (coef @ np.diagonal(mats, axis1=1, axis2=2)).real
     phase = scale * float(np.sum(diag))
-    if band >= 2:
-        u = np.eye(mats.shape[-1], dtype=complex)
-        for c in coef:
-            u = _expi(np.tensordot(c, mats, 1), scale) @ u
-        return u, phase
     off = coef @ np.diagonal(mats, 1, axis1=1, axis2=2)
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise ValueError(f"the band-{band} step generators are not finite")
@@ -289,34 +305,27 @@ def _unfold_pairs(x, pairs):
 def _magnus(space, path, steps, sign):
     """Fourth-order Magnus integration on [0, 1] of d/dt u = sign * i k A(t) u
     from u = I (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009), over
-    ``steps`` equal steps.  Returns u and its determinant lift, the sum of
-    sign * k dt tr A over the steps.
+    ``steps`` equal steps: the one driver of every propagation.  Returns u
+    and its determinant lift, the sum of sign * k dt tr A over the steps.
 
-    ``path`` is :class:`ChartSamples`, whose operators are read at the two
-    :func:`_gauss_times` of every step and exponentiated by the dense
-    :func:`_expi` (static samples are one operator A, whose commutators
-    vanish, so the steps multiply to the one exponential of A), or the
-    :func:`_groups` of a separable path, whose step
-    generators all come from :func:`_separable_steps` and are exponentiated
-    by :func:`_expi_steps` at their :func:`_step_band`, exact up to rounding
-    on the exact grids of :func:`_groups`.
+    ``path`` is :class:`ChartSamples`, whose step generators :func:`_sample_steps`
+    reads and :func:`_dense_steps` exponentiates, or the :func:`_groups` of a
+    separable path, whose step generators :func:`_separable_steps` forms and
+    :func:`_expi_steps` exponentiates at their :func:`_step_band`, exact up to
+    rounding on the exact grids of :func:`_groups`.  A static path (static
+    samples, or groups all static) has a constant A: both Gauss points see it
+    and the commutators vanish, so the steps multiply to exp(sign i k A), one
+    step of length 1 read at one time.
     """
     k = space.k
     gauss = _gauss_times(steps)
+    samples = isinstance(path, ChartSamples)
+    if path.static if samples else all(fn is None for fn, *_ in path):
+        gauss, steps = [(gauss[0][0],) * 2], 1
     dt = 1.0 / steps
     scale = sign * k * dt
-    if isinstance(path, ChartSamples) and path.static:
-        a = path.operator(space, gauss[0][0])
-        return _expi(a, sign * k), sign * k * np.trace(a).real
-    if isinstance(path, ChartSamples):
-        u = np.eye(space.dim, dtype=complex)
-        phase = 0.0
-        for t1, t2 in gauss:
-            a1, a2 = path.operator(space, t1), path.operator(space, t2)
-            h_eff = _magnus_effective(a1, a2, k, dt, sign)
-            u = _expi(h_eff, scale) @ u
-            phase += scale * np.trace(h_eff).real
-        return u, phase
+    if samples:
+        return _dense_steps(_sample_steps(space, path, gauss, k, dt, sign), scale)
     coef, mats = _separable_steps(path, gauss, k, dt, sign)
     band = _step_band([degree for _, _, degree, _ in path])
     return _expi_steps(coef, mats, band, scale, all(even for *_, even in path))
@@ -324,19 +333,7 @@ def _magnus(space, path, steps, sign):
 
 def propagate_generic(space, path, steps):
     """Fourth-order Magnus propagation of d/dt u = -i k A(t) u on [0, 1],
-    for ``path`` as :func:`_magnus` takes it.
-
-    Groups that are all static make A constant in time, so both Gauss
-    points see the same matrix, the commutator vanishes and the steps
-    multiply to exp(-i k A): one :func:`_expi_steps` at the groups' band does.
-    """
-    if not isinstance(path, ChartSamples) and all(fn is None for fn, *_ in path):
-        flow._check_steps(steps)
-        a = sum((mat for _, mat, *_ in path), np.zeros((space.dim, space.dim), dtype=complex))
-        band = max((degree for _, _, degree, _ in path), default=0)
-        even = all(even for *_, even in path)
-        u, phase = _expi_steps(np.ones((1, 1)), a[None], band, -space.k, even)
-        return PropagationResult(unitary=u, phase=phase)
+    for ``path`` as :func:`_magnus` takes it."""
     u, phase = _magnus(space, path, steps, -1.0)
     return PropagationResult(unitary=u, phase=phase)
 
@@ -350,8 +347,8 @@ def _groups(space, h, builder):
     z -> 1/z about the x1 axis, which maps z^m to z^{k-m}, x2 to -x2 and x3 to -x3, so
     under e_i the diagonal of A_i and the moduli of its first off-diagonal are
     palindromic; :func:`_expi_steps` splits the band-1 steps of a path whose groups all
-    have e_i in two."""
-    terms = h.separable_terms()
+    have e_i in two.  The empty polynomial is one static group, zero."""
+    terms = h.separable_terms() or [(None, h)]
     bands = [quantize._certified_band(space, poly) for _, poly in terms]
     return [
         (fn, builder(space, poly), b, all(term.powers[2] % 2 == 0 for term in poly.terms))

@@ -25,13 +25,13 @@ of s against the modes of that parity alone, in one real product.  The
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import flow, sphere
+from .hamiltonians import _is_count
 
 # lambda' = half the Liouville mean of the scalar curvature; the round
 # structure has scalar curvature 2 everywhere
@@ -253,7 +253,7 @@ def default_grid(k):
 
 
 def build_space(k, grid=None):
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+    if not _is_count(k):
         raise ValueError(f"level k must be a positive integer, got {k!r}")
     if grid is None:
         grid = default_grid(k)

@@ -12,10 +12,11 @@ quadrature sum.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .hamiltonians import _is_count
 
 TOTAL_VOLUME = 2.0 * np.pi
 
@@ -34,7 +35,7 @@ class SphereGrid:
     def __post_init__(self):
         n_theta, n_phi = self.n_theta, self.n_phi
         for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            if not _is_count(n):
                 raise ValueError(f"{name} must be a positive integer, got {n!r}")
         u, wu = np.polynomial.legendre.leggauss(n_theta)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi

@@ -633,6 +633,21 @@ def test_cli_refuses_an_out_it_cannot_write_before_the_sweep(tmp_path, capsys, m
     assert taken.read_text() == ""
 
 
+def test_cli_refused_at_the_holomorphy_gate_removes_only_the_out_it_made(
+    tmp_path, capsys, monkeypatch
+):
+    # the refusal used to leave behind, empty, every --out directory the run
+    # made before the sweep
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"preset": "height-squared", "ks": [4, 8], "steps": 4}))
+    Path("kept").mkdir()
+    for out in ("kept/fresh/sub", "kept"):
+        assert cli_main(["theorem1", "--config", "cfg.json", "--out", out]) == 2
+        assert "round complex structure" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "kept"]
+        assert not any(Path("kept").iterdir())
+
+
 def test_cli_config_file_may_leave_the_experiment_to_the_subcommand(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pairs": 3}))

@@ -720,6 +720,49 @@ def test_static_band_routes_match_the_dense_exponential():
                 assert abs(res.phase + k * np.trace(op).real) <= 1e-12 * scale, (name, k)
 
 
+def _static_forms(space, h):
+    """Propagation of a static h at a step count, on both path forms."""
+    return {
+        "toeplitz": lambda steps: propagate.propagate_toeplitz(space, h, steps),
+        "ks": lambda steps: propagate.propagate_ks(space, h, steps),
+        "xi_path": lambda steps: propagate.xi_path(
+            space, propagate.pull_back(h, space.grid, steps), steps
+        ),
+    }
+
+
+def _as_bytes(res):
+    return res.unitary.tobytes(), np.float64(res.phase).tobytes()
+
+
+def test_a_static_path_takes_one_step_whatever_the_step_count(monkeypatch):
+    # A is constant in time, so both Gauss points see it and the commutators
+    # vanish: groups and samples alike run one step of length 1, and every
+    # step count gives the same bytes
+    for k in (8, 9):
+        space = quantize.build_space(k)
+        for name in STATIC_PRESETS:
+            for form, run in _static_forms(space, ham.preset(name)).items():
+                first, *rest = (_as_bytes(run(steps)) for steps in (1, 4, 16))
+                assert all(other == first for other in rest), (name, form, k)
+    # x1 x2 has azimuthal degree 2: one dense exponential at every step count
+    h = ham.Polynomial([ham.Monomial((1, 1, 0))])
+    calls = _count_routes(monkeypatch)
+    for k in (8, 9):
+        space = quantize.build_space(k)
+        for form, run in _static_forms(space, h).items():
+            results = []
+            for steps in (1, 4, 16):
+                before = calls["dense"]
+                results.append(run(steps))
+                assert calls["dense"] - before == 1, (form, k, steps)
+            assert len({_as_bytes(res) for res in results}) == 1, (form, k)
+            op = BUILDERS["toeplitz" if form == "toeplitz" else "ks"](space, h)
+            assert np.max(np.abs(results[0].unitary - propagate._expi(op, -k))) <= 1e-12
+            assert abs(results[0].phase + k * np.trace(op).real) <= 1e-12
+    assert calls["tridiagonal"] == 0
+
+
 def test_static_paths_run_the_eigensolve_of_their_band(monkeypatch):
     calls = _count_routes(monkeypatch)
     space = quantize.build_space(16)
