@@ -15,8 +15,9 @@ their commutators, formed once per propagation, and exponentiated by the band
 the powers certify: elementwise when diagonal (functions of the height x3), by
 a real symmetric tridiagonal solver when tridiagonal (the rotations x1, x2 with
 functions of x3), else, like every sampled step, in the dense loop
-:func:`_dense_steps`.  When the powers also certify every group even in x3, each
-tridiagonal step is centrosymmetric and takes two half-size solves.
+:func:`_dense_steps`.  When the powers also certify every group even in x3, the
+tridiagonal steps, framed once, split into two half-size blocks; each block's
+steps are multiplied on their own, and the two products are unfolded once.
 """
 
 from __future__ import annotations
@@ -125,32 +126,59 @@ def _expi_tridiagonal(d, e, scale, v):
     return v
 
 
-def _parity_blocks(d, e):
-    """The two real symmetric tridiagonal blocks, (diagonals, off-diagonals) of
-    sizes ceil(N/2) and floor(N/2) for every step, of the centrosymmetric
-    tridiagonal steps with diagonals d (steps, N) and off-diagonals e (steps,
-    N - 1), on the parity rows (u_j +- u_{N-1-j}) / sqrt(2), j < N // 2, and,
-    for odd N, the middle row u_{N//2}, which joins the symmetric block.
+def _gauge(angles):
+    """The diagonals D_n, the rows of the result, with D_{n,0} = 1 and D_{n,j+1} =
+    D_{n,j} exp(-i angles[n, j]): D_n* H_n D_n has superdiagonal |e_n| for every
+    Hermitian tridiagonal H_n whose superdiagonal e_n has the phases angles[n]."""
+    zero = np.zeros((len(angles), 1))
+    return np.exp(-1j * np.concatenate((zero, np.cumsum(angles, axis=1)), axis=1))
 
-    Centrosymmetry pairs entry j with N - 1 - j of d and N - 2 - j of e; the
-    blocks are built from the centrosymmetric parts (d + reversed d) / 2 and
-    (e + reversed e) / 2.  For even N the centre coupling e_{N/2-1} adds to
-    the last diagonal entry of the symmetric block and subtracts from the
-    antisymmetric one; for odd N it couples the middle row to the symmetric
-    block as sqrt(2) e_{N//2-1} (Cantoni & Butler, Linear Algebra Appl. 13,
-    1976).
+
+def _tridiagonal_product(d, e, scale):
+    """exp(i scale H_last) ... exp(i scale H_0) for the Hermitian tridiagonal steps
+    H_n with real diagonals d[n] and superdiagonals e[n].
+
+    H_n = D_n T_n D_n* for the real symmetric tridiagonal T_n with off-diagonal
+    |e[n]| and the :func:`_gauge` D_n of e[n].  The state x starts as exp(i scale
+    T_0), made from the identity by :func:`_expi_tridiagonal`; every later step
+    turns it by the diagonal D_n* D_{n-1} and takes one :func:`_expi_tridiagonal`,
+    and the product is D_last x D_0*.
+    """
+    gauge = _gauge(np.angle(e))
+    e = np.abs(e)
+    x = _expi_tridiagonal(d[0], e[0], scale, None)
+    for dn, en, turn in zip(d[1:], e[1:], gauge[1:].conj() * gauge[:-1]):
+        x *= turn[:, None]
+        _expi_tridiagonal(dn, en, scale, x)
+    return gauge[-1][:, None] * x * gauge[0].conj()
+
+
+def _parity_blocks(d, e):
+    """The two Hermitian tridiagonal blocks, (diagonals, superdiagonals) of sizes
+    ceil(N/2) and floor(N/2) for every step, of the J-symmetric Hermitian
+    tridiagonal steps (J: u_j -> u_{N-1-j}) with real diagonals d (steps, N) and
+    superdiagonals e (steps, N - 1), on the parity rows (u_j +- u_{N-1-j}) / sqrt(2),
+    j < N // 2, and, for odd N, the middle row u_{N//2}, which joins the
+    symmetric block.
+
+    J-symmetry pairs entry j of d with N - 1 - j, and e_j with conj(e_{N-2-j});
+    the blocks are built from the J-symmetric parts.  For even N the centre
+    coupling, real, adds to the last diagonal entry of the symmetric block and
+    subtracts from the antisymmetric one; for odd N it couples the middle row
+    to the symmetric block as sqrt(2) e_{N//2-1} (Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976).
     """
     n = d.shape[1]
     h = n // 2
     d = 0.5 * (d[:, : n - h] + d[:, ::-1][:, : n - h])
-    e = 0.5 * (e[:, :h] + e[:, ::-1][:, :h])
+    e = 0.5 * (e[:, :h] + e[:, ::-1][:, :h].conj())
     if n % 2:
         anti = (d[:, :h], e[:, : h - 1])
         e[:, -1] *= np.sqrt(2.0)
         return [(d, e), anti]
     sym = d.copy()
-    sym[:, -1] += e[:, -1]
-    d[:, -1] -= e[:, -1]
+    sym[:, -1] += e[:, -1].real
+    d[:, -1] -= e[:, -1].real
     return [(sym, e[:, : h - 1]), (d, e[:, : h - 1])]
 
 
@@ -238,16 +266,15 @@ def _expi_steps(coef, mats, band, scale, even=False):
     band routes first check every step's diagonals finite, once (``ValueError``); wider
     bands take :func:`_dense_steps`.
 
-    Band 1: G_n = D_n T_n D_n* for the real symmetric tridiagonal T_n with the diagonal
-    of G_n and off-diagonal |e| (e the superdiagonal of G_n), and D_n = diag(delta),
-    delta_0 = 1, delta_{j+1} = delta_j conj(e_j) / |e_j| (1 where e_j = 0); the gauges
-    of all steps are taken at once.  T_n splits into blocks by the orthogonal P, and
-    the state is x_n = P D_n* u_n D_0 P^T: x_0 is the blocks of exp(i scale T_0), made
-    from the identity, every later step turns x by P D_n* D_{n-1} P^T and takes one
-    :func:`_expi_tridiagonal` per block, and u = D_last P^T x P D_0*.  When ``even``
-    certifies every group even in x3 (:func:`_groups`), T_n is centrosymmetric, and P
-    takes it to the two parity blocks of :func:`_parity_blocks`; else P = I and T_n is
-    one block.
+    Band 1 takes one :func:`_tridiagonal_product` of the steps.  When ``even`` certifies
+    every group even in x3 (:func:`_groups`), the path has one band-1 group A, and the
+    superdiagonal of G_n is e_{n,j} = A_j c_{n,j} with A_j palindromic and c_{n,N-2-j} =
+    conj(c_{n,j}).  One diagonal frame W, the :func:`_gauge` of the halved phases of
+    sum_n e_{n,j} e_{n,N-2-j} = A_j^2 sum_n |c_{n,j}|^2, takes every e_{n,j} to one sign
+    of |A_j| c_{n,j}, the same at j and N - 2 - j, so every W* G_n W is J-symmetric (J:
+    u_j -> u_{N-1-j}), also where the first steps' superdiagonals vanish.  Their two
+    :func:`_parity_blocks` take one product each, S and A, and u = W P^T diag(S, A) P W*
+    is unfolded once, by :func:`_unfold_pairs`.
     """
     if band >= 2:
         return _dense_steps((np.tensordot(c, mats, 1) for c in coef), scale)
@@ -258,48 +285,33 @@ def _expi_steps(coef, mats, band, scale, even=False):
         raise ValueError(f"the band-{band} step generators are not finite")
     if band == 0:
         return np.diag(np.exp(1j * scale * diag.sum(axis=0))), phase
-    gauge = np.ones(diag.shape, dtype=complex)
-    gauge[:, 1:] = np.exp(-1j * np.cumsum(np.angle(off), axis=1))
-    blocks = _parity_blocks(diag, np.abs(off)) if even else [(diag, np.abs(off))]
-    # the turn D_n* D_{n-1} takes each pair of parity rows (s, a) to sqrt(2)
-    # times its site rows, s + a and s - a, turns them by t_j / 2 and
-    # t_{N-1-j} / 2 and takes them back; an unpaired row turns by its own t_j
+    if not even:
+        return _tridiagonal_product(diag, off, scale), phase
+    half = 0.5 * np.angle((off * off[:, ::-1]).sum(axis=0, keepdims=True))
+    blocks = _parity_blocks(diag, off * np.exp(-1j * half))
+    u = _unfold_pairs(*(_tridiagonal_product(d, e, scale) for d, e in blocks))
+    # W, and the 1 / sqrt(2) of every pair row and column that u leaves out
     n = diag.shape[1]
-    pairs = n // 2 if even else 0
-    turn = gauge[1:].conj() * gauge[:-1]
-    halves = 0.5 * np.concatenate([turn[:, :pairs], turn[:, ::-1][:, :pairs]], axis=1)
-    x = np.zeros((n, n), dtype=complex)
-    rows = [x[: n - pairs], x[n - pairs :]] if even else [x]
-    for (d, e), v, lo in zip(blocks, rows, (0, n - pairs)):
-        v[:, lo : lo + len(v)] = _expi_tridiagonal(d[0], e[0], scale, None)
-    s, a, unpaired = x[:pairs], x[n - pairs :], x[pairs : n - pairs]
-    site = np.empty((2 * pairs, n), dtype=complex)
-    top, bottom = site[:pairs], site[pairs:]
-    for step, (half, t) in enumerate(zip(halves[:, :, None], turn[:, pairs : n - pairs, None]), 1):
-        np.add(s, a, out=top)
-        np.subtract(s, a, out=bottom)
-        site *= half
-        np.add(top, bottom, out=s)
-        np.subtract(top, bottom, out=a)
-        unpaired *= t
-        for (d, e), v in zip(blocks, rows):
-            _expi_tridiagonal(d[step], e[step], scale, v)
-    # P^T x P from sqrt(2) times the site rows and columns of each pair
-    _unfold_pairs(x, pairs)
-    _unfold_pairs(x.T, pairs)
-    norm = np.full(n, np.sqrt(0.5))
-    norm[pairs : n - pairs] = 1.0
-    return (gauge[-1] * norm)[:, None] * x * (gauge[0].conj() * norm), phase
+    norm = np.full(n, 0.5**0.5)
+    norm[n // 2 : n - n // 2] = 1.0
+    frame = _gauge(half) * norm
+    return frame.T * u * frame.conj(), phase
 
 
-def _unfold_pairs(x, pairs):
-    """Overwrite the parity rows s_j at j and a_j at N - pairs + j, j < ``pairs``,
-    of x with s_j + a_j at j and s_j - a_j at N - 1 - j: sqrt(2) times the rows
-    u_j and u_{N-1-j} that (u_j +- u_{N-1-j}) / sqrt(2) were taken from."""
-    s, a = x[:pairs], x[len(x) - pairs :]
-    total = s + a
-    a[:] = (s - a)[::-1]
-    s[:] = total
+def _unfold_pairs(s, a):
+    """P^T diag(s, a) P for the parity rows P of :func:`_parity_blocks`, times sqrt(2)
+    on every pair row and column: s on (u_j + u_{N-1-j}) / sqrt(2), j < N // 2, then
+    u_{N//2} for odd N, and a on (u_j - u_{N-1-j}) / sqrt(2).  The two blocks share no
+    row, so each entry is one entry of s, or one of s plus or minus one of a, and the
+    result commutes with J: its last N // 2 rows are its first, reversed both ways."""
+    h, lo = len(a), len(s)
+    u = np.empty((h + lo, h + lo), dtype=complex)
+    u[:lo, :lo] = s
+    u[:lo, lo:] = s[:, :h][:, ::-1]
+    u[:h, :h] += a
+    u[:h, lo:] -= a[:, ::-1]
+    u[lo:] = u[:h][::-1, ::-1]
+    return u
 
 
 def _magnus(space, path, steps, sign):

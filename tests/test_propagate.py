@@ -499,6 +499,21 @@ TRIDIAGONAL_PATHS = {
     "reparametrized time-mixed": ham.Reparametrized(
         ham.time_mixed(), lambda t: t * t, lambda t: 2.0 * t
     ),
+    # the x1 coefficient changes sign mid-path, and so does the centre coupling
+    "cos(2 pi t) x1 + t x3^2": ham.Polynomial(
+        [
+            ham.Monomial((1, 0, 0), time_fn=lambda t: np.cos(2.0 * np.pi * t)),
+            ham.Monomial((0, 0, 2), 1.0, time_fn=ham.identity_t),
+        ]
+    ),
+    # every superdiagonal of the first half of the steps is exactly zero, and
+    # x2's is imaginary, so the first step's phases cannot frame the later steps
+    "x2 from t = 1/2 + t x3^2": ham.Polynomial(
+        [
+            ham.Monomial((0, 1, 0), time_fn=lambda t: max(0.0, t - 0.5)),
+            ham.Monomial((0, 0, 2), 1.0, time_fn=ham.identity_t),
+        ]
+    ),
 }
 
 BUILDERS = {
@@ -513,6 +528,8 @@ TRIDIAGONAL_BLOCKS = {
     "rotated x1/x2 + x3^2": 2,
     "static height": 1,
     "reparametrized time-mixed": 2,
+    "cos(2 pi t) x1 + t x3^2": 2,
+    "x2 from t = 1/2 + t x3^2": 2,
 }
 
 
@@ -539,8 +556,9 @@ def test_tridiagonal_route_matches_the_dense_oracle(monkeypatch):
     calls = _count_routes(monkeypatch)
     steps = 32
     grid = quantize.default_grid(64)
-    # N = k + 1 is odd at k = 8 and 64 and even at k = 9: both centre rules
-    for k in (8, 9, 64):
+    # N = k + 1 is odd at k = 2, 8 and 64 and even at k = 1 and 9: both centre
+    # rules, and at k = 1 and 2 (N = 2, 3) blocks with no off-diagonal
+    for k in (1, 2, 8, 9, 64):
         space = quantize.build_space(k, grid)
         for name, h in TRIDIAGONAL_PATHS.items():
             for builder in BUILDERS.values():
@@ -593,8 +611,11 @@ def test_discarded_off_band_entries_are_rounding():
 def test_x3_even_step_generators_are_centrosymmetric():
     # the half turn z -> 1/z maps z^m to z^{k-m}, x2 to -x2 and x3 to -x3, so
     # on a path whose groups are all even in x3 every step generator, gauged
-    # real as D* G D, is unchanged when its rows and columns are reversed: the
-    # antisymmetric part that the parity split drops is rounding
+    # real as D* G D, is unchanged when its rows and columns are reversed.
+    # The parity split takes every step in one frame W instead, the gauge of
+    # the halved phases of sum_n e_{n,j} e_{n,N-2-j} (e_n the superdiagonal of
+    # step n): each W* G W is J-symmetric as a complex matrix, and the
+    # J-antisymmetric part that the split drops is rounding
     steps = 16
     gauss = propagate._gauss_times(steps)
     m = ham.Monomial
@@ -613,13 +634,18 @@ def test_x3_even_step_generators_are_centrosymmetric():
                 groups = propagate._groups(space, h, builder)
                 assert all(even for *_, even in groups), name
                 coef, mats = propagate._separable_steps(groups, gauss, k, 1.0 / steps, -1.0)
-                for c in coef:
-                    step = np.tensordot(c, mats, 1)
+                generators = [np.tensordot(c, mats, 1) for c in coef]
+                off = np.array([np.diagonal(step, 1) for step in generators])
+                halves = 0.5 * np.angle(np.sum(off * off[:, ::-1], axis=0))
+                frame = np.exp(-1j * np.concatenate(([0.0], np.cumsum(halves))))
+                for step in generators:
                     angles = np.concatenate(([0.0], np.cumsum(np.angle(np.diagonal(step, 1)))))
                     gauge = np.exp(-1j * angles)
                     real = gauge.conj()[:, None] * step * gauge[None, :]
                     norm = np.linalg.norm(step, 2)
                     assert np.max(np.abs(real - real[::-1, ::-1])) <= 1e-13 * norm, (name, k)
+                    framed = frame.conj()[:, None] * step * frame[None, :]
+                    assert np.max(np.abs(framed - framed[::-1, ::-1])) <= 1e-13 * norm, (name, k)
 
 
 def test_a_group_odd_in_x3_takes_one_full_size_block(monkeypatch):
@@ -659,7 +685,8 @@ def test_a_group_odd_in_x3_takes_one_full_size_block(monkeypatch):
             sizes.clear()
             even = propagate._groups(space, ham.time_mixed(), builder)
             propagate._magnus(space, even, steps, -1.0)
-            assert sizes == [(k + 2) // 2, (k + 1) // 2] * steps, k
+            # one block after the other: the symmetric one's steps, then the antisymmetric's
+            assert sizes == [(k + 2) // 2] * steps + [(k + 1) // 2] * steps, k
 
 
 def test_band_two_paths_take_the_dense_route_and_coarse_grids_are_refused(monkeypatch):
