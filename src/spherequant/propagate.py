@@ -8,7 +8,7 @@ unitary, and the determinant of each step factor is exp(-i k dt tr A),
 which accumulates the lifted phase without any angle unwrapping.
 
 A path reaches :func:`_magnus`, the one driver, as data: :class:`ChartSamples`,
-a symbol sampled at every Gauss time, or the separable groups (c_i, A_i) of a
+a symbol's rows in Gauss-time order, or the separable groups (c_i, A_i) of a
 polynomial path A(t) = sum_i c_i(t) A_i; a static path takes one step of
 length 1.  Every step generator of the groups is a combination of the A_i and
 their commutators, formed once per propagation, and exponentiated by the band
@@ -44,9 +44,10 @@ class HolomorphyError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ChartSamples:
-    """The k-independent stage of a time-dependent Kostant-Souriau
-    propagation: a symbol's node values on ``grid`` at the Gauss times of
-    every Magnus step, which :func:`quantize.kostant_souriau_modes` assembles.
+    """The k-independent stage of a time-dependent Kostant-Souriau propagation:
+    a symbol's node values on ``grid``, row i at the i-th of the
+    :func:`_gauss_times`, which :func:`quantize.kostant_souriau_modes` assembles.
+    A symbol constant in time is one row, serving every step count.
 
     The samples depend on the grid and the steps but not on the level k,
     so one set, sampled once per sweep, stands in for its symbol at every
@@ -54,39 +55,27 @@ class ChartSamples:
     :func:`product_samples` of a product path and :func:`xi_path` the
     :func:`pull_back` of a path in place of the Hamiltonian.  Their
     azimuthal modes are k-independent too: the first level that needs them
-    takes those of every sample in one :func:`quantize.azimuthal_modes`,
+    takes those of every row in one :func:`quantize.azimuthal_modes`,
     with one finiteness check, and every later level reads them.
     ``flow_area_drift`` is the largest change in a sample's Liouville integral
     that the samples' flow made, as :func:`_flow_samples` reads it: 0.0 on the
     closed-form and identity routes, whose flows preserve the measure exactly.
-    ``static`` samples are one symbol at every time, as :func:`pull_back`
-    gives them for an autonomous path; :func:`_magnus` takes them in one step.
     """
 
     grid: sphere.SphereGrid
-    data: dict  # Gauss time -> (grid.size,) real node values
+    values: np.ndarray  # (2 steps or 1, grid.size) real node values
     flow_area_drift: float
-    static: bool = False
 
     @cached_property
     def _modes(self):
-        """Gauss time -> the :func:`quantize.azimuthal_modes` of its sample, from
-        one FFT of every sample (of the one sample when ``static``)."""
-        times = list(self.data)[:1] if self.static else list(self.data)
-        blocks = quantize.azimuthal_modes(self.grid, np.stack([self.data[t] for t in times]))
-        modes = {t: tuple(b[i] for b in blocks) for i, t in enumerate(times)}
-        return dict.fromkeys(self.data, modes[times[0]]) if self.static else modes
+        """Row i -> the :func:`quantize.azimuthal_modes` of row i, from one FFT of every row."""
+        return list(zip(*quantize.azimuthal_modes(self.grid, self.values)))
 
-    def operator(self, space, t):
-        """Kostant-Souriau operator on ``space`` of the sample at time t."""
+    def operator(self, space, i):
+        """Kostant-Souriau operator on ``space`` of row i."""
         if space.grid != self.grid:
             raise ValueError("chart samples serve only the nodes of their own grid")
-        if t not in self.data:
-            raise ValueError(
-                f"chart samples taken for {len(self.data) // 2} Magnus steps "
-                "cannot serve other Magnus steps"
-            )
-        return quantize.kostant_souriau_modes(space, self._modes[t])
+        return quantize.kostant_souriau_modes(space, self._modes[i])
 
 
 @dataclass(frozen=True)
@@ -188,11 +177,11 @@ _GAUSS_HI = 0.5 + np.sqrt(3.0) / 6.0
 
 
 def _gauss_times(steps):
-    """The two Gauss times of each of ``steps`` equal Magnus steps on
-    [0, 1]; :class:`ChartSamples` are keyed by these floats."""
+    """The Gauss times of ``steps`` equal Magnus steps on [0, 1], in order, those of
+    step n at 2n and 2n + 1: the times of the rows of :class:`ChartSamples`."""
     flow._check_steps(steps)
     dt = 1.0 / steps
-    return [((n + _GAUSS_LO) * dt, (n + _GAUSS_HI) * dt) for n in range(steps)]
+    return [(n + g) * dt for n in range(steps) for g in (_GAUSS_LO, _GAUSS_HI)]
 
 
 def _magnus_effective(a1, a2, k, dt, sign):
@@ -223,11 +212,12 @@ def _separable_steps(groups, gauss, k, dt, sign):
     """
     fns, mats, *_ = zip(*groups)
     # c[n, s, i] = c_i at Gauss time s of step n
-    c = np.array([[[1.0 if fn is None else fn(t) for fn in fns] for t in pair] for pair in gauss])
+    c = np.array([[1.0 if fn is None else fn(t) for fn in fns] for t in gauss])
     bad = ~np.isfinite(c) | (c.imag != 0)
     if bad.any():
-        n, s, i = np.argwhere(bad)[0]
-        raise ValueError(f"the time function of group {i} is {c[n, s, i]} at t = {gauss[n][s]}")
+        r, i = np.argwhere(bad)[0]
+        raise ValueError(f"the time function of group {i} is {c[r, i]} at t = {gauss[r]}")
+    c = c.reshape(-1, 2, len(fns))
     i, j = np.array([*itertools.combinations(range(len(mats)), 2)], dtype=int).reshape(-1, 2).T
     # outer[n, i, j] = c_i(t1) c_j(t2), so the cross terms are its antisymmetric part
     outer = c[:, 0, :, None] * c[:, 1, None, :]
@@ -251,12 +241,20 @@ def _dense_steps(generators, scale):
     return u, phase
 
 
-def _sample_steps(space, samples, gauss, k, dt, sign):
-    """The Magnus step generators of :class:`ChartSamples`: :func:`_magnus_effective` of
-    the operators at each step's two Gauss times, or the one operator when both are one."""
-    for t1, t2 in gauss:
-        a = samples.operator(space, t1)
-        yield a if t1 == t2 else _magnus_effective(a, samples.operator(space, t2), k, dt, sign)
+def _sample_steps(space, samples, steps, k, sign):
+    """The Magnus step generators of :class:`ChartSamples` over ``steps`` steps, each
+    :func:`_magnus_effective` of the operators of two consecutive rows, or the one operator
+    of a one-row sample; ``ValueError`` unless the rows are one or two a step."""
+    rows = len(samples.values)
+    if rows not in (1, 2 * steps):
+        raise ValueError(
+            f"chart samples taken for {rows / 2:g} Magnus steps cannot serve other Magnus steps"
+        )
+    ops = (samples.operator(space, i) for i in range(rows))
+    if rows == 1:
+        return ops
+    # zip draws from the one generator twice: rows 2n and 2n + 1
+    return (_magnus_effective(a1, a2, k, 1.0 / steps, sign) for a1, a2 in zip(ops, ops))
 
 
 def _expi_steps(coef, mats, band, scale, even=False):
@@ -324,21 +322,21 @@ def _magnus(space, path, steps, sign):
     reads and :func:`_dense_steps` exponentiates, or the :func:`_groups` of a
     separable path, whose step generators :func:`_separable_steps` forms and
     :func:`_expi_steps` exponentiates at their :func:`_step_band`, exact up to
-    rounding on the exact grids of :func:`_groups`.  A static path (static
+    rounding on the exact grids of :func:`_groups`.  A static path (one-row
     samples, or groups all static) has a constant A: both Gauss points see it
     and the commutators vanish, so the steps multiply to exp(sign i k A), one
-    step of length 1 read at one time.
+    step of length 1, at the times of ``_gauss_times(1)``.
     """
+    flow._check_steps(steps)
     k = space.k
-    gauss = _gauss_times(steps)
     samples = isinstance(path, ChartSamples)
-    if path.static if samples else all(fn is None for fn, *_ in path):
-        gauss, steps = [(gauss[0][0],) * 2], 1
+    if len(path.values) == 1 if samples else all(fn is None for fn, *_ in path):
+        steps = 1
     dt = 1.0 / steps
     scale = sign * k * dt
     if samples:
-        return _dense_steps(_sample_steps(space, path, gauss, k, dt, sign), scale)
-    coef, mats = _separable_steps(path, gauss, k, dt, sign)
+        return _dense_steps(_sample_steps(space, path, steps, k, sign), scale)
+    coef, mats = _separable_steps(path, _gauss_times(steps), k, dt, sign)
     band = _step_band([degree for _, _, degree, _ in path])
     return _expi_steps(coef, mats, band, scale, all(even for *_, even in path))
 
@@ -385,9 +383,9 @@ def propagate_ks(space, h, steps):
 
 
 def _flow_samples(h, grid, stops, rate, times, value):
-    """:class:`ChartSamples` on ``grid`` of ``value(y, t)`` at the sample
-    ``times``, y the nodes flowed by h to the stop t, or by its inverse flow
-    at t to the stop -t, along monotone signed ``stops``.  The one route
+    """:class:`ChartSamples` on ``grid`` whose rows are ``value(y, t)`` at the
+    sample ``times``, in order, y the nodes flowed by h to the stop t, or by its
+    inverse flow at t to the stop -t, along monotone signed ``stops``.  The one route
     choice: a static axial h rotates the nodes in closed form
     (:func:`flow.axial_flow`); forward stops, or an autonomous h, whose
     inverse flow at t is its flow at -t, take one points-only
@@ -409,14 +407,14 @@ def _flow_samples(h, grid, stops, rate, times, value):
         points = (
             flow.transport_backward(h, nodes, -s, flow.per_time_steps(rate, -s)) for s in stops
         )
-    data = {abs(s): value(y, abs(s)) for s, y in zip(stops, points) if abs(s) in times}
+    values = np.array([value(y, abs(s)) for s, y in zip(stops, points) if abs(s) in times])
     drift = 0.0
     if rk4:
         drift = max(
             abs(sphere.integrate_values(grid, v) - sphere.integrate_values(grid, value(nodes, t)))
-            for t, v in data.items()
+            for t, v in zip(times, values)
         )
-    return ChartSamples(grid, data, drift)
+    return ChartSamples(grid, values, drift)
 
 
 def product_samples(f, g, grid, steps, flow_steps=256):
@@ -425,7 +423,7 @@ def product_samples(f, g, grid, steps, flow_steps=256):
     (alpha the flow of f), at the Gauss times of :func:`propagate_generic`;
     :func:`_flow_samples` reads alpha_t^{-1} at the stop -t, and its area
     drift from int g_t o alpha_t^{-1} dmu = int g_t dmu."""
-    times = [t for pair in _gauss_times(steps) for t in pair]
+    times = _gauss_times(steps)
     nodes, stops = grid.nodes, [-t for t in times]
     return _flow_samples(
         f, grid, stops, flow_steps, times, lambda x, t: f.value(nodes, t) + g.value(x, t)
@@ -436,16 +434,14 @@ def pull_back(h, grid, steps):
     """:class:`ChartSamples` of the pulled-back symbol H_t o phi_t at the
     Gauss times of :func:`xi_path`, its node values h(phi_t(node), t).  An
     autonomous h is conserved by its flow, dH(X_H) = omega(X_H, X_H) = 0, so
-    these are its own node values, static samples with no flow and drift 0.0; a
-    time-dependent h flows forward in :func:`_flow_samples`, one RK4 step to
-    each Gauss time and to the end of every Magnus step but the last, and its
-    area drift reads int H_t o phi_t dmu against int H_t dmu."""
-    gauss = _gauss_times(steps)
-    times = [t for pair in gauss for t in pair]
+    these are its own node values, one row with no flow and drift 0.0; a
+    time-dependent h flows forward in :func:`_flow_samples` through the Gauss
+    times and the ends of every Magnus step but the last, sorted, one RK4 step
+    to each, and its area drift reads int H_t o phi_t dmu against int H_t dmu."""
+    times = _gauss_times(steps)
     if h.autonomous:
-        return ChartSamples(grid, dict.fromkeys(times, h.value(grid.nodes)), 0.0, static=True)
-    dt = 1.0 / steps
-    stops = [t for n, pair in enumerate(gauss) for t in (*pair, (n + 1) * dt)][:-1]
+        return ChartSamples(grid, h.value(grid.nodes)[None, :], 0.0)
+    stops = sorted(times + [n * (1.0 / steps) for n in range(1, steps)])
     return _flow_samples(h, grid, stops, steps, times, h.value)
 
 

@@ -146,17 +146,22 @@ def kostant_souriau_from_chart(space, values, a):
     return space.compress(drift) + space.compress(a / (1j * k * z)) * np.arange(k + 1)
 
 
-def trace_sum_phase(k, samples):
-    """The det-phase of ``propagate.xi_path`` at level k on the
-    ``ChartSamples`` ``samples``, from the samples alone.
+def trace_sum_phase(k, samples, steps):
+    """The det-phase of ``propagate.xi_path`` at level k and ``steps`` Magnus
+    steps on the ``ChartSamples`` ``samples``, from the samples alone.
 
     The round sphere's Bergman density is constant, so tr K_k(g) =
     ((k + 1) / 2 pi) times the grid integral of g, and the commutator term
     of a Magnus step is traceless: the phase is -k (k + 1) / (2 pi) (dt / 2)
-    times the sum over the Gauss times of ``sphere.integrate_values``.
+    times the sum over the 2 ``steps`` Gauss times of ``sphere.integrate_values``.
+    A one-row sample is its symbol at every Gauss time.
     """
-    dt = 2.0 / len(samples.data)
-    total = sum(sphere.integrate_values(samples.grid, g) for g in samples.data.values())
+    rows = samples.values
+    if len(rows) == 1:
+        rows = np.repeat(rows, 2 * steps, axis=0)
+    assert len(rows) == 2 * steps
+    dt = 1.0 / steps
+    total = sum(sphere.integrate_values(samples.grid, g) for g in rows)
     return -k * (k + 1) / (2.0 * np.pi) * (dt / 2.0) * total
 
 
@@ -496,7 +501,8 @@ def dense_magnus(space, generator, steps, sign):
     scale = sign * k * dt
     u = np.eye(space.dim, dtype=complex)
     phase = 0.0
-    for t1, t2 in propagate._gauss_times(steps):
+    times = propagate._gauss_times(steps)
+    for t1, t2 in zip(times[::2], times[1::2]):
         h_eff = propagate._magnus_effective(generator(t1), generator(t2), k, dt, sign)
         u = propagate._expi(h_eff, scale) @ u
         phase += scale * np.trace(h_eff).real

@@ -220,7 +220,7 @@ def test_criterion_11_calabi_morphism():
     product = propagate.product_samples(a, b, grid, steps, flow_steps=256)
     product_calabi = sum(
         0.5 / steps * sphere.integrate_values(grid, values)
-        for values in product.data.values()
+        for values in product.values
     )
     additivity = abs(product_calabi - calabi(a, grid) - calabi(b, grid))
     ok = additivity <= 1e-7

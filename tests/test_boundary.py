@@ -35,11 +35,10 @@ def _one_value(value):
 
 def _samples_with_one_nan():
     """ChartSamples of x3 on the grid of ``_space()`` at the Gauss times of 2
-    Magnus steps, one node of the last sample set to NaN."""
-    times = [t for pair in propagate._gauss_times(2) for t in pair]
-    data = {t: _one_value(t) for t in times}
-    data[times[-1]] = _one_value(NAN)
-    return propagate.ChartSamples(_space().grid, data, 0.0)
+    Magnus steps, one node of the last row set to NaN."""
+    values = np.array([_one_value(t) for t in propagate._gauss_times(2)])
+    values[-1] = _one_value(NAN)
+    return propagate.ChartSamples(_space().grid, values, 0.0)
 
 
 def _cover(phase=0.0, n=2):

@@ -192,14 +192,34 @@ def test_pull_back_on_the_claims_config_counts_its_rk4_point_steps(monkeypatch):
     assert point_steps == {True: 0, False: 95 * 3200}
 
 
+def test_pull_back_stops_are_the_gauss_times_and_step_ends_interleaved(monkeypatch):
+    # the sorted stops equal, bit for bit, each step's two Gauss times and
+    # its end, (n + LO) dt, (n + HI) dt, (n + 1) dt, without the last end
+    seen = []
+
+    def record(h, grid, stops, *rest):
+        seen.append(stops)
+
+    monkeypatch.setattr(propagate, "_flow_samples", record)
+    lo, hi = propagate._GAUSS_LO, propagate._GAUSS_HI
+    for steps in range(1, 65):
+        seen.clear()
+        propagate.pull_back(ham.time_mixed(), sphere.build_grid(4, 4), steps)
+        dt = 1.0 / steps
+        expected = [
+            t for n in range(steps) for t in ((n + lo) * dt, (n + hi) * dt, (n + 1) * dt)
+        ][:-1]
+        (stops,) = seen
+        assert np.array(stops).tobytes() == np.array(expected).tobytes(), steps
+
+
 def test_pull_back_samples_are_real_node_values():
     grid = quantize.default_grid(8)
     h = ham.time_mixed()
     pulled = propagate.pull_back(h, grid, steps=4)
-    assert list(pulled.data) == [t for pair in propagate._gauss_times(4) for t in pair]
-    for sample in pulled.data.values():
-        assert isinstance(sample, np.ndarray)
-        assert sample.dtype == np.float64 and sample.shape == (grid.size,)
+    # one row per Gauss time of the 4 steps
+    assert isinstance(pulled.values, np.ndarray)
+    assert pulled.values.dtype == np.float64 and pulled.values.shape == (8, grid.size)
     assert 0.0 < pulled.flow_area_drift < 1e-3
 
 
@@ -221,15 +241,15 @@ def test_area_drift_and_the_sentinel_det_drift_are_fourth_order_and_close():
     area, det = [], []
     for steps in (16, 32, 64):
         # pull_back's stops: both Gauss times and the end of every step but the last
-        gauss, dt = propagate._gauss_times(steps), 1.0 / steps
-        stops = [t for n, pair in enumerate(gauss) for t in (*pair, (n + 1) * dt)][:-1]
+        times, dt = propagate._gauss_times(steps), 1.0 / steps
+        stops = [t for n in range(steps) for t in (*times[2 * n : 2 * n + 2], (n + 1) * dt)][:-1]
         area.append(propagate.pull_back(h, grid, steps).flow_area_drift)
         det.append(oracles.sentinel_det_drift(h, stops, steps))
     _fourth_order_and_close(area, det)
     # the backward route of the product time-mixed x 2 x1 at 8 Magnus steps
     # and 16, 32, 64 flow steps: 1.86e-5, 1.30e-6, 8.04e-8 against 1.43e-5,
     # 1.01e-6, 6.29e-8
-    stops = [-t for pair in propagate._gauss_times(8) for t in pair]
+    stops = [-t for t in propagate._gauss_times(8)]
     area, det = [], []
     for flow_steps in (16, 32, 64):
         samples = propagate.product_samples(h, ham.coordinate(0, 2.0), grid, 8, flow_steps)
@@ -251,13 +271,13 @@ def test_pull_back_of_an_autonomous_path_is_the_path_itself(monkeypatch):
     monkeypatch.setattr(flow, "advance_state", fail)
     assert AUTONOMOUS_PRESETS == tuple(n for n, f in ham.PRESETS.items() if f().autonomous)
     grid = quantize.default_grid(8)
-    times = [t for pair in propagate._gauss_times(4) for t in pair]
     for name in AUTONOMOUS_PRESETS:
         h = ham.preset(name)
         pulled = propagate.pull_back(h, grid, steps=4)
-        assert list(pulled.data) == times
-        for t, sample in pulled.data.items():
-            assert np.array_equal(sample, h.value(grid.nodes, t)), (name, t)
+        # one row, the symbol at every Gauss time
+        assert pulled.values.shape == (1, grid.size), name
+        for t in propagate._gauss_times(4):
+            assert np.array_equal(pulled.values[0], h.value(grid.nodes, t)), (name, t)
         assert pulled.flow_area_drift == 0.0
 
 
@@ -314,17 +334,19 @@ def test_xi_path_phase_is_the_trace_sum_of_its_samples(monkeypatch):
     # the phase is a trace sum of the samples, yet xi_path reads it from its
     # propagator: it never integrates a sample on the grid
     grid = quantize.default_grid(32)
-    pulled = propagate.pull_back(ham.time_mixed(), grid, steps=8)
 
     def refuse(*args):
         raise AssertionError("xi_path integrated a sample")
 
-    for k in (8, 16, 32):
-        expected = oracles.trace_sum_phase(k, pulled)
-        with monkeypatch.context() as patch:
-            patch.setattr(sphere, "integrate_values", refuse)
-            phase = propagate.xi_path(quantize.build_space(k, grid), pulled, steps=8).phase
-        assert abs(phase - expected) <= 1e-12 * abs(expected), (k, phase, expected)
+    # the one row of an autonomous path stands for every Gauss time
+    for h in (ham.time_mixed(), ham.height_squared()):
+        pulled = propagate.pull_back(h, grid, steps=8)
+        for k in (8, 16, 32):
+            expected = oracles.trace_sum_phase(k, pulled, 8)
+            with monkeypatch.context() as patch:
+                patch.setattr(sphere, "integrate_values", refuse)
+                phase = propagate.xi_path(quantize.build_space(k, grid), pulled, steps=8).phase
+            assert abs(phase - expected) <= 1e-12 * abs(expected), (k, phase, expected)
 
 
 def test_xi_path_on_the_shared_grid_matches_each_levels_own_grid():
@@ -364,6 +386,13 @@ def test_chart_samples_refuse_other_grids_and_steps():
         propagate.propagate_ks(space, samples, steps=8)
     with pytest.raises(ValueError, match="needs a polynomial path"):
         propagate.propagate_toeplitz(space, samples, steps=4)
+    # three rows are neither one symbol nor two a step: no step count takes them
+    three = propagate.ChartSamples(space.grid, samples.values[:3], 0.0)
+    for propagate_fn in (propagate.propagate_ks, propagate.xi_path):
+        for steps in (1, 2):
+            message = "taken for 1.5 Magnus steps cannot serve other Magnus steps"
+            with pytest.raises(ValueError, match=message):
+                propagate_fn(space, three, steps)
 
 
 def test_pushforward_unitary_requires_holomorphic_flow():
@@ -769,9 +798,15 @@ def test_a_static_path_takes_one_step_whatever_the_step_count(monkeypatch):
     for k in (8, 9):
         space = quantize.build_space(k)
         for name in STATIC_PRESETS:
-            for form, run in _static_forms(space, ham.preset(name)).items():
+            forms = _static_forms(space, ham.preset(name))
+            for form, run in forms.items():
                 first, *rest = (_as_bytes(run(steps)) for steps in (1, 4, 16))
                 assert all(other == first for other in rest), (name, form, k)
+            # one pull-back, taken at 4 steps, serves every step count
+            shared = propagate.pull_back(ham.preset(name), space.grid, 4)
+            for steps in (1, 4, 16):
+                got = _as_bytes(propagate.xi_path(space, shared, steps))
+                assert got == _as_bytes(forms["xi_path"](steps)), (name, k, steps)
     # x1 x2 has azimuthal degree 2: one dense exponential at every step count
     h = ham.Polynomial([ham.Monomial((1, 1, 0))])
     calls = _count_routes(monkeypatch)
@@ -872,7 +907,7 @@ def test_step_generator_from_once_formed_commutators():
         assert propagate._step_band([degree for _, _, degree, _ in groups]) == 2
         for sign in (-1.0, 1.0):
             coef, mats = propagate._separable_steps(groups, gauss, k, dt, sign)
-            for c, (t1, t2) in zip(coef, gauss):
+            for c, t1, t2 in zip(coef, gauss[::2], gauss[1::2], strict=True):
                 expected = propagate._magnus_effective(
                     generator(t1), generator(t2), k, dt, sign
                 )

@@ -335,10 +335,10 @@ def test_chart_samples_assemble_each_sample_as_kostant_souriau():
     for k in (2, 9):
         sp = quantize.build_space(k, grid)
         for samples in (pulled, static):
-            for t, values in samples.data.items():
+            for i, values in enumerate(samples.values):
                 assert np.array_equal(
-                    samples.operator(sp, t), quantize.kostant_souriau(sp, values)
-                ), (k, t)
+                    samples.operator(sp, i), quantize.kostant_souriau(sp, values)
+                ), (k, i)
 
 
 def _degree_combinations(nodes, rng, max_degree=15):
