@@ -16,7 +16,7 @@ import numpy as np
 
 from . import flow, propagate, siegel, sphere
 from .hamiltonians import _is_count
-from .unitary_metric import Unitary, UnitaryWithPhase, cover_distance
+from .unitary_metric import Unitary, UnitaryWithPhase, _relative, cover_distance, cover_radius
 
 # ---------------------------------------------------------------------------
 # quasimorphism
@@ -106,9 +106,26 @@ def cover_product(a: UnitaryWithPhase, b: UnitaryWithPhase) -> UnitaryWithPhase:
 def level_defect(space, h_a, h_b, product, steps):
     """Cover distance at one level between the product of the quantized
     paths of h_a and h_b and the quantized product path, whose
-    :func:`propagate.product_samples` were taken on ``space.grid``, and the
-    three cover elements (a, b, product) it was measured from."""
+    :func:`propagate.product_samples` were taken on ``space.grid``, the
+    three cover elements (a, b, product) it was measured from, and the
+    largest part of a matrix that the parity fold dropped (None off it).
+
+    When the samples carry a half-turn ``axis``, h_a and h_b keep that half
+    turn too, so b.u a.u^H commutes with it: its eigenvalues are those of its
+    two :func:`propagate._fold_pairs` blocks, framed as the product path's
+    propagator was, and their union takes the one lattice step,
+    :func:`unitary_metric.cover_radius`."""
     ua = propagate.propagate_ks(space, h_a, steps).with_phase()
     ub = propagate.propagate_ks(space, h_b, steps).with_phase()
-    uab = propagate.propagate_ks(space, product, steps).with_phase()
-    return cover_distance(cover_product(ua, ub), uab), (ua, ub, uab)
+    result = propagate.propagate_ks(space, product, steps)
+    uab = result.with_phase()
+    covers = (ua, ub, uab)
+    a = cover_product(ua, ub)
+    if product.axis is None:
+        return cover_distance(a, uab), covers, None
+    frame = propagate._half_turn_frame(product.axis, space.dim)
+    blocks, drop = propagate._fold_pairs(_relative(a, uab), frame)
+    h = space.dim // 2
+    lam = np.concatenate([np.linalg.eigvals(blocks[0]), np.linalg.eigvals(blocks[1, :h, :h])])
+    drop = float(np.max([drop, result.parity_drop]))
+    return cover_radius(lam, uab.phase - a.phase), covers, drop

@@ -10,14 +10,24 @@ which accumulates the lifted phase without any angle unwrapping.
 A path reaches :func:`_magnus`, the one driver, as data: :class:`ChartSamples`,
 a symbol's rows in Gauss-time order, or the separable groups (c_i, A_i) of a
 polynomial path A(t) = sum_i c_i(t) A_i; a static path takes one step of
-length 1.  Every step generator of the groups is a combination of the A_i and
-their commutators, formed once per propagation, and exponentiated by the band
-the powers certify: elementwise when diagonal (functions of the height x3), by
-a real symmetric tridiagonal solver when tridiagonal (the rotations x1, x2 with
-functions of x3), else, like every sampled step, in the dense loop
-:func:`_dense_steps`.  When the powers also certify every group even in x3, the
-tridiagonal steps, framed once, split into two half-size blocks; each block's
-steps are multiplied on their own, and the two products are unfolded once.
+length 1, and static groups their matrices as they are.  Every step generator
+of time-dependent groups is a combination of the A_i and their commutators,
+formed once per propagation, and exponentiated by the band the powers certify:
+elementwise when diagonal (functions of the height x3), by a real symmetric
+tridiagonal solver when tridiagonal (the rotations x1, x2 with functions of
+x3), else, like every sampled step, in the dense loop :func:`_dense_steps`.
+
+Quantization takes the half turn z -> 1/z about x1 to the reversal J of the
+basis, and the half turn about x2 to diag((-1)^m) J.  An operator that commutes
+with one of them splits, in a fixed frame, into two half-size blocks on the
+parity rows (Cantoni & Butler, 1976), and so does every Magnus step built from
+such operators.  Two routes use this, each certified from the powers alone:
+when every group is even in x3, the tridiagonal steps, framed once, split in
+two and each block's steps are multiplied on their own; when the samples of a
+product path carry a half-turn ``axis`` (:func:`product_samples`), every row
+operator is folded onto the two blocks (:func:`_fold_pairs`), and both blocks'
+steps run through :func:`_dense_steps` at half size, side by side.  Either way
+the two products are unfolded once to the N x N propagator.
 """
 
 from __future__ import annotations
@@ -60,11 +70,16 @@ class ChartSamples:
     ``flow_area_drift`` is the largest change in a sample's Liouville integral
     that the samples' flow made, as :func:`_flow_samples` reads it: 0.0 on the
     closed-form and identity routes, whose flows preserve the measure exactly.
+    ``axis`` is the axis, "x1" or "x2", of a half turn that every row is
+    invariant under, as :func:`_half_turn_axis` certifies it from the powers of
+    the symbol's terms, or None; :func:`_magnus` propagates certified samples in
+    two parity blocks.
     """
 
     grid: sphere.SphereGrid
     values: np.ndarray  # (2 steps or 1, grid.size) real node values
     flow_area_drift: float
+    axis: str | None = None
 
     @cached_property
     def _modes(self):
@@ -88,10 +103,28 @@ class PropagationResult:
         return UnitaryWithPhase(Unitary(self.unitary), self.phase)
 
 
+@dataclass(frozen=True)
+class ParityPropagationResult(PropagationResult):
+    """The propagator of samples that carry a half-turn ``axis``, built in two parity
+    blocks, with ``parity_drop``: the largest relative Frobenius norm of the part that
+    :func:`_fold_pairs` dropped from a row operator."""
+
+    parity_drop: float
+
+
+def _result(u, phase, drop):
+    """The :class:`PropagationResult` of :func:`_magnus`' output, a
+    :class:`ParityPropagationResult` when a parity fold ran."""
+    if drop is None:
+        return PropagationResult(unitary=u, phase=phase)
+    return ParityPropagationResult(unitary=u, phase=phase, parity_drop=drop)
+
+
 def _expi(a, scale):
-    """exp(1j * scale * a) for Hermitian a, exactly unitary."""
+    """exp(1j * scale * a) for Hermitian a, or for each of a stack of them, exactly
+    unitary."""
     vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.exp(1j * scale * vals)[None, :]) @ vecs.conj().T
+    return (vecs * np.exp(1j * scale * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _expi_tridiagonal(d, e, scale, v):
@@ -232,29 +265,35 @@ def _separable_steps(groups, gauss, k, dt, sign):
 def _dense_steps(generators, scale):
     """exp(i scale G_last) ... exp(i scale G_0) and scale * sum_n tr G_n for the Hermitian
     step generators G_n, in order, each exponentiated by the dense :func:`_expi`; u
-    starts from the first step's exponential."""
+    starts from the first step's exponential.  A stack of blocks, such as the two parity
+    blocks of :func:`_fold_pairs`, is one block-diagonal G_n: each block takes its own
+    product, and tr G_n sums their traces."""
     u, phase = None, 0.0
     for g in generators:
         step = _expi(g, scale)
         u = step if u is None else step @ u
-        phase += scale * np.trace(g).real
+        phase += scale * g.diagonal(0, -2, -1).sum().real
     return u, phase
 
 
-def _sample_steps(space, samples, steps, k, sign):
-    """The Magnus step generators of :class:`ChartSamples` over ``steps`` steps, each
-    :func:`_magnus_effective` of the operators of two consecutive rows, or the one operator
-    of a one-row sample; ``ValueError`` unless the rows are one or two a step."""
+def _sample_rows(space, samples, steps):
+    """The Kostant-Souriau operators of the rows of :class:`ChartSamples`, one at a time;
+    ``ValueError`` unless the rows are one or two a step."""
     rows = len(samples.values)
     if rows not in (1, 2 * steps):
         raise ValueError(
             f"chart samples taken for {rows / 2:g} Magnus steps cannot serve other Magnus steps"
         )
-    ops = (samples.operator(space, i) for i in range(rows))
-    if rows == 1:
-        return ops
-    # zip draws from the one generator twice: rows 2n and 2n + 1
-    return (_magnus_effective(a1, a2, k, 1.0 / steps, sign) for a1, a2 in zip(ops, ops))
+    return (samples.operator(space, i) for i in range(rows))
+
+
+def _row_steps(rows, k, dt, sign):
+    """The Magnus step generators of row operators in Gauss-time order, two rows a step:
+    each :func:`_magnus_effective` of rows 2n and 2n + 1, which keeps a stack of blocks
+    a stack."""
+    # zip draws from the one iterator twice
+    rows = iter(rows)
+    return (_magnus_effective(a1, a2, k, dt, sign) for a1, a2 in zip(rows, rows))
 
 
 def _expi_steps(coef, mats, band, scale, even=False):
@@ -288,12 +327,7 @@ def _expi_steps(coef, mats, band, scale, even=False):
     half = 0.5 * np.angle((off * off[:, ::-1]).sum(axis=0, keepdims=True))
     blocks = _parity_blocks(diag, off * np.exp(-1j * half))
     u = _unfold_pairs(*(_tridiagonal_product(d, e, scale) for d, e in blocks))
-    # W, and the 1 / sqrt(2) of every pair row and column that u leaves out
-    n = diag.shape[1]
-    norm = np.full(n, 0.5**0.5)
-    norm[n // 2 : n - n // 2] = 1.0
-    frame = _gauge(half) * norm
-    return frame.T * u * frame.conj(), phase
+    return _frame_pairs(u, _gauge(half)[0]), phase
 
 
 def _unfold_pairs(s, a):
@@ -312,40 +346,142 @@ def _unfold_pairs(s, a):
     return u
 
 
+def _frame_pairs(u, frame):
+    """F u F* for the :func:`_unfold_pairs` u of two blocks, with F = diag(frame), or
+    the identity when ``frame`` is None, times the 1 / sqrt(2) of every pair row and
+    column that u leaves out: P^T diag(s, a) P, framed back."""
+    n = len(u)
+    norm = np.full(n, 0.5**0.5)
+    norm[n // 2 : n - n // 2] = 1.0
+    frame = norm if frame is None else frame * norm
+    return frame[:, None] * u * frame.conj()
+
+
+# i^m for m = 0, 1, 2, 3: the quarter-turn frame, exact
+_QUARTER_TURN = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _half_turn_axis(*hs):
+    """The axis, "x1" or "x2", of a half turn that every term of the polynomials hs is
+    invariant under, read from the powers: (x1, x2, x3) -> (x1, -x2, -x3) keeps a term
+    with p2 + p3 even, and (x1, x2, x3) -> (-x1, x2, -x3) one with p1 + p3 even; x1 when
+    both do, None when neither does.  Never tested numerically."""
+    powers = [term.powers for h in hs for term in getattr(h, "terms", [h])]
+    for axis, (i, j) in (("x1", (1, 2)), ("x2", (0, 2))):
+        if all((p[i] + p[j]) % 2 == 0 for p in powers):
+            return axis
+    return None
+
+
+def _half_turn_frame(axis, n):
+    """The diagonal of the frame F on n rows, None for the identity, in which every
+    operator that commutes with the quantized half turn about ``axis`` commutes with J:
+    u_j -> u_{n-1-j}.
+
+    Quantization takes the half turn z -> 1/z about x1 to J, which maps z^m to z^{k-m},
+    so F is the identity for x1.  The half turn about x2 is S = diag((-1)^m) J, and the
+    quarter turn F = diag(i^m) about x3 takes it to J: F* A F commutes with J when A
+    commutes with S."""
+    if axis == "x1":
+        return None
+    return _QUARTER_TURN[np.arange(n) % 4]
+
+
+def _fold_pairs(b, frame):
+    """The two parity blocks of c = F* b F, F = diag(frame) or the identity when ``frame``
+    is None, on the rows of :func:`_parity_blocks`, as one (2, ceil(N/2), ceil(N/2))
+    stack, and the relative Frobenius norm of the J-antisymmetric part of c that the
+    blocks drop: the dense counterpart of :func:`_parity_blocks`, in O(N^2).
+
+    The blocks are those of the J-symmetric part (c + J c J) / 2.  The symmetric one reads
+    c_ij + c_{i,N-1-j} of it on the pair rows, and sqrt(2) c_hj and c_hh on the middle row
+    h = N // 2 of odd N; the antisymmetric one reads c_ij - c_{i,N-1-j}, and for odd N
+    fills the leading N // 2 rows and columns of its slot, the rest zero, so that every
+    function of the stack keeps that corner.  The dropped part (c - J c J) / 2 is what
+    couples the two blocks; it is rounding when b commutes with the half turn that F
+    frames (Cantoni & Butler, Linear Algebra Appl. 13, 1976)."""
+    c = b if frame is None else frame.conj()[:, None] * b * frame
+    n = len(c)
+    h, lo = n // 2, n - n // 2
+    flip = c[::-1, ::-1]
+    anti = c - flip
+    size = np.vdot(c, c).real
+    drop = float(0.5 * np.sqrt(np.vdot(anti, anti).real / size)) if size else 0.0
+    sym = 0.5 * (c[:lo] + flip[:lo])
+    blocks = np.zeros((2, lo, lo), dtype=complex)
+    s = np.add(sym[:, :lo], sym[:, ::-1][:, :lo], out=blocks[0])
+    if n % 2:
+        s[h] *= 0.5**0.5
+        s[:, h] *= 0.5**0.5
+    np.subtract(sym[:h, :h], sym[:h, ::-1][:, :h], out=blocks[1, :h, :h])
+    return blocks, drop
+
+
+def _folded(ops, frame, drops):
+    """The :func:`_fold_pairs` blocks of each operator of ``ops``, one at a time; each
+    drop is appended to ``drops``."""
+    for op in ops:
+        blocks, drop = _fold_pairs(op, frame)
+        drops.append(drop)
+        yield blocks
+
+
 def _magnus(space, path, steps, sign):
     """Fourth-order Magnus integration on [0, 1] of d/dt u = sign * i k A(t) u
     from u = I (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009), over
-    ``steps`` equal steps: the one driver of every propagation.  Returns u
-    and its determinant lift, the sum of sign * k dt tr A over the steps.
+    ``steps`` equal steps: the one driver of every propagation.  Returns u,
+    its determinant lift, the sum of sign * k dt tr A over the steps, and the
+    ``parity_drop`` of :class:`ParityPropagationResult`, None when no parity fold ran.
 
-    ``path`` is :class:`ChartSamples`, whose step generators :func:`_sample_steps`
-    reads and :func:`_dense_steps` exponentiates, or the :func:`_groups` of a
-    separable path, whose step generators :func:`_separable_steps` forms and
-    :func:`_expi_steps` exponentiates at their :func:`_step_band`, exact up to
-    rounding on the exact grids of :func:`_groups`.  A static path (one-row
-    samples, or groups all static) has a constant A: both Gauss points see it
-    and the commutators vanish, so the steps multiply to exp(sign i k A), one
-    step of length 1, at the times of ``_gauss_times(1)``.
+    ``path`` is :class:`ChartSamples`, whose step generators :func:`_row_steps`
+    forms from the :func:`_sample_rows` and :func:`_dense_steps` exponentiates, or
+    the :func:`_groups` of a separable path, whose step generators
+    :func:`_separable_steps` forms and :func:`_expi_steps` exponentiates at their
+    :func:`_step_band`, exact up to rounding on the exact grids of :func:`_groups`.
+    A static path (one-row samples, or groups all static) has a constant A: both
+    Gauss points see it and the commutators vanish, so the steps multiply to
+    exp(sign i k A), one step of length 1, whose generator is the one row, or the
+    groups' matrices with coefficient 1.
+
+    Samples that carry an ``axis`` take every row operator, framed, as its two
+    :func:`_fold_pairs` blocks: the steps of both blocks run through
+    :func:`_dense_steps` at half size, side by side, the two products are unfolded
+    once by :func:`_unfold_pairs` and framed back by :func:`_frame_pairs`, and the
+    phase is the sum of both blocks' traces.
     """
     flow._check_steps(steps)
     k = space.k
     samples = isinstance(path, ChartSamples)
-    if len(path.values) == 1 if samples else all(fn is None for fn, *_ in path):
+    static = len(path.values) == 1 if samples else all(fn is None for fn, *_ in path)
+    if static:
         steps = 1
     dt = 1.0 / steps
     scale = sign * k * dt
-    if samples:
-        return _dense_steps(_sample_steps(space, path, steps, k, sign), scale)
-    coef, mats = _separable_steps(path, _gauss_times(steps), k, dt, sign)
-    band = _step_band([degree for _, _, degree, _ in path])
-    return _expi_steps(coef, mats, band, scale, all(even for *_, even in path))
+    if not samples:
+        if static:
+            coef = np.ones((1, len(path)), dtype=complex)
+            mats = np.array([a for _, a, *_ in path])
+        else:
+            coef, mats = _separable_steps(path, _gauss_times(steps), k, dt, sign)
+        band = _step_band([degree for _, _, degree, _ in path])
+        return *_expi_steps(coef, mats, band, scale, all(even for *_, even in path)), None
+
+    rows = _sample_rows(space, path, steps)
+    drops = []
+    if path.axis is not None:
+        frame = _half_turn_frame(path.axis, space.dim)
+        rows = _folded(rows, frame, drops)
+    u, phase = _dense_steps(rows if static else _row_steps(rows, k, dt, sign), scale)
+    if path.axis is None:
+        return u, phase, None
+    h = space.dim // 2
+    return _frame_pairs(_unfold_pairs(u[0], u[1, :h, :h]), frame), phase, float(np.max(drops))
 
 
 def propagate_generic(space, path, steps):
     """Fourth-order Magnus propagation of d/dt u = -i k A(t) u on [0, 1],
     for ``path`` as :func:`_magnus` takes it."""
-    u, phase = _magnus(space, path, steps, -1.0)
-    return PropagationResult(unitary=u, phase=phase)
+    return _result(*_magnus(space, path, steps, -1.0))
 
 
 def _groups(space, h, builder):
@@ -382,7 +518,7 @@ def propagate_ks(space, h, steps):
     return propagate_generic(space, h, steps)
 
 
-def _flow_samples(h, grid, stops, rate, times, value):
+def _flow_samples(h, grid, stops, rate, times, value, axis):
     """:class:`ChartSamples` on ``grid`` whose rows are ``value(y, t)`` at the
     sample ``times``, in order, y the nodes flowed by h to the stop t, or by its
     inverse flow at t to the stop -t, along monotone signed ``stops``.  The one route
@@ -396,7 +532,7 @@ def _flow_samples(h, grid, stops, rate, times, value):
     integrates as ``value(nodes, t)`` does; ``flow_area_drift`` is the
     largest gap between the two integrals over the sample times, RK4's
     area error on its routes, and 0.0 by that identity on the closed-form
-    one."""
+    one.  ``axis`` is the samples' half-turn certificate, which the caller reads."""
     flow._check_rate(rate)
     nodes = grid.nodes
     points = flow.axial_flow(h, nodes, stops)
@@ -410,11 +546,12 @@ def _flow_samples(h, grid, stops, rate, times, value):
     values = np.array([value(y, abs(s)) for s, y in zip(stops, points) if abs(s) in times])
     drift = 0.0
     if rk4:
-        drift = max(
+        gaps = [
             abs(sphere.integrate_values(grid, v) - sphere.integrate_values(grid, value(nodes, t)))
             for t, v in zip(times, values)
-        )
-    return ChartSamples(grid, values, drift)
+        ]
+        drift = float(np.max(gaps))
+    return ChartSamples(grid, values, drift, axis)
 
 
 def product_samples(f, g, grid, steps, flow_steps=256):
@@ -422,11 +559,21 @@ def product_samples(f, g, grid, steps, flow_steps=256):
     alpha_t^{-1}, the generator of the product of the paths of f and g
     (alpha the flow of f), at the Gauss times of :func:`propagate_generic`;
     :func:`_flow_samples` reads alpha_t^{-1} at the stop -t, and its area
-    drift from int g_t o alpha_t^{-1} dmu = int g_t dmu."""
+    drift from int g_t o alpha_t^{-1} dmu = int g_t dmu.
+
+    A half turn R that keeps every term of f and g is symplectic, so alpha_t
+    commutes with it and f_t + g_t o alpha_t^{-1} is R-invariant: ``axis`` is
+    :func:`_half_turn_axis` of f and g."""
     times = _gauss_times(steps)
     nodes, stops = grid.nodes, [-t for t in times]
     return _flow_samples(
-        f, grid, stops, flow_steps, times, lambda x, t: f.value(nodes, t) + g.value(x, t)
+        f,
+        grid,
+        stops,
+        flow_steps,
+        times,
+        lambda x, t: f.value(nodes, t) + g.value(x, t),
+        _half_turn_axis(f, g),
     )
 
 
@@ -439,10 +586,12 @@ def pull_back(h, grid, steps):
     times and the ends of every Magnus step but the last, sorted, one RK4 step
     to each, and its area drift reads int H_t o phi_t dmu against int H_t dmu."""
     times = _gauss_times(steps)
+    # no half-turn certificate: the parity route would move the bits of every
+    # xi_path propagator, whose unitarity rounding perfbench's claims reads
     if h.autonomous:
-        return ChartSamples(grid, h.value(grid.nodes)[None, :], 0.0)
+        return ChartSamples(grid, h.value(grid.nodes)[None, :], 0.0, None)
     stops = sorted(times + [n * (1.0 / steps) for n in range(1, steps)])
-    return _flow_samples(h, grid, stops, steps, times, h.value)
+    return _flow_samples(h, grid, stops, steps, times, h.value, None)
 
 
 def xi_path(space, h, steps):
@@ -456,8 +605,8 @@ def xi_path(space, h, steps):
     """
     if not isinstance(h, ChartSamples):
         h = pull_back(h, space.grid, steps)
-    x, phase = _magnus(space, h, steps, 1.0)
-    return PropagationResult(unitary=x.conj().T, phase=-phase)
+    x, phase, drop = _magnus(space, h, steps, 1.0)
+    return _result(x.conj().T, -phase, drop)
 
 
 def check_holomorphic(h):

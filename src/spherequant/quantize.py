@@ -303,19 +303,3 @@ def kostant_souriau_modes(space, modes):
     stacks of one :meth:`QuantumSpace._assemble`.
     """
     return space._assemble(modes, ks=True)
-
-
-def trace_residual(space, h):
-    """Residual of the two-term trace expansion of the Kostant-Souriau
-    operator:
-
-        tr K_k(f) - (k / 2 pi) I(f) - (1 / 4 pi) I(f S)
-
-    with I the symplectic integral and S = 2 the scalar curvature of the
-    round structure.
-    """
-    values = h.value(space.grid.nodes, 0.0)
-    tr = np.trace(kostant_souriau(space, values)).real
-    i_f = sphere.integrate_values(space.grid, values)
-    i_fs = sphere.integrate_values(space.grid, values * 2.0)
-    return tr - space.k / (2.0 * np.pi) * i_f - i_fs / (4.0 * np.pi)

@@ -146,8 +146,15 @@ def _relative(a: UnitaryWithPhase, b: UnitaryWithPhase):
 def cover_distance(a: UnitaryWithPhase, b: UnitaryWithPhase) -> float:
     """Operator-norm geodesic distance on the universal cover of U(N), from the
     eigenvalues of b.u a.u^H alone, read as :func:`distance` reads them."""
-    lam = np.linalg.eigvals(_relative(a, b))
-    radius, _ = solve_lattice(LatticeProblem(principal_args(lam), b.phase - a.phase))
+    return cover_radius(np.linalg.eigvals(_relative(a, b)), b.phase - a.phase)
+
+
+def cover_radius(eigenvalues, phase_gap) -> float:
+    """The cover distance from a to b, given every eigenvalue of b.u a.u^H, in any
+    order, and b.phase - a.phase: the lattice minimum of :func:`solve_lattice`, the one
+    lattice step of :func:`cover_distance` and of callers that read the eigenvalues
+    blockwise."""
+    radius, _ = solve_lattice(LatticeProblem(principal_args(eigenvalues), phase_gap))
     return radius
 
 

@@ -231,6 +231,27 @@ def kostant_souriau(space, values):
 
 
 # ---------------------------------------------------------------------------
+# the two-term trace expansion of the Kostant-Souriau operator, which only
+# tests read (acceptance criterion 06)
+
+
+def trace_residual(space, h):
+    """Residual of the two-term trace expansion of the Kostant-Souriau
+    operator:
+
+        tr K_k(f) - (k / 2 pi) I(f) - (1 / 4 pi) I(f S)
+
+    with I the symplectic integral and S = 2 the scalar curvature of the
+    round structure.
+    """
+    values = h.value(space.grid.nodes, 0.0)
+    tr = np.trace(quantize.kostant_souriau(space, values)).real
+    i_f = sphere.integrate_values(space.grid, values)
+    i_fs = sphere.integrate_values(space.grid, values * 2.0)
+    return tr - space.k / (2.0 * np.pi) * i_f - i_fs / (4.0 * np.pi)
+
+
+# ---------------------------------------------------------------------------
 # complex-structure fields: ``evaluate(points, chart)`` gives the 2x2 frame
 # matrices in the given charts (per-point hemisphere charts for None).  The
 # flow is read through the ``flow`` module, so a test that replaces

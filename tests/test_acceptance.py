@@ -128,13 +128,13 @@ def test_criterion_06_trace_expansion():
         for k in ks:
             space = quantize.build_space(k)
             residuals.append(
-                (2.0 * np.pi / k) * quantize.trace_residual(space, h)
+                (2.0 * np.pi / k) * oracles.trace_residual(space, h)
             )
         slope = harness.fit_slope(ks, residuals)
         ok &= slope is None or slope <= -0.8
     for k in ks:
         space = quantize.build_space(k)
-        ok &= abs(quantize.trace_residual(space, ham.constant(1.0))) <= 1e-8
+        ok &= abs(oracles.trace_residual(space, ham.constant(1.0))) <= 1e-8
     assert _report(6, "two-term operator trace expansion", ok)
 
 

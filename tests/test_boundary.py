@@ -6,6 +6,8 @@ the input; a LinAlgError (a ValueError subclass), an OverflowError or a
 silent result fails.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -375,3 +377,67 @@ def test_public_api_refuses_inputs_it_cannot_compute_exactly(call, name):
     with pytest.raises(ValueError, match=name) as info:
         call()
     assert not isinstance(info.value, np.linalg.LinAlgError), info.value
+
+
+def _nan_on_call(fn, call):
+    """fn, except that its ``call``-th call, counting from 1, returns NaN."""
+    calls = itertools.count(1)
+
+    def patched(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        return NAN if next(calls) == call else value
+
+    return patched
+
+
+def _nan_residual_at_k8(phase_level):
+    """harness._phase_level, except that the k = 8 row's residual is NaN."""
+
+    def patched(*args):
+        level = phase_level(*args)
+
+        def nan_level(space):
+            entries, covers = level(space)
+            return ({**entries, "residual": NAN} if space.k == 8 else entries), covers
+
+        return nan_level
+
+    return patched
+
+
+def _distance_sweep():
+    return harness.run_distance_tests(harness.ExperimentConfig(experiment="distance", pairs=20))
+
+
+def _theorem1_sweep():
+    config = harness.ExperimentConfig(experiment="theorem1", preset="x1", ks=(4, 8), steps=4)
+    return harness.run_theorem1_holomorphic(config)
+
+
+# (case, module, name, the call of module.name that returns NaN, sweep, summary
+# keys of the value the NaN reaches); _phase_level gives a NaN residual at k = 8.
+# Each NaN arrives after a finite value of its check, so a builtin max, which
+# keeps a NaN only when it comes first, would drop it
+NAN_CHECKS = [
+    ("distance-nan", harness, "distance", 5, _distance_sweep, ("worst", "metric_axioms")),
+    ("norm-bounds-nan", np.linalg, "norm", 3, _distance_sweep, ("worst", "norm_bounds")),
+    ("cover-bounds-nan", harness, "cover_distance", 3, _distance_sweep, ("worst", "cover_bounds")),
+    ("theorem1-residual-nan", harness, "_phase_level", None, _theorem1_sweep, ("max_residual",)),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, call, sweep, keys",
+    [case[1:] for case in NAN_CHECKS],
+    ids=[c[0] for c in NAN_CHECKS],
+)
+def test_a_nan_fails_the_check_it_reaches(monkeypatch, module, name, call, sweep, keys):
+    fn = getattr(module, name)
+    patched = _nan_residual_at_k8(fn) if call is None else _nan_on_call(fn, call)
+    monkeypatch.setattr(module, name, patched)
+    report = sweep()
+    value = report.summary
+    for key in keys:
+        value = value[key]
+    assert np.isnan(value)
+    assert not report.checks_passed

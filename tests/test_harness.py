@@ -385,7 +385,7 @@ def test_sweep_reports_keep_their_layout():
             harness.run_defect(_defect_config()),
             ["k", "defect", "runtime"],
             ["max_defect", "defect_slope", "slope_bound"],
-            ["flow_area_drift", *cover],
+            ["flow_area_drift", "parity_drop", *cover],
         ),
     ]
     for report, columns, verdict, health in layouts:
@@ -708,3 +708,27 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "x1" in proc.stdout
+
+
+def test_defect_records_what_the_parity_fold_drops():
+    # the workload's product samples are certified on x1 (seed 57) or x2 (seed
+    # 3): health.parity_drop is the largest relative part the fold dropped, over
+    # the row operators and b.u a.u^H, and rounding at k <= 64; a product that
+    # keeps no half turn runs the full route, and records null
+    for axis in ("x1", "x2"):
+        config = harness.ExperimentConfig(
+            experiment="defect",
+            preset="height-squared",
+            preset_params={"scale": 2.0},
+            preset_b=axis,
+            preset_b_params={"scale": 2.0},
+            ks=(8, 16, 32, 64),
+            steps=8,
+            flow_steps=32,
+        )
+        report = harness.run_defect(config)
+        drop = report.summary["health"]["parity_drop"]
+        assert np.isfinite(drop) and drop <= 1e-11, (axis, drop)
+        assert report.checks_passed
+    report = harness.run_defect(_defect_config(preset="height"))
+    assert report.summary["health"]["parity_drop"] is None

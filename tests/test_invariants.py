@@ -10,6 +10,7 @@ from spherequant import (
     propagate,
     siegel,
     sphere,
+    unitary_metric,
 )
 
 import oracles
@@ -203,7 +204,7 @@ def test_defect_on_the_shared_grid_matches_a_fine_reference():
     h_a, h_b = ham.height_squared(2.0), ham.coordinate(0, 2.0)
     fine = sphere.build_grid(80, 160)
     product = propagate.product_samples(h_a, h_b, fine, steps=8, flow_steps=32)
-    reference, _ = invariants.level_defect(
+    reference, *_ = invariants.level_defect(
         quantize.build_space(8, fine), h_a, h_b, product, steps=8
     )
     shared = _defects(
@@ -240,3 +241,25 @@ def test_quantum_defect_symmetry_against_manual_product():
     # manually multiplied propagators for a holomorphic first factor
     d = _defects(preset="height", preset_b="x1", ks=(6,), steps=48)
     assert d[0] < 1e-5
+
+
+def test_block_cover_distance_matches_the_full_one():
+    # on certified product samples the defect reads the eigenvalues of the two
+    # parity blocks of b.u a.u^H; the full eigvals of the same cover elements
+    # agree to 1e-12, and so does the defect of the full route, the samples
+    # without their axis.  The fold drops rounding from b.u a.u^H
+    h_a = ham.height_squared(2.0)
+    grid = quantize.default_grid(64)
+    for h_b, axis in ((ham.coordinate(0, 2.0), "x1"), (ham.coordinate(1, -2.0), "x2")):
+        product = propagate.product_samples(h_a, h_b, grid, steps=8, flow_steps=32)
+        assert product.axis == axis
+        full = propagate.ChartSamples(grid, product.values, product.flow_area_drift)
+        for k in (8, 9, 64):
+            space = quantize.build_space(k, grid)
+            d, (ua, ub, uab), drop = invariants.level_defect(space, h_a, h_b, product, 8)
+            reference = unitary_metric.cover_distance(invariants.cover_product(ua, ub), uab)
+            assert abs(d - reference) <= 1e-12, (axis, k)
+            d_full, _, no_drop = invariants.level_defect(space, h_a, h_b, full, 8)
+            assert abs(d - d_full) <= 1e-12, (axis, k)
+            assert no_drop is None
+            assert np.isfinite(drop) and drop <= 1e-11, (axis, k, drop)

@@ -502,7 +502,7 @@ def test_propagation_never_builds_the_node_basis():
     propagate.propagate_ks(sp, ham.time_mixed(), steps=2)
     propagate.propagate_ks(sp, star, steps=2)
     propagate.xi_path(sp, ham.time_mixed(), steps=2)
-    quantize.trace_residual(sp, ham.height_squared())
+    oracles.trace_residual(sp, ham.height_squared())
     assert "basis" not in vars(sp)
     assert "weighted_basis" not in vars(sp)
 
@@ -594,7 +594,7 @@ def test_tridiagonal_route_matches_the_dense_oracle(monkeypatch):
                 groups = propagate._groups(space, h, builder)
                 for sign in (-1.0, 1.0):
                     before = dict(calls)
-                    u, phase = propagate._magnus(space, groups, steps, sign)
+                    u, phase, _ = propagate._magnus(space, groups, steps, sign)
                     blocks = TRIDIAGONAL_BLOCKS[name]
                     assert calls["tridiagonal"] - before["tridiagonal"] == blocks * steps, name
                     assert calls["dense"] == before["dense"], name
@@ -704,7 +704,7 @@ def test_a_group_odd_in_x3_takes_one_full_size_block(monkeypatch):
                 groups = propagate._groups(space, h, builder)
                 assert [even for *_, even in groups].count(False) == 1, name
                 sizes.clear()
-                u, phase = propagate._magnus(space, groups, steps, -1.0)
+                u, phase, _ = propagate._magnus(space, groups, steps, -1.0)
                 assert sizes == [k + 1] * steps, (name, k)
                 u_dense, phase_dense = oracles.dense_magnus(
                     space, oracles.group_generator(groups), steps, -1.0
@@ -744,7 +744,7 @@ def test_band_two_paths_take_the_dense_route_and_coarse_grids_are_refused(monkey
         for builder in BUILDERS.values():
             groups = propagate._groups(space, band_two, builder)
             for sign in (-1.0, 1.0):
-                u, phase = propagate._magnus(space, groups, 4, sign)
+                u, phase, _ = propagate._magnus(space, groups, 4, sign)
                 u_dense, phase_dense = oracles.dense_magnus(
                     space, oracles.group_generator(groups), 4, sign
                 )
@@ -858,7 +858,7 @@ def test_time_dependent_band_zero_path_matches_the_dense_oracle(monkeypatch):
             assert propagate._step_band([degree for _, _, degree, _ in groups]) == 0
             for sign in (-1.0, 1.0):
                 before = dict(calls)
-                u, phase = propagate._magnus(space, groups, 16, sign)
+                u, phase, _ = propagate._magnus(space, groups, 16, sign)
                 assert calls == before
                 u_dense, phase_dense = oracles.dense_magnus(
                     space, oracles.group_generator(groups), 16, sign
@@ -1018,3 +1018,179 @@ def test_a_non_finite_time_function_value_is_refused_on_the_flow_routes():
         propagate.xi_path(space, path, 4)
     with pytest.raises(ValueError, match=message):
         propagate.product_samples(path, ham.height(), space.grid, 4, flow_steps=8)
+
+
+# ---------------------------------------------------------------------------
+# the half-turn parity route of certified product samples
+
+
+def _certified_products(grid, steps=8, flow_steps=32):
+    """The defect workload's product samples on ``grid``: 2 x3^2 composed with 2 x1
+    (certified on x1) and with -2 x2 (certified on x2)."""
+    h_a = ham.height_squared(2.0)
+    return {
+        axis: propagate.product_samples(h_a, h_b, grid, steps, flow_steps)
+        for axis, h_b in (("x1", ham.coordinate(0, 2.0)), ("x2", ham.coordinate(1, -2.0)))
+    }
+
+
+def _uncertified(samples):
+    return propagate.ChartSamples(samples.grid, samples.values, samples.flow_area_drift)
+
+
+def _record_expi(monkeypatch):
+    """The shapes of the arrays that ``propagate._expi`` exponentiates."""
+    shapes = []
+    expi = propagate._expi
+
+    def recorded(a, scale):
+        shapes.append(a.shape)
+        return expi(a, scale)
+
+    monkeypatch.setattr(propagate, "_expi", recorded)
+    return shapes
+
+
+def _hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return c + c.conj().T
+
+
+def test_fold_and_unfold_are_inverse_on_the_commutant_of_the_half_turn():
+    # the blocks are P F* b F P^T on the parity rows, the odd N antisymmetric one
+    # padded with a zero row and column; unfolding them gives b back when F* b F
+    # commutes with J, and a part that anticommutes with J is what the fold drops
+    for n in (9, 10):
+        h, lo = n // 2, n - n // 2
+        for axis in ("x1", "x2"):
+            frame = propagate._half_turn_frame(axis, n)
+            f = np.ones(n) if frame is None else frame
+            c = _hermitian(n, n)
+            b = f[:, None] * (c + c[::-1, ::-1]) * f.conj()
+            blocks, drop = propagate._fold_pairs(b, frame)
+            assert blocks.shape == (2, lo, lo)
+            assert not np.any(blocks[1, h:]) and not np.any(blocks[1, :, h:])
+            s, a = blocks[0], blocks[1, :h, :h]
+            for block in (s, a):
+                assert np.max(np.abs(block - block.conj().T)) <= 1e-15
+            back = propagate._frame_pairs(propagate._unfold_pairs(s, a), frame)
+            assert np.max(np.abs(back - b)) <= 1e-14 * np.max(np.abs(b)), (n, axis)
+            assert drop <= 1e-16, (n, axis)
+            # the eigenvalues of the blocks are those of b
+            lam = np.sort(np.concatenate([np.linalg.eigvalsh(s), np.linalg.eigvalsh(a)]))
+            assert np.max(np.abs(lam - np.linalg.eigvalsh(b))) <= 1e-13
+            r = _hermitian(n, n + 1)
+            anti = 1e-3 * f[:, None] * (r - r[::-1, ::-1]) * f.conj()
+            blocks, drop = propagate._fold_pairs(b + anti, frame)
+            u = propagate._unfold_pairs(blocks[0], blocks[1, :h, :h])
+            back = propagate._frame_pairs(u, frame)
+            assert np.max(np.abs(back - b)) <= 1e-14 * np.max(np.abs(b)), (n, axis)
+            expected = np.linalg.norm(anti) / np.linalg.norm(b + anti)
+            assert abs(drop - expected) <= 1e-12 * expected, (n, axis)
+
+
+def test_half_turn_certificate_is_read_from_the_powers():
+    grid = sphere.build_grid(6, 12)
+    table = [
+        (ham.height_squared(), ham.coordinate(0), "x1"),
+        (ham.height_squared(), ham.coordinate(1), "x2"),
+        (ham.time_mixed(), ham.constant(1.0), "x1"),
+        (ham.coordinate(0), ham.coordinate(1), None),
+        # x3 is odd under both half turns
+        (ham.height(), ham.coordinate(0), None),
+    ]
+    for f, g, axis in table:
+        samples = propagate.product_samples(f, g, grid, 2, flow_steps=8)
+        assert samples.axis == axis, (f.terms[0].powers, g.terms[0].powers)
+    # pull_back certifies nothing, and samples made by hand carry no axis
+    for name in ("height-squared", "time-mixed", "x1"):
+        assert propagate.pull_back(ham.preset(name), grid, 2).axis is None
+    assert propagate.ChartSamples(grid, np.zeros((1, grid.size)), 0.0).axis is None
+
+
+def test_an_uncertified_product_takes_the_full_route(monkeypatch):
+    # x1 composed with x2 keeps neither half turn: N x N steps, as for samples
+    # without an axis, and a plain PropagationResult
+    shapes = _record_expi(monkeypatch)
+    space = quantize.build_space(8)
+    samples = propagate.product_samples(
+        ham.coordinate(0), ham.coordinate(1), space.grid, 4, flow_steps=8
+    )
+    assert samples.axis is None
+    result = propagate.propagate_ks(space, samples, 4)
+    assert shapes == [(9, 9)] * 4
+    assert type(result) is propagate.PropagationResult
+
+
+def test_certified_products_take_half_size_blocks_and_match_the_full_route(monkeypatch):
+    # the full route, the same samples without their axis, is the oracle: the
+    # propagators agree to 1e-12, and the phases to 1e-12 of their size; every
+    # step exponentiates the stack of the two ceil(N/2) blocks, and the row
+    # operators' dropped parts are rounding
+    shapes = _record_expi(monkeypatch)
+    grid = quantize.default_grid(64)
+    for axis, samples in _certified_products(grid).items():
+        assert samples.axis == axis
+        full = _uncertified(samples)
+        for k in (8, 9, 64):
+            space = quantize.build_space(k, grid)
+            for sign in (-1.0, 1.0):
+                shapes.clear()
+                u, phase, drop = propagate._magnus(space, samples, 8, sign)
+                assert shapes == [(2, (k + 2) // 2, (k + 2) // 2)] * 8, (axis, k)
+                shapes.clear()
+                u_full, phase_full, none = propagate._magnus(space, full, 8, sign)
+                assert shapes == [(k + 1, k + 1)] * 8 and none is None
+                assert np.max(np.abs(u - u_full)) <= 1e-12, (axis, k)
+                assert abs(phase - phase_full) <= 1e-12 * max(1.0, abs(phase_full)), (axis, k)
+                assert np.isfinite(drop) and drop <= 1e-13, (axis, k, drop)
+            result = propagate.propagate_ks(space, samples, 8)
+            assert isinstance(result, propagate.ParityPropagationResult)
+            assert result.unitary.shape == (k + 1, k + 1)
+            result.with_phase()
+
+
+def test_a_one_row_certified_sample_takes_one_block_step(monkeypatch):
+    # a static certified symbol is one row: one stacked exponential whatever the
+    # step count, equal to the full route's one exponential
+    shapes = _record_expi(monkeypatch)
+    h = ham.height_squared()
+    for k in (8, 9):
+        space = quantize.build_space(k)
+        values = h.value(space.grid.nodes)[None, :]
+        for axis in ("x1", "x2"):
+            samples = propagate.ChartSamples(space.grid, values, 0.0, axis)
+            for steps in (1, 4):
+                shapes.clear()
+                result = propagate.propagate_ks(space, samples, steps)
+                assert shapes == [(2, (k + 2) // 2, (k + 2) // 2)]
+                op = quantize.kostant_souriau(space, values[0])
+                assert np.max(np.abs(result.unitary - propagate._expi(op, -k))) <= 1e-12
+                scale = max(1.0, k * np.sum(np.abs(np.diag(op))))
+                assert abs(result.phase + k * np.trace(op).real) <= 1e-12 * scale
+
+
+def test_a_static_group_path_skips_the_step_machinery(monkeypatch):
+    # one step with coefficient 1 and the group's matrix as it is: the bytes of
+    # the route through _separable_steps at one step, which is never called
+    separable = propagate._separable_steps
+
+    def refuse(*args):
+        raise AssertionError("a static path ran _separable_steps")
+
+    for k in (8, 9, 64):
+        space = quantize.build_space(k)
+        for name in STATIC_PRESETS:
+            for builder_name, builder in BUILDERS.items():
+                groups = propagate._groups(space, ham.preset(name), builder)
+                coef, mats = separable(groups, propagate._gauss_times(1), k, 1.0, -1.0)
+                band = propagate._step_band([degree for _, _, degree, _ in groups])
+                even = all(e for *_, e in groups)
+                expected = propagate._expi_steps(coef, mats, band, -float(k), even)
+                with monkeypatch.context() as patch:
+                    patch.setattr(propagate, "_separable_steps", refuse)
+                    u, phase, drop = propagate._magnus(space, groups, 16, -1.0)
+                assert u.tobytes() == expected[0].tobytes(), (name, builder_name, k)
+                assert np.float64(phase).tobytes() == np.float64(expected[1]).tobytes()
+                assert drop is None

@@ -140,7 +140,7 @@ def test_semiclassical_commutator_decay():
 def test_trace_identity_constant_symbol():
     for k in (8, 64):
         sp = quantize.build_space(k)
-        r = quantize.trace_residual(sp, ham.constant(1.0))
+        r = oracles.trace_residual(sp, ham.constant(1.0))
         assert abs(r) < 1e-10
 
 
@@ -150,7 +150,7 @@ def test_trace_residuals_at_noise_floor():
     for k in (16, 64):
         sp = quantize.build_space(k)
         for h in (ham.height(), ham.height_squared()):
-            assert abs(quantize.trace_residual(sp, h)) * 2 * np.pi / k < 1e-10
+            assert abs(oracles.trace_residual(sp, h)) * 2 * np.pi / k < 1e-10
 
 
 def test_lambda_prime_is_one():

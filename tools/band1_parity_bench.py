@@ -12,7 +12,9 @@ Prints one JSON object with two parts:
   exponentiates its Magnus steps, counted here because the traced
   ``perfbench`` counters miss the tridiagonal solves: the
   ``propagate._expi_tridiagonal`` calls by block size, the dense ``_expi``
-  calls and the elementwise (band-0) propagations;
+  calls, the dense eigensolves they run by block size (a stacked call of the
+  two parity blocks of a certified product path's step runs two, each of size
+  ceil(N/2)), and the elementwise (band-0) propagations;
 * ``curve``: the wall time of the ``time-mixed`` Toeplitz and Kostant-Souriau
   propagations at 64 Magnus steps, the pair of the slow Tier-1 trend test,
   at each level k, 8 to 512 by default (the least and the median of
@@ -60,6 +62,7 @@ class RouteCounter:
         self.propagate = propagate
         self.solves = collections.Counter()
         self.dense = 0
+        self.dense_solves = collections.Counter()
         self.elementwise = 0
 
     def __enter__(self):
@@ -71,9 +74,11 @@ class RouteCounter:
             self.solves[len(d)] += 1
             return solve(d, *args)
 
-        def counted_dense(*args):
+        def counted_dense(a, *args):
             self.dense += 1
-            return dense(*args)
+            n = a.shape[-1]
+            self.dense_solves[n] += a.size // (n * n)
+            return dense(a, *args)
 
         def counted_steps(coef, mats, band, *args):
             self.elementwise += band == 0
@@ -92,6 +97,7 @@ class RouteCounter:
             "tridiagonal_solves": sum(self.solves.values()),
             "tridiagonal_by_size": {str(n): c for n, c in sorted(self.solves.items())},
             "dense_expi": self.dense,
+            "dense_by_size": {str(n): c for n, c in sorted(self.dense_solves.items())},
             "elementwise": self.elementwise,
         }
 
